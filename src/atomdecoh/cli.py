@@ -111,6 +111,8 @@ def _coerce(key: str, value: str, typ: type):
     except ValueError:
         unit = "integer" if typ is int else ("number" if typ is float else "string")
         raise UsageError(f"parameter {key!r}: expected {unit}, got {value!r}") from None
+    if isinstance(parsed, float) and not math.isfinite(parsed):
+        raise UsageError(f"parameter {key!r} must be finite, got {value!r}")
     if key in _POSITIVE and isinstance(parsed, (int, float)) and parsed <= 0:
         raise UsageError(f"parameter {key!r} must be positive, got {value!r}")
     return parsed

@@ -1,6 +1,10 @@
-"""Adaptive 1D quadrature on semi-infinite intervals, Fourier-type
-oscillatory integrals with decaying envelopes, and a brute-force 3D
-tensor-product integrator used as a test oracle.
+"""Closed-form damped moments, adaptive 1D quadrature on semi-infinite
+intervals, Fourier-type oscillatory integrals with decaying envelopes, and
+a brute-force 3D tensor-product integrator used as a test oracle.
+
+Every library integrand of the form polynomial * exp(-b s - a s^2) is a
+finite sum of the damped moments computed by ``damped_moments``; the
+adaptive integrators remain for the cross-section and the test oracles.
 
 Semi-infinite domains are truncated at 40 decay lengths: every integrand
 handled here decays at least exponentially, which puts the truncation
@@ -12,6 +16,7 @@ series acceleration.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -199,3 +204,162 @@ def integrate_3d_oracle(
     wts = np.concatenate([0.5 * (b - a) * w for a, b in zip(edges[:-1], edges[1:])])
     vals = f(nodes[:, None, None], nodes[None, :, None], nodes[None, None, :])
     return float(np.einsum("i,j,k,ijk->", wts, wts, wts, vals))
+
+
+#: |mu|^2 up to which the upward recurrence from J_0 keeps 1e-13
+_UPWARD_MU_SQ = 6.0
+#: largest start index of the backward recurrence
+_MILLER_CAP = 4000
+#: ln 2^53: how far the dominant solution must outgrow J for the backward
+#: recurrence's arbitrary start to fall below double-precision roundoff
+_LN_EPS = 53.0 * math.log(2.0)
+
+
+def _asymptotic_moment(b: complex, a: float, n: int) -> complex:
+    """sum_k (-a)^k (n+2k)! / (k! b^(n+2k+1)), truncated at its smallest term."""
+    inv_b = 1.0 / b
+    ratio = -a * inv_b * inv_b
+    term = math.factorial(n) * inv_b ** (n + 1)
+    total = term
+    size = abs(term)
+    # the sum stays within 25% of its first term where this series is used
+    limit = 2.0**-57 * size
+    k = 0
+    while size > limit:
+        k += 1
+        term *= ratio * ((n + 2 * k - 1) * (n + 2 * k) / k)
+        if abs(term) >= size:
+            break
+        total += term
+        size = abs(term)
+    return total
+
+
+def _dominance(mu: complex, n: float) -> float:
+    """ln|L_n / J_n| up to a constant, L a dominant solution of the moment
+    recurrence: the Liouville-Green sum of ln|(w_k + mu)/(w_k - mu)|,
+    w_k = sqrt(mu^2 + 8k), over k <= n, integrated in closed form."""
+    if n == 0:
+        return (mu * mu).real / 4.0
+    w = cmath.sqrt(mu * mu + 8.0 * n)
+    return n * (2.0 * math.log(abs(w + mu)) - math.log(8.0 * n)) + (mu * w).real / 4.0
+
+
+def _miller_start(mu: complex, n_max: int) -> int | None:
+    """Smallest N with _dominance(N) - _dominance(n_max) >= ln 2^53, or None
+    past _MILLER_CAP. The estimate is concave in n, so Newton's iterates
+    approach N from below; far out it grows like Re(mu) sqrt(2n), which
+    makes N grow like 1/Re(mu)^2."""
+    target = _dominance(mu, n_max) + _LN_EPS
+    x = float(max(n_max, 1))
+    while x <= _MILLER_CAP:
+        w = cmath.sqrt(mu * mu + 8.0 * x)
+        slope = 2.0 * math.log(abs(w + mu)) - math.log(8.0 * x)
+        if slope <= 0.0:
+            return None
+        # x * slope + Re(mu w) / 4 is _dominance(mu, x), and slope its derivative
+        step = (target - x * slope - (mu * w).real / 4.0) / slope
+        x += step
+        if step <= 0.5:
+            return math.ceil(x) + 1
+    return None
+
+
+def _upward(mu: complex, j0: complex, n_max: int) -> list[complex]:
+    """J_0..J_n_max by mu J_n + 2 J_{n+1} = n J_{n-1} + [n = 0]."""
+    js = [j0]
+    if n_max >= 1:
+        js.append(0.5 * (1.0 - mu * j0))
+    for n in range(1, n_max):
+        js.append(0.5 * (n * js[n - 1] - mu * js[n]))
+    return js
+
+
+def _backward(mu: complex, j0: complex, n_max: int, start: int) -> list[complex]:
+    """J_0..J_n_max from J_0 and the ratios h_n = J_{n+1}/J_n of Miller's
+    backward recurrence h_{n-1} = n / (mu + 2 h_n), h_start = 0."""
+    h = 0j
+    for n in range(start, n_max, -1):
+        h = n / (mu + 2.0 * h)
+    ratios = []
+    for n in range(n_max, 0, -1):
+        h = n / (mu + 2.0 * h)
+        ratios.append(h)
+    js = [j0]
+    for h in reversed(ratios):
+        js.append(js[-1] * h)
+    return js
+
+
+def damped_moments(b: complex, a: float, n_max: int) -> list[complex]:
+    """I_n = int_0^inf s^n exp(-b s - a s^2) ds for n = 0..n_max;
+    Re b > 0, a >= 0, both finite.
+
+    With mu = b / sqrt(a), J_n = a^((n+1)/2) I_n obeys
+    mu J_n + 2 J_{n+1} = n J_{n-1} (n >= 1), and
+    J_0 = (sqrt(pi)/2) w(i mu/2) with w the Faddeeva function. The branch
+    follows |mu|:
+
+    * a = 0: the exact n! / b^(n+1);
+    * |mu|^2 >= 170 + 14 n_max: the asymptotic series
+      sum_k (-a)^k (n+2k)! / (k! b^(n+2k+1)) for the two highest n,
+      truncated at its smallest term, which is below 1e-17 relative there,
+      and the recurrence downwards from them;
+    * |mu|^2 <= 6: upward recurrence from J_0;
+    * otherwise Miller's backward recurrence for J_n / J_(n-1), normalised
+      by J_0 (Gautschi, SIAM Rev. 9, 24 (1967)). It starts where the
+      dominant solution has outgrown J by 2^53 past n_max (``_miller_start``),
+      an index that grows like 1/Re(mu)^2 and is capped at 4000;
+    * past the cap, which only Re(mu) < 0.5 reaches: the upward recurrence
+      or the backward one started at the cap, whichever has the smaller
+      predicted loss.
+
+    Accuracy against mpmath (tests/test_moments.py): at most 1e-13 relative
+    for n <= 6 wherever Re(mu) >= 0.5. Past the cap the error follows the
+    predicted loss within a factor of 5. Measured for Re(mu) in [0.01, 0.5),
+    it stays below 1e-14 for |mu|^2 <= 16 and peaks near |mu|^2 = 140 at
+    3e-10 for n <= 3 and 6e-7 for n = 6.
+    """
+    b = complex(b)
+    a = float(a)
+    if not (cmath.isfinite(b) and math.isfinite(a)):
+        raise ValueError(f"damped moments need finite b and a, got b={b!r}, a={a!r}")
+    if b.real <= 0.0 or a < 0.0:
+        raise ValueError(f"damped moments need Re b > 0 and a >= 0, got b={b!r}, a={a!r}")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if a == 0.0:
+        inv_b = 1.0 / b
+        return [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)]
+    root = math.sqrt(a)
+    mu = b / root
+    mu_sq = abs(mu) ** 2
+    if mu_sq >= 170.0 + 14.0 * n_max:
+        # from there on the series of every I_n, n <= n_max, has a smallest
+        # term below 1e-17 relative; the two highest moments come from it,
+        # the rest from the recurrence downwards, the stable direction
+        top = max(n_max, 1)
+        moments = [_asymptotic_moment(b, a, top - 1), _asymptotic_moment(b, a, top)]
+        for n in range(top - 1, 0, -1):
+            moments.insert(0, (b * moments[0] + 2.0 * a * moments[1]) / n)
+        return moments[: n_max + 1]
+    from scipy.special import wofz
+
+    j0 = 0.5 * math.sqrt(math.pi) * complex(wofz(0.5j * mu))
+    if mu_sq <= _UPWARD_MU_SQ:
+        start = None
+    else:
+        start = _miller_start(mu, n_max)
+        if start is None:
+            # past the cap: the route with the smaller ln(error / roundoff)
+            upward_loss = _dominance(mu, n_max) - _dominance(mu, 0)
+            capped_loss = _LN_EPS - (_dominance(mu, _MILLER_CAP) - _dominance(mu, n_max))
+            if capped_loss < upward_loss:
+                start = _MILLER_CAP
+    js = _upward(mu, j0, n_max) if start is None else _backward(mu, j0, n_max, start)
+    scale = 1.0 / root
+    moments = []
+    for j in js:
+        moments.append(j * scale)
+        scale /= root
+    return moments

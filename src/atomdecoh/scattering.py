@@ -5,8 +5,9 @@ scattered wavenumber of a spectral function F(omega): the Fourier
 transform in tau of exp(-2 kappa |tau|) (1 + kappa|tau| + kappa^2 tau^2/3)^2
 times an optional Gaussian damping from a finite packet width. For a
 packet much wider than a_B (z0 = 0) F has a closed form built from
-factorial moments of the exponential; the quasi-elastic peak is resolved
-by a sinh-stretched substitution so the integral stays accurate down to
+factorial moments of the exponential, and for z0 > 0 one built from its
+Gaussian-damped moments; the quasi-elastic peak is resolved by a
+sinh-stretched substitution so the integral stays accurate down to
 forward angles where the peak width collapses.
 
 The large-q limit gives the lab-frame angular factor
@@ -32,11 +33,14 @@ from .constants import (
     neutron_wavenumber,
     proton_velocity_scale,
 )
-from .density import Z_EFF_HELIUM
-from .quadrature import QuadratureError, QuadratureSpec, integrate_fourier_complex
+from .density import KERNEL_SQ_POLY, Z_EFF_HELIUM
+from .quadrature import (
+    QuadratureError,
+    QuadratureSpec,
+    damped_moments,
+    integrate_fourier_complex,
+)
 
-#: polynomial coefficients of (1 + x + x^2/3)^2 in powers of x = kappa|tau|
-_POLY = (1.0, 2.0, 5.0 / 3.0, 2.0 / 3.0, 1.0 / 9.0)
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 #: forward-elastic epsilon offset for angular grids (rad)
@@ -114,7 +118,7 @@ def _tau_closed(kappa_val: float, omega: float) -> float:
     """Closed-form Fourier transform of the undamped (z0 = 0) envelope."""
     denom = 2.0 * kappa_val + 1j * omega
     total = 0j
-    for n, c_n in enumerate(_POLY):
+    for n, c_n in enumerate(KERNEL_SQ_POLY):
         total += c_n * kappa_val**n * _FACT[n] / denom ** (n + 1)
     return 2.0 * total.real
 
@@ -154,47 +158,14 @@ def tau_transform(
     return res.value
 
 
-def _damped_moments(b: complex, a: float, n_max: int) -> list[complex]:
-    """I_n = int_0^inf tau^n exp(-b tau - a tau^2) dtau for n = 0..n_max.
-
-    Weak damping (a << |b|^2) uses the Taylor series in a; otherwise a
-    stable upward recurrence in the scaled variable s = sqrt(a) tau,
-    seeded by the Faddeeva function. Either branch holds ~1e-10 relative
-    accuracy near the crossover.
-    """
-    mod_b_sq = abs(b) ** 2
-    if a <= 1e-3 * mod_b_sq:
-        out = []
-        for n in range(n_max + 1):
-            total = 0j
-            term = math.factorial(n) / b ** (n + 1)
-            j = 0
-            while abs(term) > 1e-16 * abs(total) or j == 0:
-                total += term
-                j += 1
-                term *= -a / j * (n + 2 * j) * (n + 2 * j - 1) / (b * b)
-                if j > 30:
-                    break
-            out.append(total)
-        return out
-    from scipy.special import wofz
-
-    mu = b / math.sqrt(a)
-    J = [0.5 * math.sqrt(math.pi) * wofz(0.5j * mu)]
-    if n_max >= 1:
-        J.append(0.5 * (1.0 - mu * J[0]))
-    for n in range(2, n_max + 1):
-        J.append(0.5 * ((n - 1) * J[n - 2] - mu * J[n - 1]))
-    return [J[n] * a ** (-(n + 1) / 2.0) for n in range(n_max + 1)]
-
-
 def _tau_damped(kappa_val: float, omega: float, z0: float) -> float:
-    """Closed-form spectral weight with Gaussian damping (z0 > 0)."""
+    """Closed-form spectral weight with Gaussian damping (z0 > 0):
+    2 Re sum_n c_n kappa^n I_n(2 kappa + i omega, z0^2 kappa^2 / 8)."""
     a = (z0 * kappa_val) ** 2 / 8.0
     b = 2.0 * kappa_val + 1j * omega
-    moments = _damped_moments(b, a, len(_POLY) - 1)
+    moments = damped_moments(b, a, len(KERNEL_SQ_POLY) - 1)
     total = 0j
-    for n, c_n in enumerate(_POLY):
+    for n, c_n in enumerate(KERNEL_SQ_POLY):
         total += c_n * kappa_val**n * moments[n]
     return 2.0 * total.real
 

@@ -65,6 +65,22 @@ def test_non_numeric_parameter_is_usage_error(capsys):
     assert "expected number" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("purity", "--z-max", "nan"),
+        ("momentum", "--z0", "nan"),
+        ("momentum", "--q-max", "inf"),
+    ],
+)
+def test_non_finite_parameter_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "must be finite" in err
+
+
 def test_unwritable_output_is_io_error(capsys):
     code, _, err = _run(
         capsys, "purity", "--points", "2", "--output", "/nonexistent/x.csv"
