@@ -21,7 +21,6 @@ from .density import (
     helium_kernel,
     hydrogen_kernel,
     purity,
-    purity_from_packet,
     reduced_density,
 )
 from .momentum import (
@@ -29,11 +28,10 @@ from .momentum import (
     electron_limit,
     gaussian_limit,
     momentum_density,
-    momentum_density_generic,
     momentum_distribution,
     normalization_integral,
 )
-from .quadrature import QuadratureError, QuadratureResult, QuadratureSpec
+from .quadrature import QuadratureError
 from .scattering import (
     AngularTable,
     ScatteringConfig,
@@ -71,18 +69,14 @@ __all__ = [
     "helium_kernel",
     "hydrogen_kernel",
     "purity",
-    "purity_from_packet",
     "reduced_density",
     "MomentumDistribution",
     "electron_limit",
     "gaussian_limit",
     "momentum_density",
-    "momentum_density_generic",
     "momentum_distribution",
     "normalization_integral",
     "QuadratureError",
-    "QuadratureResult",
-    "QuadratureSpec",
     "AngularTable",
     "ScatteringConfig",
     "angular_scan",

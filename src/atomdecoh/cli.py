@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -74,6 +75,9 @@ _POSITIVE = {
     "z_min", "z_max", "points", "q_min", "q_max", "separation_ab",
     "delta_ab", "energy_ev", "scatt_length_fm",
 }
+_NONNEGATIVE = {"d_over_a_b"}
+#: (lower, upper) parameter pairs that bound a grid
+_RANGES = (("z_min", "z_max"), ("q_min", "q_max"))
 
 
 class UsageError(Exception):
@@ -115,6 +119,8 @@ def _coerce(key: str, value: str, typ: type):
         raise UsageError(f"parameter {key!r} must be finite, got {value!r}")
     if key in _POSITIVE and isinstance(parsed, (int, float)) and parsed <= 0:
         raise UsageError(f"parameter {key!r} must be positive, got {value!r}")
+    if key in _NONNEGATIVE and parsed < 0:
+        raise UsageError(f"parameter {key!r} must be nonnegative, got {value!r}")
     return parsed
 
 
@@ -161,6 +167,11 @@ def resolve_parameters(args: argparse.Namespace) -> tuple[dict, PhysicalConstant
         raw = getattr(args, key)
         if raw is not None:
             params[key] = _coerce(key, raw, schema[key][0])
+    for lo, hi in _RANGES:
+        if lo in params and params[lo] > params[hi]:
+            raise UsageError(
+                f"parameter {lo!r} ({params[lo]}) must not exceed {hi!r} ({params[hi]})"
+            )
     constants = CODATA.with_overrides(overrides) if overrides else CODATA
     return params, constants
 
@@ -273,7 +284,9 @@ def run_xsection(params: dict, constants: PhysicalConstants, out, summary_out) -
         z0=params["z0"],
         constants=constants,
     )
-    table = angular_scan(config, params["points"], method)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = angular_scan(config, params["points"], method)
     if table.metadata["failures"]:
         first = table.metadata["failures"][0]
         raise QuadratureError(
@@ -302,6 +315,7 @@ def run_xsection(params: dict, constants: PhysicalConstants, out, summary_out) -
             for key in ("born_oppenheimer", "almost_diagonal", "observability")
         },
         "boundary_energy_ev": margins["boundary_energy_ev"],
+        "warnings": list(dict.fromkeys(str(w.message) for w in caught)),
     }
     print(json.dumps(_json_safe(summary), indent=2, sort_keys=True), file=summary_out)
 
@@ -322,10 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         params, constants = resolve_parameters(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
@@ -343,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
                     run_xsection(params, constants, out, summary_out)
             elif args.subcommand == "conditions":
                 run_conditions(params, constants, out)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (QuadratureError, FloatingPointError) as exc:

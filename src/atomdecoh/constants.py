@@ -83,19 +83,3 @@ def proton_velocity_scale(constants: PhysicalConstants = CODATA) -> float:
     """hbar/(m_p a_B), the velocity scale below which the nuclear density
     matrix is narrow compared to the packet (m/s)."""
     return constants.hbar / (constants.m_p * constants.a_B)
-
-
-def ev_to_joule(energy_ev: float, constants: PhysicalConstants = CODATA) -> float:
-    return energy_ev * constants.eV
-
-
-def joule_to_ev(energy_joule: float, constants: PhysicalConstants = CODATA) -> float:
-    return energy_joule / constants.eV
-
-
-def meter_to_bohr(length_m: float, constants: PhysicalConstants = CODATA) -> float:
-    return length_m / constants.a_B
-
-
-def bohr_to_meter(length_bohr: float, constants: PhysicalConstants = CODATA) -> float:
-    return length_bohr * constants.a_B

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import damped_moments
-from .wavepacket import GaussianPacket, evaluate, width, z_parameter
+from .wavepacket import GaussianPacket, evaluate
 
 Z_EFF_HELIUM = 27.0 / 16.0
 
@@ -83,39 +83,6 @@ def reduced_density(
     return evaluate(packet, r, t, hbar) * np.conj(evaluate(packet, r_prime, t, hbar)) * kernel(s)
 
 
-def offdiagonal_bound(kernel: CoherenceKernel, s: float) -> float:
-    """Envelope bounding |rho| / max|psi|^2 at dimensionless separation s."""
-    if s < 0.0:
-        raise ValueError("separation s must be nonnegative")
-    return float(kernel(s))
-
-
-def verify_offdiagonal_bound(
-    packet: GaussianPacket,
-    kernel: CoherenceKernel,
-    s: float,
-    t: float = 0.0,
-    n_samples: int = 100,
-    seed: int = 0,
-    hbar: float = 1.0,
-) -> bool:
-    """Sample |rho(r, r')| at fixed separation s against the bound
-    max|psi|^2 * envelope."""
-    rng = np.random.default_rng(seed)
-    peak = (2.0 * math.pi * width(packet, t, hbar) ** 2) ** -1.5
-    bound = peak * offdiagonal_bound(kernel, s)
-    for _ in range(n_samples):
-        mid = np.asarray(packet.R0) + rng.normal(scale=3.0 * packet.delta, size=3)
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        r = mid + 0.5 * s * direction
-        r_prime = mid - 0.5 * s * direction
-        rho = reduced_density(packet, kernel, r, r_prime, t, hbar)
-        if abs(rho) > bound * (1.0 + 1e-12):
-            return False
-    return True
-
-
 def purity(z: float) -> float:
     """Tr rho^2 of the hydrogen-kernel reduced density matrix.
 
@@ -129,8 +96,3 @@ def purity(z: float) -> float:
     moments = damped_moments(2.0, z * z / 4.0, len(KERNEL_SQ_POLY) + 1)
     total = sum(c_n * moments[n + 2].real for n, c_n in enumerate(KERNEL_SQ_POLY))
     return z**3 / (2.0 * math.sqrt(math.pi)) * total
-
-
-def purity_from_packet(packet: GaussianPacket, t: float, hbar: float = 1.0) -> float:
-    """Purity evaluated at z = a_B / Delta_x(t) of the packet."""
-    return purity(z_parameter(packet, t, hbar))

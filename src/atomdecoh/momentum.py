@@ -18,18 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CoherenceKernel
-from .quadrature import (
-    QuadratureError,
-    QuadratureSpec,
-    damped_moments,
-    integrate_fourier_sine,
-    integrate_semi_infinite,
-)
-from .wavepacket import GaussianPacket, evaluate_1d
-
-#: below this q the generic sine transform switches to its analytic q -> 0 limit
-_Q_SMALL = 1e-6
+from .quadrature import damped_moments
 
 #: below this q, where Im(...)/q of the closed form cancels, sin(qs)/(qs)
 #: is expanded in q^2 instead
@@ -123,70 +112,3 @@ def normalization_integral(z0: float) -> float:
         points=[min(z0, q_max / 2.0), 1.0],
     )
     return 4.0 * math.pi * val
-
-
-def momentum_density_generic(
-    packet: GaussianPacket,
-    kernel: CoherenceKernel | None,
-    p,
-    t: float = 0.0,
-    spec: QuadratureSpec | None = None,
-    hbar: float = 1.0,
-) -> float:
-    """Momentum density by the generic route: numeric diagonal average of
-    the packet's off-diagonal profile, multiplied by the kernel, then a
-    radial Fourier transform.
-
-    Restricted to isotropic kernels and Gaussian packets, which reduces
-    the six-dimensional transform to nested 1D radial integrals. Passing
-    ``kernel=None`` means no decoherence factor (D = 1). Result in
-    (a_B, hbar) units, independent of t.
-    """
-    from scipy.integrate import quad
-
-    p = np.asarray(p, dtype=float)
-    q_vec = p - np.asarray(packet.P0)
-    q = float(np.linalg.norm(q_vec)) / hbar
-    delta = packet.delta
-
-    # pick the axis carrying P0 (any axis works for P0 = 0)
-    p0_arr = np.asarray(packet.P0)
-    axis = int(np.argmax(np.abs(p0_arr))) if np.any(p0_arr) else 2
-    x0 = packet.R0[axis]
-    p0 = packet.P0[axis]
-
-    half_span = 12.0 * max(delta, hbar * abs(t) / (2.0 * packet.M * delta))
-    center = x0 + p0 * t / packet.M
-
-    def diag_average(u: float) -> float:
-        """int dx psi(x + u/2) psi*(x - u/2), phase exp(i p0 u) removed."""
-        def integrand(x: float, part) -> float:
-            val = (
-                evaluate_1d(delta, x0, p0, packet.M, x + 0.5 * u, t, hbar)
-                * np.conj(evaluate_1d(delta, x0, p0, packet.M, x - 0.5 * u, t, hbar))
-                * np.exp(-1j * p0 * u / hbar)
-            )
-            return part(val)
-
-        lo, hi = center - half_span, center + half_span
-        re, _ = quad(lambda x: integrand(x, np.real), lo, hi, epsabs=1e-13, epsrel=1e-11)
-        return re
-
-    if spec is None:
-        gauss_scale = 2.0 * math.sqrt(2.0) * delta
-        scale = gauss_scale if kernel is None else min(1.0, gauss_scale)
-        spec = QuadratureSpec(decay_scale=scale, abs_tol=1e-13)
-
-    def envelope(u: float) -> float:
-        d = float(kernel(u)) if kernel is not None else 1.0
-        return u * d * diag_average(u)
-
-    if q < _Q_SMALL:
-        res = integrate_semi_infinite(lambda u: u * envelope(u), spec)
-        value = res.value
-    else:
-        res = integrate_fourier_sine(envelope, q, spec)
-        value = res.value / q
-    if not res.converged:
-        raise QuadratureError(f"generic momentum density failed at q={q}")
-    return value / (2.0 * math.pi**2)

@@ -1,209 +1,18 @@
-"""Closed-form damped moments, adaptive 1D quadrature on semi-infinite
-intervals, Fourier-type oscillatory integrals with decaying envelopes, and
-a brute-force 3D tensor-product integrator used as a test oracle.
+"""Closed-form damped moments I_n = int_0^inf s^n exp(-b s - a s^2) ds.
 
 Every library integrand of the form polynomial * exp(-b s - a s^2) is a
-finite sum of the damped moments computed by ``damped_moments``; the
-adaptive integrators remain for the cross-section and the test oracles.
-
-Semi-infinite domains are truncated at 40 decay lengths: every integrand
-handled here decays at least exponentially, which puts the truncation
-error below 1e-15 relative. Oscillatory integrals are split into panels
-aligned with the zeros of the oscillation and each panel is integrated
-adaptively; the damping makes the panel sums converge fast without
-series acceleration.
+finite sum of these moments: the purity, the momentum density and the
+damped spectral weight of the cross-section.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
-from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.integrate import IntegrationWarning, quad
-
-TRUNCATION_DECAY_LENGTHS = 40.0
 
 
 class QuadratureError(RuntimeError):
     """Numerical integration failed."""
-
-
-class IntegrandError(QuadratureError):
-    """The integrand returned a non-finite value."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    decay_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be nonnegative")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if self.decay_scale <= 0.0:
-            raise ValueError("decay_scale must be positive")
-
-
-@dataclass
-class QuadratureResult:
-    value: float | complex
-    error_estimate: float
-    evaluations: int
-    converged: bool
-
-
-DEFAULT_SPEC = QuadratureSpec()
-
-
-class _Counted:
-    """Wrap an integrand, counting calls and rejecting non-finite values."""
-
-    def __init__(self, f: Callable[[float], float]):
-        self.f = f
-        self.calls = 0
-
-    def __call__(self, x: float) -> float:
-        self.calls += 1
-        y = self.f(x)
-        if not math.isfinite(y):
-            raise IntegrandError(f"integrand returned {y!r} at x={x!r}")
-        return y
-
-
-def _tolerance(spec: QuadratureSpec, value: float) -> float:
-    return max(spec.abs_tol, spec.rel_tol * abs(value))
-
-
-def integrate_semi_infinite(
-    f: Callable[[float], float], spec: QuadratureSpec = DEFAULT_SPEC
-) -> QuadratureResult:
-    """Integrate f over (0, inf) for integrands decaying at least
-    exponentially on the scale ``spec.decay_scale``."""
-    g = _Counted(f)
-    upper = TRUNCATION_DECAY_LENGTHS * spec.decay_scale
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        out = quad(
-            g, 0.0, upper,
-            epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions, full_output=1,
-        )
-    value, abserr = out[0], out[1]
-    ok = len(out) < 4  # quad appends a message on failure
-    converged = ok and abserr <= _tolerance(spec, value)
-    return QuadratureResult(value, abserr, g.calls, converged)
-
-
-def _panel_edges(period: float, upper: float) -> np.ndarray:
-    """Panel boundaries from 0 to just past ``upper`` in steps of ``period``."""
-    n = max(1, int(math.ceil(upper / period)))
-    return np.arange(n + 1) * period
-
-
-def _oscillatory_panels(
-    g: Callable[[float], float],
-    edges: np.ndarray,
-    spec: QuadratureSpec,
-) -> tuple[float, float, bool]:
-    total = 0.0
-    err = 0.0
-    ok = True
-    n_panels = len(edges) - 1
-    epsabs = max(spec.abs_tol / n_panels, 1e-300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(edges[:-1], edges[1:]):
-            out = quad(g, a, b, epsabs=epsabs, epsrel=spec.rel_tol,
-                       limit=max(spec.max_subdivisions // n_panels, 50),
-                       full_output=1)
-            total += out[0]
-            err += out[1]
-            ok = ok and len(out) < 4
-    return total, err, ok
-
-
-def integrate_fourier_sine(
-    f: Callable[[float], float],
-    omega: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> QuadratureResult:
-    """Approximate the half-line sine transform int_0^inf f(s) sin(omega s) ds.
-
-    ``f`` is the smooth decaying envelope; omega = 0 returns 0 exactly.
-    """
-    if omega < 0.0:
-        raise ValueError("omega must be nonnegative")
-    if omega == 0.0:
-        return QuadratureResult(0.0, 0.0, 0, True)
-    g = _Counted(lambda s: f(s) * math.sin(omega * s))
-    upper = TRUNCATION_DECAY_LENGTHS * spec.decay_scale
-    edges = _panel_edges(math.pi / omega, upper)
-    total, err, ok = _oscillatory_panels(g, edges, spec)
-    converged = ok and err <= _tolerance(spec, total)
-    return QuadratureResult(total, err, g.calls, converged)
-
-
-def integrate_fourier_complex(
-    f: Callable[[float], float],
-    omega: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> QuadratureResult:
-    """Approximate int_{-inf}^{inf} f(|tau|) exp(-i omega tau) dtau.
-
-    The damping envelope is even in tau, so the integral is real and
-    equals twice the half-line cosine transform of ``f``.
-    """
-    omega = abs(omega)
-    g = _Counted(lambda t: f(t) * math.cos(omega * t))
-    upper = TRUNCATION_DECAY_LENGTHS * spec.decay_scale
-    if omega == 0.0:
-        edges = np.array([0.0, upper])
-    else:
-        # cos zeros at (k + 1/2) pi / omega; first panel is half-width
-        half = 0.5 * math.pi / omega
-        edges = np.concatenate(([0.0], half + _panel_edges(math.pi / omega, upper)))
-    total, err, ok = _oscillatory_panels(g, edges, spec)
-    value = complex(2.0 * total, 0.0)
-    converged = ok and 2.0 * err <= _tolerance(spec, abs(value))
-    return QuadratureResult(value, 2.0 * err, g.calls, converged)
-
-
-def integrate_3d_oracle(
-    f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    box: float,
-    n: int,
-    panels: int = 2,
-) -> float:
-    """Fixed tensor-product Gauss-Legendre cube quadrature over
-    [-box, box]^3 with ``panels`` panels of ``n`` points per axis.
-
-    Slow, test-only oracle; ``f`` must accept broadcastable arrays.
-    An even panel count puts integrand kinks at the origin on panel
-    boundaries, which matters for orbital cusps.
-    """
-    if n < 16:
-        raise ValueError("n must be >= 16")
-    if box <= 0.0 or panels < 1:
-        raise ValueError("box must be positive and panels >= 1")
-    x, w = leggauss(n)
-    edges = np.linspace(-box, box, panels + 1)
-    nodes = np.concatenate(
-        [0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(edges[:-1], edges[1:])]
-    )
-    wts = np.concatenate([0.5 * (b - a) * w for a, b in zip(edges[:-1], edges[1:])])
-    vals = f(nodes[:, None, None], nodes[None, :, None], nodes[None, None, :])
-    return float(np.einsum("i,j,k,ijk->", wts, wts, wts, vals))
 
 
 #: |mu|^2 up to which the upward recurrence from J_0 keeps 1e-13

@@ -34,12 +34,7 @@ from .constants import (
     proton_velocity_scale,
 )
 from .density import KERNEL_SQ_POLY, Z_EFF_HELIUM
-from .quadrature import (
-    QuadratureError,
-    QuadratureSpec,
-    damped_moments,
-    integrate_fourier_complex,
-)
+from .quadrature import QuadratureError, damped_moments
 
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
@@ -123,39 +118,21 @@ def _tau_closed(kappa_val: float, omega: float) -> float:
     return 2.0 * total.real
 
 
-def tau_transform(
-    kappa_val: float,
-    omega: float,
-    z0: float,
-    spec: QuadratureSpec | None = None,
-) -> complex:
+def tau_transform(kappa_val: float, omega: float, z0: float) -> complex:
     """Spectral weight F(omega) = int dtau exp(-2 kappa |tau|)
     (1 + kappa|tau| + kappa^2 tau^2 / 3)^2 exp(-i omega tau - z0^2 kappa^2 tau^2 / 8).
 
-    For z0 = 0 the closed form is used; kappa = 0 with z0 = 0 is singular
-    (the integral becomes distributional) and is rejected.
+    Closed form for every z0: factorial moments at z0 = 0, damped moments
+    for z0 > 0. At kappa = 0 the integral is distributional (2 pi delta(omega))
+    for every z0 and is rejected.
     """
     if kappa_val < 0.0 or z0 < 0.0:
         raise ValueError("kappa_val and z0 must be nonnegative")
+    if kappa_val == 0.0:
+        raise ValueError("tau_transform singular at kappa = 0")
     if z0 == 0.0:
-        if kappa_val == 0.0:
-            raise ValueError("tau_transform singular at kappa = 0 with z0 = 0")
         return complex(_tau_closed(kappa_val, omega), 0.0)
-    scale = min(1.0 / (2.0 * kappa_val), 2.0 * math.sqrt(2.0) / (z0 * kappa_val)) \
-        if kappa_val > 0.0 else 2.0 * math.sqrt(2.0) / (z0 * 1e-30)
-    if spec is None:
-        spec = QuadratureSpec(decay_scale=scale)
-
-    def envelope(t: float) -> float:
-        x = kappa_val * t
-        return math.exp(-2.0 * x) * (1.0 + x + x * x / 3.0) ** 2 * math.exp(-((z0 * x) ** 2) / 8.0)
-
-    res = integrate_fourier_complex(envelope, omega, spec)
-    if not res.converged:
-        raise QuadratureError(
-            f"tau transform failed at kappa={kappa_val}, omega={omega}, z0={z0}"
-        )
-    return res.value
+    return complex(_tau_damped(kappa_val, omega, z0), 0.0)
 
 
 def _tau_damped(kappa_val: float, omega: float, z0: float) -> float:

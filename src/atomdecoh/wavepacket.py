@@ -90,8 +90,3 @@ def width(packet: GaussianPacket, t: float, hbar: float = 1.0) -> float:
 def z_parameter(packet: GaussianPacket, t: float, hbar: float = 1.0) -> float:
     """z = a_B / Delta x(t), with lengths in Bohr radii."""
     return 1.0 / width(packet, t, hbar)
-
-
-def z0_parameter(packet: GaussianPacket) -> float:
-    """z0 = a_B / delta, with lengths in Bohr radii."""
-    return 1.0 / packet.delta

@@ -22,13 +22,7 @@ from atomdecoh.momentum import (
     electron_limit,
     gaussian_limit,
     momentum_density,
-    momentum_density_generic,
     normalization_integral,
-)
-from atomdecoh.quadrature import (
-    QuadratureSpec,
-    integrate_3d_oracle,
-    integrate_fourier_complex,
 )
 from atomdecoh.scattering import (
     ScatteringConfig,
@@ -40,6 +34,12 @@ from atomdecoh.scattering import (
 )
 from atomdecoh.twoslit import TwoSlitConfig, screen_scan, visibility
 from atomdecoh.wavepacket import GaussianPacket, evaluate
+from oracles import (
+    QuadratureSpec,
+    integrate_3d_oracle,
+    integrate_fourier_complex,
+    momentum_density_generic,
+)
 
 
 def _report(number: int, description: str, ok: bool) -> None:

@@ -81,6 +81,39 @@ def test_non_finite_parameter_is_usage_error(capsys, argv):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("twoslit", "--amp1", "0.5"),
+        ("twoslit", "--points", "2"),
+        ("twoslit", "--t0", "0"),
+        ("xsection", "--points", "1"),
+    ],
+)
+def test_domain_error_while_running_is_usage_error(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == USAGE_EXIT
+    assert err.count("\n") == 1
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("purity", "--z-min", "10", "--z-max", "1"),
+        ("momentum", "--q-min", "5", "--q-max", "1"),
+        ("conditions", "--d-over-a-b", "-1"),
+    ],
+)
+def test_inverted_or_negative_range_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("usage error: ")
+
+
 def test_unwritable_output_is_io_error(capsys):
     code, _, err = _run(
         capsys, "purity", "--points", "2", "--output", "/nonexistent/x.csv"
@@ -137,6 +170,7 @@ def test_xsection_summary_headline_number(tmp_path, capsys):
     )
     assert code == 0
     summary = json.loads(summary_path.read_text())
+    assert summary["warnings"] == []
     assert abs(summary["h0_over_q_sq"] - 8.2e-4) / 8.2e-4 <= 0.10
     assert summary["hpi_over_q_sq"] / summary["h0_over_q_sq"] == pytest.approx(
         25.0 / 9.0, rel=1e-10
@@ -144,6 +178,16 @@ def test_xsection_summary_headline_number(tmp_path, capsys):
     header, rows = _data_rows(out_path.read_text())
     assert header == ["theta_rad", "dsigma_numeric", "dsigma_asymptotic", "anomalous_fraction"]
     assert len(rows) == 5
+
+
+def test_xsection_summary_is_strict_json_below_q_5(capsys):
+    # at 0.1 eV (q = 3.7) the asymptotic form warns once per angle; the
+    # warnings go into the summary, not onto the stream that carries it
+    code, _, err = _run(capsys, "xsection", "--energy-ev", "0.1", "--points", "3")
+    assert code == 0
+    summary = json.loads(err)
+    assert len(summary["warnings"]) == 1
+    assert "q = 3.68 < 5" in summary["warnings"][0]
 
 
 def test_xsection_invalid_method_is_usage_error(capsys):

@@ -6,11 +6,7 @@ from atomdecoh.constants import (
     CODATA,
     CONSTANT_KEYS,
     PhysicalConstants,
-    bohr_to_meter,
     electron_velocity_scale,
-    ev_to_joule,
-    joule_to_ev,
-    meter_to_bohr,
     neutron_wavenumber,
     proton_velocity_scale,
 )
@@ -22,7 +18,7 @@ def test_bohr_radius_consistent_with_electron_scale():
 
 
 def test_neutron_wavenumber_one_ev():
-    k = neutron_wavenumber(ev_to_joule(1.0))
+    k = neutron_wavenumber(1.0 * CODATA.eV)
     assert k == pytest.approx(2.20e11, rel=0.01)
     assert k * CODATA.a_B == pytest.approx(11.6, rel=0.01)
 
@@ -35,8 +31,8 @@ def test_neutron_wavenumber_rejects_nonpositive_energy():
 
 
 def test_wavenumber_square_root_scaling():
-    k1 = neutron_wavenumber(ev_to_joule(1.0))
-    k4 = neutron_wavenumber(ev_to_joule(4.0))
+    k1 = neutron_wavenumber(1.0 * CODATA.eV)
+    k4 = neutron_wavenumber(4.0 * CODATA.eV)
     assert k4 == pytest.approx(2.0 * k1, rel=1e-12)
 
 
@@ -82,11 +78,6 @@ def test_rejects_nonpositive_constants():
 def test_rejects_inconsistent_bohr_radius():
     with pytest.raises(ValueError):
         CODATA.with_overrides({"a_B": 2.0 * CODATA.a_B})
-
-
-def test_energy_and_length_round_trips():
-    assert joule_to_ev(ev_to_joule(0.7)) == pytest.approx(0.7, rel=1e-14)
-    assert bohr_to_meter(meter_to_bohr(1e-10)) == pytest.approx(1e-10, rel=1e-14)
 
 
 def test_constant_keys_cover_fields():

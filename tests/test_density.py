@@ -8,14 +8,11 @@ from atomdecoh.density import (
     CoherenceKernel,
     helium_kernel,
     hydrogen_kernel,
-    offdiagonal_bound,
     purity,
-    purity_from_packet,
     reduced_density,
-    verify_offdiagonal_bound,
 )
-from atomdecoh.quadrature import integrate_3d_oracle
-from atomdecoh.wavepacket import GaussianPacket, evaluate, z_parameter
+from atomdecoh.wavepacket import GaussianPacket, evaluate
+from oracles import integrate_3d_oracle, verify_offdiagonal_bound
 
 
 def test_hydrogen_kernel_values():
@@ -97,7 +94,7 @@ def test_reduced_density_against_3d_oracle(r, rp):
 
 def test_offdiagonal_bound_saturates_on_diagonal():
     kernel = CoherenceKernel.hydrogen()
-    assert offdiagonal_bound(kernel, 0.0) == 1.0
+    assert float(kernel(0.0)) == 1.0
 
 
 def test_offdiagonal_bound_sampled():
@@ -109,7 +106,7 @@ def test_offdiagonal_bound_sampled():
 def test_offdiagonal_bound_monotone():
     kernel = CoherenceKernel.helium()
     grid = np.linspace(0.0, 10.0, 50)
-    vals = [offdiagonal_bound(kernel, s) for s in grid]
+    vals = [float(kernel(s)) for s in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -132,10 +129,3 @@ def test_purity_monotone_in_z():
 def test_purity_rejects_nonpositive_z():
     with pytest.raises(ValueError):
         purity(0.0)
-
-
-def test_purity_from_packet_uses_spread_width():
-    packet = GaussianPacket(2.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    t = 5.0
-    z = z_parameter(packet, t)
-    assert purity_from_packet(packet, t) == pytest.approx(purity(z), rel=1e-12)

@@ -10,11 +10,11 @@ from atomdecoh.momentum import (
     electron_limit,
     gaussian_limit,
     momentum_density,
-    momentum_density_generic,
     momentum_distribution,
     normalization_integral,
 )
 from atomdecoh.wavepacket import GaussianPacket
+from oracles import momentum_density_generic
 
 
 def test_electron_limit_reference_values():

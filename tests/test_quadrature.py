@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from atomdecoh.quadrature import (
+from oracles import (
     IntegrandError,
     QuadratureSpec,
     integrate_3d_oracle,

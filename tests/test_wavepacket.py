@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from atomdecoh.quadrature import integrate_3d_oracle
 from atomdecoh.wavepacket import (
     GaussianPacket,
     evaluate,
     evaluate_1d,
     width,
-    z0_parameter,
     z_parameter,
 )
+from oracles import integrate_3d_oracle
 
 
 def _packet(delta=1.0, R0=(0.0, 0.0, 0.0), P0=(0.0, 0.0, 0.0), M=1.0):
@@ -60,7 +59,6 @@ def test_width_subadditive_in_time():
 
 def test_z_parameters():
     assert z_parameter(_packet(delta=1.0), 0.0) == pytest.approx(1.0)
-    assert z0_parameter(_packet(delta=1.0)) == pytest.approx(1.0)
     assert z_parameter(_packet(delta=100.0), 0.0) == pytest.approx(0.01)
 
 
