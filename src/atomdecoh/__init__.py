@@ -29,7 +29,6 @@ from .momentum import (
     gaussian_limit,
     momentum_density,
     momentum_distribution,
-    normalization_integral,
 )
 from .quadrature import QuadratureError
 from .scattering import (
@@ -75,7 +74,6 @@ __all__ = [
     "gaussian_limit",
     "momentum_density",
     "momentum_distribution",
-    "normalization_integral",
     "QuadratureError",
     "AngularTable",
     "ScatteringConfig",

@@ -10,6 +10,7 @@ flags; physical constants can be overridden the same way. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -172,7 +173,7 @@ def resolve_parameters(args: argparse.Namespace) -> tuple[dict, PhysicalConstant
             raise UsageError(
                 f"parameter {lo!r} ({params[lo]}) must not exceed {hi!r} ({params[hi]})"
             )
-    constants = CODATA.with_overrides(overrides) if overrides else CODATA
+    constants = dataclasses.replace(CODATA, **overrides) if overrides else CODATA
     return params, constants
 
 
@@ -185,8 +186,7 @@ def _header(subcommand: str, params: dict, constants: PhysicalConstants) -> list
     for key in sorted(params):
         lines.append(f"# param {key}={params[key]}")
     for key in CONSTANT_KEYS:
-        if hasattr(constants, key):
-            lines.append(f"# constant {key}={_fmt(getattr(constants, key))}")
+        lines.append(f"# constant {key}={_fmt(getattr(constants, key))}")
     return lines
 
 
@@ -238,6 +238,11 @@ def run_momentum(params: dict, constants: PhysicalConstants, out) -> None:
 
 
 def run_twoslit(params: dict, constants: PhysicalConstants, out) -> None:
+    if params["t0"] == 0.0:
+        raise UsageError(
+            "parameter 't0' must be nonzero: at t0 = 0 the packets have not spread, "
+            "so there are no fringes to scan"
+        )
     half = params["separation_ab"] / 2.0
     config = TwoSlitConfig(
         slit1=(half, 0.0, 0.0),
@@ -357,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (QuadratureError, FloatingPointError) as exc:
+    except (QuadratureError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     except OSError as exc:

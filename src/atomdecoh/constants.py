@@ -1,34 +1,30 @@
 """Physical constants and kinematic velocity scales.
 
-All constants are SI. CODATA values come from scipy.constants; the alpha
-mass defaults to exactly four neutron masses, which is the working value
-used throughout the scattering formulas. Individual constants can be
-overridden (e.g. from a CLI config file) via :func:`PhysicalConstants.with_overrides`.
+All constants are SI and pinned to the CODATA 2022 recommended values (as
+scipy 1.17 ships them), so outputs do not move when scipy changes its
+CODATA edition. The alpha mass is not a constant here: the scattering code
+takes it as ``ScatteringConfig.mass_ratio`` times the neutron mass.
+Individual constants can be overridden (e.g. from a CLI config file) with
+:func:`dataclasses.replace`, which re-runs the validation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Mapping
-
-from scipy import constants as _sc
-
-_E2_COULOMB = _sc.e**2 / (4.0 * math.pi * _sc.epsilon_0)  # e^2/(4 pi eps0), J*m
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA-class constants in SI units."""
+    """CODATA 2022 constants in SI units."""
 
-    hbar: float = _sc.hbar                                        # J*s
-    m_e: float = _sc.m_e                                          # kg
-    m_p: float = _sc.m_p                                          # kg
-    m_n: float = _sc.m_n                                          # kg
-    m_alpha: float = 4.0 * _sc.m_n                                # kg, working value
-    a_B: float = _sc.physical_constants["Bohr radius"][0]         # m
-    e2_coulomb: float = _E2_COULOMB                               # J*m
-    eV: float = _sc.eV                                            # J
+    hbar: float = 1.0545718176461565e-34        # J*s, h/(2 pi), h exact
+    m_e: float = 9.1093837139e-31               # kg
+    m_p: float = 1.67262192595e-27              # kg
+    m_n: float = 1.67492750056e-27              # kg
+    a_B: float = 5.29177210544e-11              # m
+    e2_coulomb: float = 2.307077550778355e-28   # J*m, e^2/(4 pi eps0)
+    eV: float = 1.602176634e-19                 # J, exact
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -37,34 +33,12 @@ class PhysicalConstants:
         bohr = self.hbar**2 / (self.m_e * self.e2_coulomb)
         if abs(bohr - self.a_B) > 1e-6 * self.a_B:
             raise ValueError("a_B inconsistent with hbar^2/(m_e e^2)")
-        ratio = self.m_alpha / self.m_n
-        if not 3.97 <= ratio <= 4.0 + 1e-12:
-            raise ValueError(f"m_alpha/m_n = {ratio:.4f} outside [3.97, 4.0]")
-
-    def with_overrides(self, overrides: Mapping[str, float]) -> "PhysicalConstants":
-        """Return a copy with selected constants replaced.
-
-        Accepts any field name plus the convenience key ``m_alpha_over_m_n``.
-        """
-        names = {f.name for f in fields(self)}
-        changes: dict[str, float] = {}
-        for key, value in overrides.items():
-            if key == "m_alpha_over_m_n":
-                changes["m_alpha"] = float(value) * self.m_n
-            elif key in names:
-                changes[key] = float(value)
-            else:
-                raise KeyError(
-                    f"unknown constant {key!r}; valid keys: "
-                    + ", ".join(sorted(names | {"m_alpha_over_m_n"}))
-                )
-        return replace(self, **changes)
 
 
 CODATA = PhysicalConstants()
 
-#: Config-file keys accepted as constant overrides.
-CONSTANT_KEYS = tuple(sorted({f.name for f in fields(PhysicalConstants)} | {"m_alpha_over_m_n"}))
+#: Config-file keys accepted as constant overrides: the field names.
+CONSTANT_KEYS = tuple(sorted(f.name for f in fields(PhysicalConstants)))
 
 
 def neutron_wavenumber(energy_joule: float, constants: PhysicalConstants = CODATA) -> float:

@@ -74,13 +74,12 @@ def reduced_density(
     r,
     r_prime,
     t: float,
-    hbar: float = 1.0,
 ) -> complex:
     """rho(r, r'; t) = psi(r, t) psi*(r', t) D(|r - r'|)."""
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)
     s = float(np.linalg.norm(r - r_prime))
-    return evaluate(packet, r, t, hbar) * np.conj(evaluate(packet, r_prime, t, hbar)) * kernel(s)
+    return evaluate(packet, r, t) * np.conj(evaluate(packet, r_prime, t)) * kernel(s)
 
 
 def purity(z: float) -> float:

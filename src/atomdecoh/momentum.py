@@ -95,20 +95,3 @@ def momentum_distribution(z0: float, q_grid) -> MomentumDistribution:
     q_grid = np.asarray(q_grid, dtype=float)
     values = np.array([momentum_density(q, z0) for q in q_grid])
     return MomentumDistribution(q_grid, values, z0)
-
-
-def normalization_integral(z0: float) -> float:
-    """4 pi int q^2 n(q) dq; equals 1 by Tr rho = 1."""
-    from scipy.integrate import quad
-
-    q_max = max(60.0, 5.0 * z0)
-    val, _ = quad(
-        lambda q: q * q * momentum_density(q, z0),
-        0.0,
-        q_max,
-        epsabs=1e-12,
-        epsrel=1e-9,
-        limit=400,
-        points=[min(z0, q_max / 2.0), 1.0],
-    )
-    return 4.0 * math.pi * val

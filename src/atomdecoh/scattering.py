@@ -41,6 +41,9 @@ _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 #: forward-elastic epsilon offset for angular grids (rad)
 FORWARD_EPSILON = 1e-6
 
+#: relative tolerance of each adaptive piece of the reduced integral
+_EPSREL = 1e-11
+
 #: standard threshold neutron speed for observable decoherence (m/s)
 OBSERVABILITY_SPEED = 4.0e3
 
@@ -99,16 +102,6 @@ class AngularTable:
                 raise ValueError("cross-section values must be nonnegative")
 
 
-def kappa(k: float, k_prime: float, theta: float, config: ScatteringConfig) -> float:
-    """Kernel decay rate (hbar / m_alpha) Z* |k - k'| / a_B (1/s)."""
-    if k < 0.0 or k_prime < 0.0:
-        raise ValueError("wavenumbers must be nonnegative")
-    c = config.constants
-    m_alpha = config.mass_ratio * c.m_n
-    transfer = math.sqrt(max(k * k + k_prime * k_prime - 2.0 * k * k_prime * math.cos(theta), 0.0))
-    return c.hbar / m_alpha * config.z_eff * transfer / c.a_B
-
-
 def _tau_closed(kappa_val: float, omega: float) -> float:
     """Closed-form Fourier transform of the undamped (z0 = 0) envelope."""
     denom = 2.0 * kappa_val + 1j * omega
@@ -124,8 +117,12 @@ def tau_transform(kappa_val: float, omega: float, z0: float) -> complex:
 
     Closed form for every z0: factorial moments at z0 = 0, damped moments
     for z0 > 0. At kappa = 0 the integral is distributional (2 pi delta(omega))
-    for every z0 and is rejected.
+    for every z0 and is rejected, as is non-finite input.
     """
+    if not all(math.isfinite(x) for x in (kappa_val, omega, z0)):
+        raise ValueError(
+            f"kappa_val, omega and z0 must be finite, got {kappa_val!r}, {omega!r}, {z0!r}"
+        )
     if kappa_val < 0.0 or z0 < 0.0:
         raise ValueError("kappa_val and z0 must be nonnegative")
     if kappa_val == 0.0:
@@ -189,7 +186,7 @@ def diff_cross_section_asymptotic(config: ScatteringConfig, theta: float) -> flo
 
 
 def _reduced_integral(theta: float, q: float, mass_ratio: float, z_eff: float,
-                      z0: float = 0.0, epsrel: float = 1e-11) -> tuple[float, float]:
+                      z0: float = 0.0) -> tuple[float, float]:
     """I(theta) = int_0^inf du u^2 What F(what(u), kappahat(u)) in units of
     the common frequency W = hbar k^2 / m_n; the cross-section is
     (m_n^2 g^2 / (8 pi^3 hbar^4)) * I.
@@ -243,16 +240,16 @@ def _reduced_integral(theta: float, q: float, mass_ratio: float, z_eff: float,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         for a, b in zip(v_points[:-1], v_points[1:]):
-            val, ee = quad(stretched, a, b, epsabs=1e-13, epsrel=epsrel, limit=400)
+            val, ee = quad(stretched, a, b, epsabs=1e-13, epsrel=_EPSREL, limit=400)
             total += val
             err += ee
         for a, b in ((-u_star, -reach), (reach, 2.0)):
             if b <= a + 1e-14:
                 continue
-            val, ee = quad(f_d, a, b, epsabs=1e-13, epsrel=epsrel, limit=400)
+            val, ee = quad(f_d, a, b, epsabs=1e-13, epsrel=_EPSREL, limit=400)
             total += val
             err += ee
-        val, ee = quad(f_d, 2.0, np.inf, epsabs=1e-13, epsrel=epsrel, limit=400)
+        val, ee = quad(f_d, 2.0, np.inf, epsabs=1e-13, epsrel=_EPSREL, limit=400)
         total += val
         err += ee
     if not (math.isfinite(total) and err <= max(1e-10, 1e-7 * abs(total))):

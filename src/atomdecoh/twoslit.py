@@ -6,7 +6,8 @@ pattern is |a alpha + b beta|^2 (fringes present); if the atom is ionized
 at the slits the pattern is the incoherent sum |a|^2 |alpha|^2 +
 |b|^2 |beta|^2. The overlap of the two electron pointer states equals the
 hydrogen coherence kernel at the slit separation and quantifies the error
-of treating the two branches as exactly biorthogonal.
+of treating the two branches as exactly biorthogonal. Lengths are in Bohr
+radii and hbar = 1, as for the packets themselves.
 """
 
 from __future__ import annotations
@@ -54,22 +55,22 @@ class TwoSlitConfig:
         return alpha, beta
 
 
-def _amplitudes(config: TwoSlitConfig, screen_point, hbar: float):
+def _amplitudes(config: TwoSlitConfig, screen_point):
     alpha, beta = config.packets()
-    a_val = evaluate(alpha, screen_point, config.t0, hbar)
-    b_val = evaluate(beta, screen_point, config.t0, hbar)
+    a_val = evaluate(alpha, screen_point, config.t0)
+    b_val = evaluate(beta, screen_point, config.t0)
     return a_val, b_val
 
 
-def coherent_pattern(config: TwoSlitConfig, screen_point, hbar: float = 1.0):
+def coherent_pattern(config: TwoSlitConfig, screen_point):
     """P(r) = |a alpha(r, t0) + b beta(r, t0)|^2, interference included."""
-    a_val, b_val = _amplitudes(config, screen_point, hbar)
+    a_val, b_val = _amplitudes(config, screen_point)
     return np.abs(config.amp1 * a_val + config.amp2 * b_val) ** 2
 
 
-def decohered_pattern(config: TwoSlitConfig, screen_point, hbar: float = 1.0):
+def decohered_pattern(config: TwoSlitConfig, screen_point):
     """P(r) = |a|^2 |alpha|^2 + |b|^2 |beta|^2, interference removed."""
-    a_val, b_val = _amplitudes(config, screen_point, hbar)
+    a_val, b_val = _amplitudes(config, screen_point)
     return abs(config.amp1) ** 2 * np.abs(a_val) ** 2 + abs(config.amp2) ** 2 * np.abs(b_val) ** 2
 
 
@@ -92,19 +93,18 @@ def visibility(pattern_values) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def expected_fringe_period(config: TwoSlitConfig, hbar: float = 1.0) -> float:
+def expected_fringe_period(config: TwoSlitConfig) -> float:
     """Fringe spacing on the screen from the spreading-phase difference:
     4 pi Delta_x(t0)^2 / (d * theta) with theta = hbar t0 / (2 M delta^2)."""
-    theta = hbar * config.t0 / (2.0 * config.mass * config.packet_delta**2)
+    theta = config.t0 / (2.0 * config.mass * config.packet_delta**2)
     if theta == 0.0:
         return math.inf
     alpha, _ = config.packets()
-    dx = width(alpha, config.t0, hbar)
+    dx = width(alpha, config.t0)
     return 4.0 * math.pi * dx**2 / (config.separation * theta)
 
 
-def screen_scan(config: TwoSlitConfig, n_points: int, half_width: float | None = None,
-                hbar: float = 1.0):
+def screen_scan(config: TwoSlitConfig, n_points: int, half_width: float | None = None):
     """Sample both patterns along the slit-separation axis on the screen.
 
     The scan line passes through the drifted midpoint, spans one fringe
@@ -113,7 +113,7 @@ def screen_scan(config: TwoSlitConfig, n_points: int, half_width: float | None =
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
     if half_width is None:
-        period = expected_fringe_period(config, hbar)
+        period = expected_fringe_period(config)
         if not math.isfinite(period):
             raise ValueError("no fringe period at t0 = 0; pass half_width explicitly")
         half_width = 0.5 * period
@@ -123,4 +123,4 @@ def screen_scan(config: TwoSlitConfig, n_points: int, half_width: float | None =
     direction = (s1 - s2) / config.separation
     offsets = np.linspace(-half_width, half_width, n_points)
     points = midpoint[None, :] + offsets[:, None] * direction[None, :]
-    return offsets, coherent_pattern(config, points, hbar), decohered_pattern(config, points, hbar)
+    return offsets, coherent_pattern(config, points), decohered_pattern(config, points)

@@ -11,9 +11,11 @@ can compare the two:
   panels aligned with the zeros of the oscillation, each panel integrated
   adaptively; the damping makes the panel sums converge fast without
   series acceleration;
-* a brute-force 3D tensor-product Gauss-Legendre integrator;
+* a brute-force 3D tensor-product Gauss-Legendre integrator, and the
+  one-axis factor of the Gaussian packet it is checked against;
 * the momentum density through the generic route (numeric diagonal
   average of the packet, times the kernel, then a radial sine transform);
+* the normalization 4 pi int q^2 n(q) dq of the momentum density;
 * the spectral weight F(omega) for z0 > 0 by panelled quadrature;
 * a sampled check of the off-diagonal bound of the reduced density matrix.
 """
@@ -30,8 +32,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
 
 from atomdecoh.density import CoherenceKernel, reduced_density
+from atomdecoh.momentum import momentum_density
 from atomdecoh.quadrature import QuadratureError
-from atomdecoh.wavepacket import GaussianPacket, evaluate_1d, width
+from atomdecoh.wavepacket import GaussianPacket, width
 
 TRUNCATION_DECAY_LENGTHS = 40.0
 
@@ -212,13 +215,33 @@ def integrate_3d_oracle(
     return float(np.einsum("i,j,k,ijk->", wts, wts, wts, vals))
 
 
+def evaluate_1d(
+    delta: float,
+    x0: float,
+    p0: float,
+    mass: float,
+    x: np.ndarray | float,
+    t: float,
+) -> np.ndarray | complex:
+    """One Cartesian factor of the Gaussian packet (1D normalization), hbar = 1."""
+    x = np.asarray(x, dtype=float)
+    spread = 1.0 + 1j * t / (2.0 * mass * delta**2)
+    arg = x - x0 - p0 * t / mass
+    amp = (2.0 * math.pi * delta**2) ** (-0.25) / np.sqrt(spread)
+    phase = (
+        -1j * p0**2 * t / (2.0 * mass)
+        - arg**2 / (4.0 * delta**2 * spread)
+        + 1j * p0 * (x - x0)
+    )
+    return amp * np.exp(phase)
+
+
 def momentum_density_generic(
     packet: GaussianPacket,
     kernel: CoherenceKernel | None,
     p,
     t: float = 0.0,
     spec: QuadratureSpec | None = None,
-    hbar: float = 1.0,
 ) -> float:
     """Momentum density by the generic route: numeric diagonal average of
     the packet's off-diagonal profile, multiplied by the kernel, then a
@@ -231,7 +254,7 @@ def momentum_density_generic(
     """
     p = np.asarray(p, dtype=float)
     q_vec = p - np.asarray(packet.P0)
-    q = float(np.linalg.norm(q_vec)) / hbar
+    q = float(np.linalg.norm(q_vec))
     delta = packet.delta
 
     # pick the axis carrying P0 (any axis works for P0 = 0)
@@ -240,16 +263,16 @@ def momentum_density_generic(
     x0 = packet.R0[axis]
     p0 = packet.P0[axis]
 
-    half_span = 12.0 * max(delta, hbar * abs(t) / (2.0 * packet.M * delta))
+    half_span = 12.0 * max(delta, abs(t) / (2.0 * packet.M * delta))
     center = x0 + p0 * t / packet.M
 
     def diag_average(u: float) -> float:
         """int dx psi(x + u/2) psi*(x - u/2), phase exp(i p0 u) removed."""
         def integrand(x: float, part) -> float:
             val = (
-                evaluate_1d(delta, x0, p0, packet.M, x + 0.5 * u, t, hbar)
-                * np.conj(evaluate_1d(delta, x0, p0, packet.M, x - 0.5 * u, t, hbar))
-                * np.exp(-1j * p0 * u / hbar)
+                evaluate_1d(delta, x0, p0, packet.M, x + 0.5 * u, t)
+                * np.conj(evaluate_1d(delta, x0, p0, packet.M, x - 0.5 * u, t))
+                * np.exp(-1j * p0 * u)
             )
             return part(val)
 
@@ -275,6 +298,22 @@ def momentum_density_generic(
     if not res.converged:
         raise QuadratureError(f"generic momentum density failed at q={q}")
     return value / (2.0 * math.pi**2)
+
+
+def normalization_integral(z0: float) -> float:
+    """4 pi int q^2 n(q) dq of the closed-form momentum density; equals 1
+    by Tr rho = 1."""
+    q_max = max(60.0, 5.0 * z0)
+    val, _ = quad(
+        lambda q: q * q * momentum_density(q, z0),
+        0.0,
+        q_max,
+        epsabs=1e-12,
+        epsrel=1e-9,
+        limit=400,
+        points=[min(z0, q_max / 2.0), 1.0],
+    )
+    return 4.0 * math.pi * val
 
 
 def tau_transform_quadrature(kappa_val: float, omega: float, z0: float) -> complex:
@@ -305,12 +344,11 @@ def verify_offdiagonal_bound(
     t: float = 0.0,
     n_samples: int = 100,
     seed: int = 0,
-    hbar: float = 1.0,
 ) -> bool:
     """Sample |rho(r, r')| at fixed separation s against the bound
     max|psi|^2 * D(s)."""
     rng = np.random.default_rng(seed)
-    peak = (2.0 * math.pi * width(packet, t, hbar) ** 2) ** -1.5
+    peak = (2.0 * math.pi * width(packet, t) ** 2) ** -1.5
     bound = peak * float(kernel(s))
     for _ in range(n_samples):
         mid = np.asarray(packet.R0) + rng.normal(scale=3.0 * packet.delta, size=3)
@@ -318,7 +356,7 @@ def verify_offdiagonal_bound(
         direction /= np.linalg.norm(direction)
         r = mid + 0.5 * s * direction
         r_prime = mid - 0.5 * s * direction
-        rho = reduced_density(packet, kernel, r, r_prime, t, hbar)
+        rho = reduced_density(packet, kernel, r, r_prime, t)
         if abs(rho) > bound * (1.0 + 1e-12):
             return False
     return True

@@ -22,7 +22,6 @@ from atomdecoh.momentum import (
     electron_limit,
     gaussian_limit,
     momentum_density,
-    normalization_integral,
 )
 from atomdecoh.scattering import (
     ScatteringConfig,
@@ -39,6 +38,7 @@ from oracles import (
     integrate_3d_oracle,
     integrate_fourier_complex,
     momentum_density_generic,
+    normalization_integral,
 )
 
 

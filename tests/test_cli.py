@@ -5,6 +5,7 @@ import pytest
 
 from atomdecoh.cli import (
     IO_EXIT,
+    NUMERIC_EXIT,
     SCHEMAS,
     USAGE_EXIT,
     UsageError,
@@ -95,6 +96,30 @@ def test_domain_error_while_running_is_usage_error(capsys, argv):
     assert code == USAGE_EXIT
     assert err.count("\n") == 1
     assert err.startswith("usage error: ")
+    assert "Traceback" not in err
+
+
+def test_twoslit_at_t0_zero_names_t0(capsys):
+    code, out, err = _run(capsys, "twoslit", "--t0", "0")
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "'t0'" in err
+    assert "half_width" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("twoslit", "--delta-ab", "1e-300", "--points", "5"),
+        ("momentum", "--z0", "1e-300", "--points", "3"),
+    ],
+)
+def test_arithmetic_error_is_numeric_failure(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == NUMERIC_EXIT
+    assert err.count("\n") == 1
+    assert err.startswith("numeric failure: ")
     assert "Traceback" not in err
 
 
@@ -197,13 +222,31 @@ def test_xsection_invalid_method_is_usage_error(capsys):
 
 
 def test_constants_override_via_config(tmp_path, capsys):
+    # the almost-diagonality threshold hbar/(m_p a_B) halves with m_p doubled
+    _, base, _ = _run(capsys, "conditions", "--energy-ev", "1.0")
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("m_alpha_over_m_n=3.99\n")
+    cfg.write_text("m_p=3.34524385190e-27\n")
     code, out, _ = _run(
         capsys, "conditions", "--config", str(cfg), "--energy-ev", "1.0"
     )
     assert code == 0
-    json.loads(out)
+    before = json.loads(base)["almost_diagonal"]["threshold"]
+    after = json.loads(out)["almost_diagonal"]["threshold"]
+    assert after == pytest.approx(before / 2.0, rel=1e-12)
+
+
+def test_alpha_mass_ratio_is_not_a_config_key(tmp_path, capsys):
+    # the alpha mass is ScatteringConfig.mass_ratio times m_n, not a constant
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("m_alpha_over_m_n=3.99\n")
+    code, out, err = _run(
+        capsys, "conditions", "--config", str(cfg), "--energy-ev", "1.0"
+    )
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "unknown key 'm_alpha_over_m_n'" in err
+    assert "valid keys: " in err and "m_p" in err
 
 
 def test_csv_format_is_twelve_significant_digits(capsys):

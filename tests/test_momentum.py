@@ -11,10 +11,9 @@ from atomdecoh.momentum import (
     gaussian_limit,
     momentum_density,
     momentum_distribution,
-    normalization_integral,
 )
 from atomdecoh.wavepacket import GaussianPacket
-from oracles import momentum_density_generic
+from oracles import momentum_density_generic, normalization_integral
 
 
 def test_electron_limit_reference_values():

@@ -15,29 +15,10 @@ from atomdecoh.scattering import (
     diff_cross_section_numeric,
     f_theta,
     h_theta,
-    kappa,
     tau_transform,
     total_cross_section_numeric,
 )
 from oracles import tau_transform_quadrature
-
-
-def test_kappa_vanishes_for_forward_elastic():
-    config = ScatteringConfig()
-    assert kappa(config.k, config.k, 0.0, config) == pytest.approx(0.0, abs=1e-20)
-
-
-def test_kappa_backscattering_value():
-    config = ScatteringConfig()
-    c = config.constants
-    expected = c.hbar / (4.0 * c.m_n) * Z_EFF_HELIUM * 2.0 * config.k / c.a_B
-    assert kappa(config.k, config.k, math.pi, config) == pytest.approx(expected, rel=1e-12)
-
-
-def test_kappa_symmetric_in_wavenumbers():
-    config = ScatteringConfig()
-    k1, k2 = 1.0e11, 2.3e11
-    assert kappa(k1, k2, 1.0, config) == pytest.approx(kappa(k2, k1, 1.0, config), rel=1e-14)
 
 
 def test_tau_transform_static_weight():
@@ -80,6 +61,21 @@ def test_tau_transform_rejects_singular_point():
     for z0 in (0.0, 0.5):
         with pytest.raises(ValueError, match="singular"):
             tau_transform(0.0, 1.0, z0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1.0, math.nan, 0.0),
+        (math.nan, 1.0, 0.0),
+        (math.inf, 1.0, 0.0),
+        (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf),
+    ],
+)
+def test_tau_transform_rejects_non_finite_input(args):
+    with pytest.raises(ValueError, match="finite"):
+        tau_transform(*args)
 
 
 def test_f_theta_right_angle():

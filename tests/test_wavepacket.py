@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from atomdecoh.wavepacket import (
-    GaussianPacket,
-    evaluate,
-    evaluate_1d,
-    width,
-    z_parameter,
-)
-from oracles import integrate_3d_oracle
+from atomdecoh.wavepacket import GaussianPacket, evaluate, width
+from oracles import evaluate_1d, integrate_3d_oracle
 
 
 def _packet(delta=1.0, R0=(0.0, 0.0, 0.0), P0=(0.0, 0.0, 0.0), M=1.0):
@@ -55,17 +49,6 @@ def test_width_subadditive_in_time():
     p = _packet(delta=2.0)
     for t in (0.5, 5.0, 100.0):
         assert width(p, 2.0 * t) < 2.0 * width(p, t)
-
-
-def test_z_parameters():
-    assert z_parameter(_packet(delta=1.0), 0.0) == pytest.approx(1.0)
-    assert z_parameter(_packet(delta=100.0), 0.0) == pytest.approx(0.01)
-
-
-def test_z_decreases_with_time():
-    p = _packet(delta=2.0)
-    zs = [z_parameter(p, t) for t in (0.0, 1.0, 10.0, 100.0)]
-    assert all(a > b for a, b in zip(zs, zs[1:]))
 
 
 def test_moving_packet_center_translates():
