@@ -190,54 +190,79 @@ def _header(subcommand: str, params: dict, constants: PhysicalConstants) -> list
     return lines
 
 
+class NumericFailure(Exception):
+    """A computation of a subcommand failed; the message says which."""
+
+
+def _given(params: dict) -> str:
+    return ", ".join(f"{key}={params[key]}" for key in sorted(params))
+
+
 @contextmanager
-def _open_out(path: str | None):
+def _stage(subcommand: str, computation: str, params: dict):
+    """Report an arithmetic failure inside the block as a NumericFailure
+    that names the subcommand, the computation and the parameters."""
+    try:
+        yield
+    except (QuadratureError, ArithmeticError) as exc:
+        raise NumericFailure(
+            f"{subcommand}: {computation} failed for {_given(params)}: {exc}"
+        ) from None
+
+
+def _require_finite(subcommand: str, computation: str, params: dict, *columns) -> None:
+    if not all(np.isfinite(column).all() for column in columns):
+        raise NumericFailure(
+            f"{subcommand}: {computation} gave non-finite values for {_given(params)}"
+        )
+
+
+def _write(path: str | None, text: str, default) -> None:
     if path is None:
-        yield sys.stdout
+        default.write(text)
         return
     try:
         fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot open output {path}: {exc}") from exc
-    try:
-        yield fh
-    finally:
-        fh.close()
+    with fh:
+        fh.write(text)
 
 
-def _emit_csv(out, header: list[str], columns: list[str], rows) -> None:
-    for line in header:
-        print(line, file=out)
-    print(",".join(columns), file=out)
-    for row in rows:
-        print(",".join(_fmt(x) for x in row), file=out)
+def _csv(header: list[str], columns: list[str], rows, trailer: list[str] = ()) -> str:
+    lines = header + [",".join(columns)]
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    return "\n".join(lines + list(trailer)) + "\n"
 
 
-def run_purity(params: dict, constants: PhysicalConstants, out) -> None:
+def run_purity(params: dict, constants: PhysicalConstants) -> str:
     grid = np.logspace(math.log10(params["z_min"]), math.log10(params["z_max"]),
                        params["points"])
-    rows = [(z, purity(z)) for z in grid]
-    _emit_csv(out, _header("purity", params, constants), ["z", "tr_rho_sq"], rows)
+    with _stage("purity", "purity", params):
+        values = [purity(z) for z in grid]
+    _require_finite("purity", "purity", params, values)
+    return _csv(_header("purity", params, constants), ["z", "tr_rho_sq"], zip(grid, values))
 
 
-def run_momentum(params: dict, constants: PhysicalConstants, out) -> None:
+def run_momentum(params: dict, constants: PhysicalConstants) -> str:
     grid = np.logspace(math.log10(params["q_min"]), math.log10(params["q_max"]),
                        params["points"])
-    dist = momentum_distribution(params["z0"], grid)
+    with _stage("momentum", "momentum density", params):
+        dist = momentum_distribution(params["z0"], grid)
     delta = 1.0 / params["z0"]
-    rows = [
-        (q, n, gaussian_limit(q, delta), electron_limit(q))
-        for q, n in zip(dist.q_grid, dist.values)
-    ]
-    _emit_csv(
-        out,
+    with _stage("momentum", "Gaussian and electron limits", params):
+        gaussian = [gaussian_limit(q, delta) for q in dist.q_grid]
+        electron = [electron_limit(q) for q in dist.q_grid]
+    _require_finite("momentum", "momentum density and its limits", params,
+                    dist.values, gaussian, electron)
+    return _csv(
         _header("momentum", params, constants),
         ["q", "density", "gaussian_limit", "electron_limit"],
-        rows,
+        zip(dist.q_grid, dist.values, gaussian, electron),
     )
 
 
-def run_twoslit(params: dict, constants: PhysicalConstants, out) -> None:
+def run_twoslit(params: dict, constants: PhysicalConstants) -> str:
     if params["t0"] == 0.0:
         raise UsageError(
             "parameter 't0' must be nonzero: at t0 = 0 the packets have not spread, "
@@ -253,18 +278,17 @@ def run_twoslit(params: dict, constants: PhysicalConstants, out) -> None:
         t0=params["t0"],
         p0=(params["p0"], 0.0, 0.0),
     )
-    coords, coh, dec = screen_scan(config, params["points"])
-    rows = list(zip(coords, coh, dec))
-    _emit_csv(
-        out,
+    with _stage("twoslit", "screen scan", params):
+        coords, coh, dec = screen_scan(config, params["points"])
+    _require_finite("twoslit", "screen scan", params, coords, coh, dec)
+    with _stage("twoslit", "visibility", params):
+        trailer = [f"# visibility coherent={_fmt(visibility(coh))} "
+                   f"decohered={_fmt(visibility(dec))}"]
+    return _csv(
         _header("twoslit", params, constants),
         ["screen_coordinate", "coherent_P", "decohered_P"],
-        rows,
-    )
-    print(
-        f"# visibility coherent={_fmt(visibility(coh))} "
-        f"decohered={_fmt(visibility(dec))}",
-        file=out,
+        zip(coords, coh, dec),
+        trailer,
     )
 
 
@@ -279,7 +303,8 @@ def _json_safe(obj):
     return obj
 
 
-def run_xsection(params: dict, constants: PhysicalConstants, out, summary_out) -> None:
+def run_xsection(params: dict, constants: PhysicalConstants) -> tuple[str, str]:
+    """The CSV table and the JSON summary."""
     method = params["method"]
     if method not in ("numeric", "asymptotic", "both"):
         raise UsageError("method must be numeric, asymptotic or both")
@@ -289,28 +314,27 @@ def run_xsection(params: dict, constants: PhysicalConstants, out, summary_out) -
         z0=params["z0"],
         constants=constants,
     )
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught, \
+            _stage("xsection", "cross-section scan", params):
         warnings.simplefilter("always")
         table = angular_scan(config, params["points"], method)
     if table.metadata["failures"]:
         first = table.metadata["failures"][0]
-        raise QuadratureError(
-            f"cross-section failed at theta={first['theta']}: {first['error']}"
+        raise NumericFailure(
+            f"xsection: cross-section scan failed for {_given(params)}: {first['error']}"
         )
+    computed = {"numeric": [table.dsigma_numeric], "asymptotic": [table.dsigma_asymptotic],
+                "both": [table.dsigma_numeric, table.dsigma_asymptotic]}[method]
+    _require_finite("xsection", "cross-section scan", params, *computed)
     q_sq = table.q**2
-    rows = []
-    for theta, num, asym in zip(
-        table.theta_grid, table.dsigma_numeric, table.dsigma_asymptotic
-    ):
-        frac = h_theta(theta) / q_sq
-        rows.append((theta, num, asym, frac))
-    _emit_csv(
-        out,
-        _header("xsection", params, constants),
-        ["theta_rad", "dsigma_numeric", "dsigma_asymptotic", "anomalous_fraction"],
-        rows,
-    )
-    margins = check_conditions(config)
+    with _stage("xsection", "anomalous fraction and condition margins", params):
+        rows = [
+            (theta, num, asym, h_theta(theta) / q_sq)
+            for theta, num, asym in zip(
+                table.theta_grid, table.dsigma_numeric, table.dsigma_asymptotic
+            )
+        ]
+        margins = check_conditions(config)
     summary = {
         "q": table.q,
         "h0_over_q_sq": h_theta(0.0) / q_sq,
@@ -322,21 +346,38 @@ def run_xsection(params: dict, constants: PhysicalConstants, out, summary_out) -
         "boundary_energy_ev": margins["boundary_energy_ev"],
         "warnings": list(dict.fromkeys(str(w.message) for w in caught)),
     }
-    print(json.dumps(_json_safe(summary), indent=2, sort_keys=True), file=summary_out)
+    csv = _csv(
+        _header("xsection", params, constants),
+        ["theta_rad", "dsigma_numeric", "dsigma_asymptotic", "anomalous_fraction"],
+        rows,
+    )
+    return csv, json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n"
 
 
-def run_conditions(params: dict, constants: PhysicalConstants, out) -> None:
+def run_conditions(params: dict, constants: PhysicalConstants) -> str:
     config = ScatteringConfig(
         E_n_ev=params["energy_ev"], z0=params["z0"], constants=constants
     )
     d_over = params["d_over_a_b"] if params["d_over_a_b"] > 0.0 else None
-    report = check_conditions(config, d_over_a_b=d_over)
+    with _stage("conditions", "condition margins", params):
+        report = check_conditions(config, d_over_a_b=d_over)
     report["tool_version"] = __version__
     report["energy_ev"] = params["energy_ev"]
-    print(json.dumps(_json_safe(report), indent=2, sort_keys=True), file=out)
+    return json.dumps(_json_safe(report), indent=2, sort_keys=True) + "\n"
+
+
+RUNNERS = {
+    "purity": run_purity,
+    "momentum": run_momentum,
+    "twoslit": run_twoslit,
+    "xsection": run_xsection,
+    "conditions": run_conditions,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Compute everything first and write only then, so a failed run leaves
+    no partial output on stdout or in --output."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -345,24 +386,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        with _open_out(args.output) as out:
-            if args.subcommand == "purity":
-                run_purity(params, constants, out)
-            elif args.subcommand == "momentum":
-                run_momentum(params, constants, out)
-            elif args.subcommand == "twoslit":
-                run_twoslit(params, constants, out)
-            elif args.subcommand == "xsection":
-                with _open_out(args.summary_output) as summary_out:
-                    if args.summary_output is None:
-                        summary_out = sys.stderr
-                    run_xsection(params, constants, out, summary_out)
-            elif args.subcommand == "conditions":
-                run_conditions(params, constants, out)
+        # numpy's floating-point warnings would reach stderr; the runners
+        # check their results for non-finite values instead
+        with np.errstate(all="ignore"):
+            result = RUNNERS[args.subcommand](params, constants)
+        if args.subcommand == "xsection":
+            csv, summary = result
+            _write(args.output, csv, sys.stdout)
+            _write(args.summary_output, summary, sys.stderr)
+        else:
+            _write(args.output, result, sys.stdout)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (QuadratureError, ArithmeticError) as exc:
+    except (NumericFailure, QuadratureError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     except OSError as exc:

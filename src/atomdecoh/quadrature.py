@@ -10,6 +10,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 
 class QuadratureError(RuntimeError):
     """Numerical integration failed."""
@@ -22,6 +24,9 @@ _MILLER_CAP = 4000
 #: ln 2^53: how far the dominant solution must outgrow J for the backward
 #: recurrence's arbitrary start to fall below double-precision roundoff
 _LN_EPS = 53.0 * math.log(2.0)
+#: the array type damped_moments evaluates elementwise; an exact type test
+#: keeps the dispatch far below the cost of a scalar call
+_ARRAY = np.ndarray
 
 
 def _asymptotic_moment(b: complex, a: float, n: int) -> complex:
@@ -44,12 +49,57 @@ def _asymptotic_moment(b: complex, a: float, n: int) -> complex:
     return total
 
 
-def _dominance(mu: complex, n: float) -> float:
+def _series_terms(n: int, mu_sq: float) -> int:
+    """How many terms _asymptotic_moment adds for I_n at |mu|^2 = mu_sq:
+    up to the first below 2^-57 of the leading one, or up to the smallest."""
+    size, k = 1.0, 0
+    while size > 2.0**-57:
+        ratio = (n + 2 * k + 1) * (n + 2 * k + 2) / ((k + 1) * mu_sq)
+        if ratio >= 1.0:
+            break
+        size *= ratio
+        k += 1
+    return k
+
+
+def _asymptotic_pairs(b: np.ndarray, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_asymptotic_moment for m = n-1 and n, elementwise: I_m = m!/b^(m+1)
+    times the polynomial sum_k (m+2k)!/(m! k!) y^k in y = -a/b^2, by
+    Horner's rule. The elements are banded by |mu|^2 = 1/|y| within factors
+    of 2, the last band open above 2^16, and each band takes the terms its
+    smallest |mu|^2 needs for I_n; the terms past an element's own stop are
+    smaller still."""
+    inv_b = 1.0 / b
+    y = -a * inv_b * inv_b
+    with np.errstate(divide="ignore", over="ignore"):
+        mu_sq = 1.0 / np.abs(y)
+    band = np.minimum(np.floor(np.log2(mu_sq)), 16.0)
+    sums = np.empty((2,) + y.shape, dtype=complex)
+    for key in np.unique(band):
+        members = np.flatnonzero(band == key)
+        terms = _series_terms(n, float(mu_sq[members].min()))
+        for row, m in enumerate((n - 1, n)):
+            coeffs = [1.0]
+            for k in range(1, terms + 1):
+                coeffs.append(coeffs[-1] * (m + 2 * k - 1) * (m + 2 * k) / k)
+            total = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                total = total * y[members] + c
+            sums[row, members] = total
+    low = math.factorial(n - 1) * inv_b**n
+    return low * sums[0], n * low * inv_b * sums[1]
+
+
+def _dominance(mu, n: float):
     """ln|L_n / J_n| up to a constant, L a dominant solution of the moment
     recurrence: the Liouville-Green sum of ln|(w_k + mu)/(w_k - mu)|,
-    w_k = sqrt(mu^2 + 8k), over k <= n, integrated in closed form."""
+    w_k = sqrt(mu^2 + 8k), over k <= n, integrated in closed form.
+    Elementwise for an array mu."""
     if n == 0:
         return (mu * mu).real / 4.0
+    if type(mu) is _ARRAY:
+        w = np.sqrt(mu * mu + 8.0 * n)
+        return n * (2.0 * np.log(np.abs(w + mu)) - math.log(8.0 * n)) + (mu * w).real / 4.0
     w = cmath.sqrt(mu * mu + 8.0 * n)
     return n * (2.0 * math.log(abs(w + mu)) - math.log(8.0 * n)) + (mu * w).real / 4.0
 
@@ -74,8 +124,39 @@ def _miller_start(mu: complex, n_max: int) -> int | None:
     return None
 
 
-def _upward(mu: complex, j0: complex, n_max: int) -> list[complex]:
-    """J_0..J_n_max by mu J_n + 2 J_{n+1} = n J_{n-1} + [n = 0]."""
+def _miller_starts(mu: np.ndarray, n_max: int) -> np.ndarray:
+    """_miller_start elementwise, with the choice past the cap made too:
+    the start of the backward recurrence, or 0 for the upward one."""
+    x = np.full(mu.shape, float(max(n_max, 1)))
+    starts = np.zeros(mu.shape, dtype=int)
+    past_cap = np.zeros(mu.shape, dtype=bool)
+    target = _dominance(mu, n_max) + _LN_EPS
+    live = np.flatnonzero(x <= _MILLER_CAP)
+    while live.size:
+        m, xl = mu[live], x[live]
+        w = np.sqrt(m * m + 8.0 * xl)
+        slope = 2.0 * np.log(np.abs(w + m)) - np.log(8.0 * xl)
+        rising = slope > 0.0
+        past_cap[live[~rising]] = True
+        live, m, w, xl, slope = live[rising], m[rising], w[rising], xl[rising], slope[rising]
+        step = (target[live] - xl * slope - (m * w).real / 4.0) / slope
+        x[live] = xl + step
+        done = step <= 0.5
+        starts[live[done]] = np.ceil(x[live[done]]).astype(int) + 1
+        live = live[~done]
+        beyond = x[live] > _MILLER_CAP
+        past_cap[live[beyond]] = True
+        live = live[~beyond]
+    m = mu[past_cap]
+    upward_loss = _dominance(m, n_max) - _dominance(m, 0)
+    capped_loss = _LN_EPS - (_dominance(m, _MILLER_CAP) - _dominance(m, n_max))
+    starts[past_cap] = np.where(capped_loss < upward_loss, _MILLER_CAP, 0)
+    return starts
+
+
+def _upward(mu, j0, n_max: int) -> list:
+    """J_0..J_n_max by mu J_n + 2 J_{n+1} = n J_{n-1} + [n = 0]; elementwise
+    for arrays, as is _backward."""
     js = [j0]
     if n_max >= 1:
         js.append(0.5 * (1.0 - mu * j0))
@@ -84,10 +165,10 @@ def _upward(mu: complex, j0: complex, n_max: int) -> list[complex]:
     return js
 
 
-def _backward(mu: complex, j0: complex, n_max: int, start: int) -> list[complex]:
+def _backward(mu, j0, n_max: int, start: int, h=0j) -> list:
     """J_0..J_n_max from J_0 and the ratios h_n = J_{n+1}/J_n of Miller's
-    backward recurrence h_{n-1} = n / (mu + 2 h_n), h_start = 0."""
-    h = 0j
+    backward recurrence h_{n-1} = n / (mu + 2 h_n), h_start = 0, or
+    h_n_max = h when start = n_max."""
     for n in range(start, n_max, -1):
         h = n / (mu + 2.0 * h)
     ratios = []
@@ -100,9 +181,35 @@ def _backward(mu: complex, j0: complex, n_max: int, start: int) -> list[complex]
     return js
 
 
-def damped_moments(b: complex, a: float, n_max: int) -> list[complex]:
+def _backward_array(mu: np.ndarray, j0: np.ndarray, n_max: int, starts: np.ndarray) -> list:
+    """_backward elementwise, each element from its own start: sorted by
+    start, the elements still running at index n are a prefix of the
+    arrays, so every step updates one slice. The steps run on g = 2 h."""
+    order = np.argsort(-starts, kind="stable")
+    running = np.searchsorted(-starts[order], -np.arange(starts.max() + 1), side="right")
+    mu_sorted = mu[order]
+    g = np.zeros(mu.shape, dtype=complex)
+    for n in range(int(starts.max()), n_max, -1):
+        k = running[n]
+        g[:k] = 2.0 * n / (mu_sorted[:k] + g[:k])
+    g[order] = g.copy()
+    return _backward(mu, j0, n_max, n_max, 0.5 * g)
+
+
+def damped_moments(b, a, n_max: int):
     """I_n = int_0^inf s^n exp(-b s - a s^2) ds for n = 0..n_max;
     Re b > 0, a >= 0, both finite.
+
+    For scalar b and a the result is a list of n_max + 1 complex numbers.
+    If b or a is a numpy.ndarray (not a subclass), the two are broadcast
+    together and give an array of shape (n_max + 1,) + that shape. Each element takes the branch and the
+    backward-recurrence start its scalar call takes, and the elements of a
+    branch are evaluated together. The two agree to a few units in the last
+    place, and past the cap to what the recurrence makes of that, because
+    numpy rounds complex products differently from Python and the array
+    form sums the asymptotic series by Horner's rule
+    (tests/test_xsection_engine.py). Scalars pick their branch by plain
+    comparisons, since the array masks cost more than a whole scalar call.
 
     With mu = b / sqrt(a), J_n = a^((n+1)/2) I_n obeys
     mu J_n + 2 J_{n+1} = n J_{n-1} (n >= 1), and
@@ -129,14 +236,16 @@ def damped_moments(b: complex, a: float, n_max: int) -> list[complex]:
     it stays below 1e-14 for |mu|^2 <= 16 and peaks near |mu|^2 = 140 at
     3e-10 for n <= 3 and 6e-7 for n = 6.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if type(b) is _ARRAY or type(a) is _ARRAY:
+        return _damped_moments_array(b, a, n_max)
     b = complex(b)
     a = float(a)
     if not (cmath.isfinite(b) and math.isfinite(a)):
         raise ValueError(f"damped moments need finite b and a, got b={b!r}, a={a!r}")
     if b.real <= 0.0 or a < 0.0:
         raise ValueError(f"damped moments need Re b > 0 and a >= 0, got b={b!r}, a={a!r}")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     if a == 0.0:
         inv_b = 1.0 / b
         return [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)]
@@ -172,3 +281,61 @@ def damped_moments(b: complex, a: float, n_max: int) -> list[complex]:
         moments.append(j * scale)
         scale /= root
     return moments
+
+
+def _damped_moments_array(b, a, n_max: int) -> np.ndarray:
+    b, a = np.broadcast_arrays(np.asarray(b, dtype=complex), np.asarray(a, dtype=float))
+    shape = b.shape
+    b, a = b.ravel(), a.ravel()
+    if not (np.isfinite(b).all() and np.isfinite(a).all()):
+        raise ValueError("damped moments need finite b and a")
+    if (b.real <= 0.0).any() or (a < 0.0).any():
+        raise ValueError("damped moments need Re b > 0 and a >= 0")
+    out = np.empty((n_max + 1, b.size), dtype=complex)
+
+    def put(idx, moments):
+        for row, moment in zip(out, moments):
+            row[idx] = moment
+
+    def put_scaled(idx, js, root):
+        scale = 1.0 / root
+        for row, j in zip(out, js):
+            row[idx] = j * scale
+            scale = scale / root
+
+    exact = np.flatnonzero(a == 0.0)
+    inv_b = 1.0 / b[exact]
+    put(exact, [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)])
+    damped = np.flatnonzero(a != 0.0)
+    root = np.sqrt(a[damped])
+    # b / root part by part, as Python divides a complex by a float
+    mu = b[damped].copy()
+    mu.real /= root
+    mu.imag /= root
+    with np.errstate(over="ignore"):
+        mu_sq = np.abs(mu) ** 2
+    series = mu_sq >= 170.0 + 14.0 * n_max
+    idx = damped[series]
+    bs, as_ = b[idx], a[idx]
+    top = max(n_max, 1)
+    moments = list(_asymptotic_pairs(bs, as_, top))
+    for n in range(top - 1, 0, -1):
+        moments.insert(0, (bs * moments[0] + 2.0 * as_ * moments[1]) / n)
+    put(idx, moments[: n_max + 1])
+    rest = ~series
+    if rest.any():
+        from scipy.special import wofz
+
+        idx, mu, mu_sq, root = damped[rest], mu[rest], mu_sq[rest], root[rest]
+        j0 = 0.5 * math.sqrt(math.pi) * wofz(0.5j * mu)
+        starts = np.zeros(mu.shape, dtype=int)
+        miller = mu_sq > _UPWARD_MU_SQ
+        starts[miller] = _miller_starts(mu[miller], n_max)
+        up = starts == 0
+        if up.any():
+            put_scaled(idx[up], _upward(mu[up], j0[up], n_max), root[up])
+        back = ~up
+        if back.any():
+            js = _backward_array(mu[back], j0[back], n_max, starts[back])
+            put_scaled(idx[back], js, root[back])
+    return out.reshape((n_max + 1,) + shape)

@@ -17,6 +17,8 @@ can compare the two:
   average of the packet, times the kernel, then a radial sine transform);
 * the normalization 4 pi int q^2 n(q) dq of the momentum density;
 * the spectral weight F(omega) for z0 > 0 by panelled quadrature;
+* the reduced cross-section integral by adaptive quadrature on the
+  sinh-stretched peak, the flanks and the tail;
 * a sampled check of the off-diagonal bound of the reduced density matrix.
 """
 
@@ -34,6 +36,7 @@ from scipy.integrate import IntegrationWarning, quad
 from atomdecoh.density import CoherenceKernel, reduced_density
 from atomdecoh.momentum import momentum_density
 from atomdecoh.quadrature import QuadratureError
+from atomdecoh.scattering import _tau_damped
 from atomdecoh.wavepacket import GaussianPacket, width
 
 TRUNCATION_DECAY_LENGTHS = 40.0
@@ -335,6 +338,79 @@ def tau_transform_quadrature(kappa_val: float, omega: float, z0: float) -> compl
             f"tau transform failed at kappa={kappa_val}, omega={omega}, z0={z0}"
         )
     return res.value
+
+
+#: relative tolerance of each adaptive piece of the reduced integral
+_EPSREL = 1e-11
+
+
+def reduced_integral_quad(theta: float, q: float, mass_ratio: float, z_eff: float,
+                          z0: float = 0.0) -> tuple[float, float]:
+    """I(theta) = int_0^inf du u^2 What F(what(u), kappahat(u)) in units of
+    the common frequency W = hbar k^2 / m_n, with its error estimate, by
+    adaptive quadrature: scattering._reduced_integrals' integral on the
+    same pieces, each integrated by ``quad`` to 1e-11 relative.
+
+    The quasi-elastic peak at u* (where what = 0) has width
+    kappahat(u*) / |what'(u*)| which collapses at forward angles, so the
+    central region is integrated in a sinh-stretched variable and all
+    cancellation-prone combinations are built from 1 - cos(theta) directly.
+    """
+    r = mass_ratio
+    omc = 2.0 * math.sin(0.5 * theta) ** 2           # 1 - cos(theta), stable
+    c = 1.0 - omc
+    s15 = math.sqrt(c * c + r * r - 1.0)
+    # e = 1 - u*  with  u* = (c + s15)/(r + 1), computed without cancellation
+    e = (omc * (1.0 + c) / (s15 + r) + omc) / (r + 1.0)
+    u_star = 1.0 - e
+    w_slope = u_star + (u_star - c) / r              # |dwhat/du| at u*
+    gamma = 0.5 * (1.0 + 1.0 / r)
+
+    def ksq(d: float) -> float:
+        # (1 - u)^2 + 2 u (1 - c)  at  u = u* + d; equals 1 + u^2 - 2 u c
+        return (e - d) ** 2 + 2.0 * (u_star + d) * omc
+
+    def kappa_hat(d: float) -> float:
+        return z_eff / (r * q) * math.sqrt(max(ksq(d), 1e-300))
+
+    def w_hat(d: float) -> float:
+        return -w_slope * d - gamma * d * d
+
+    def f_d(d: float) -> float:
+        return (u_star + d) ** 2 * _tau_damped(kappa_hat(d), w_hat(d), z0)
+
+    h_peak = max(kappa_hat(0.0), 1e-300) / w_slope
+    reach = min(0.5, 0.9 * u_star)
+    v_max = math.asinh(reach / h_peak)
+
+    def stretched(v: float) -> float:
+        return h_peak * math.cosh(v) * f_d(h_peak * math.sinh(v))
+
+    total = 0.0
+    err = 0.0
+    v_mid = min(5.0, v_max)
+    v_points = sorted({-v_max, -v_mid, 0.0, v_mid, v_max})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in zip(v_points[:-1], v_points[1:]):
+            val, ee = quad(stretched, a, b, epsabs=1e-13, epsrel=_EPSREL, limit=400)
+            total += val
+            err += ee
+        for a, b in ((-u_star, -reach), (reach, 2.0)):
+            if b <= a + 1e-14:
+                continue
+            val, ee = quad(f_d, a, b, epsabs=1e-13, epsrel=_EPSREL, limit=400)
+            total += val
+            err += ee
+        val, ee = quad(f_d, 2.0, np.inf, epsabs=1e-13, epsrel=_EPSREL, limit=400)
+        total += val
+        err += ee
+    if not (math.isfinite(total) and err <= max(1e-10, 1e-7 * abs(total))):
+        raise QuadratureError(
+            f"cross-section integral failed at theta={theta}: "
+            f"peak u*={u_star:.6f}, width={h_peak:.3e}, error={err:.3e}"
+        )
+    return total, err
 
 
 def verify_offdiagonal_bound(

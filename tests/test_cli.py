@@ -124,6 +124,56 @@ def test_arithmetic_error_is_numeric_failure(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,names",
+    [
+        (("momentum", "--z0", "1e-300", "--points", "3"),
+         ("momentum: Gaussian and electron limits failed", "z0=1e-300", "points=3")),
+        (("xsection", "--z0", "1e300", "--points", "3"),
+         ("xsection: cross-section scan failed", "z0=1e+300", "energy_ev=1.0")),
+        (("twoslit", "--delta-ab", "1e-300", "--points", "5"),
+         ("twoslit: screen scan failed", "delta_ab=1e-300", "p0=0.0")),
+        (("twoslit", "--p0", "1e200", "--points", "5"),
+         ("twoslit: screen scan gave non-finite values", "p0=1e+200")),
+    ],
+)
+def test_numeric_failure_names_command_computation_and_parameters(capsys, argv, names):
+    code, out, err = _run(capsys, *argv)
+    assert code == NUMERIC_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("numeric failure: ")
+    for name in names:
+        assert name in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("twoslit", "--p0", "1e200", "--points", "5"),
+        ("momentum", "--z0", "1e-300", "--points", "3"),
+        ("xsection", "--z0", "1e300", "--points", "3"),
+        ("xsection", "--z0", "0.5", "--points", "1"),
+    ],
+)
+def test_failed_run_writes_no_partial_output(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code != 0
+    assert out == ""
+    assert err.count("\n") == 1
+    target = tmp_path / "kept.csv"
+    target.write_text("earlier output\n")
+    summary = tmp_path / "kept.json"
+    summary.write_text("{}\n")
+    code, out, err = _run(capsys, *argv, "--output", str(target),
+                          "--summary-output", str(summary))
+    assert code != 0
+    assert out == ""
+    assert err.count("\n") == 1
+    assert target.read_text() == "earlier output\n"
+    assert summary.read_text() == "{}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("purity", "--z-min", "10", "--z-max", "1"),

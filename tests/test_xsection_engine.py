@@ -1,0 +1,138 @@
+"""The cross-section engine: fixed tanh-sinh nodes evaluated as arrays over
+angles x nodes, and the array form of the damped moments beneath it."""
+
+import cmath
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import atomdecoh
+from atomdecoh import scattering
+from atomdecoh.density import Z_EFF_HELIUM
+from atomdecoh.quadrature import QuadratureError, damped_moments
+from atomdecoh.scattering import (
+    ScatteringConfig,
+    _reduced_integral,
+    angular_scan,
+    diff_cross_section_numeric,
+    total_cross_section_numeric,
+)
+from oracles import reduced_integral_quad
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, atomdecoh, atomdecoh.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = os.path.dirname(os.path.dirname(atomdecoh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def _draws(seed, n):
+    """(theta, E, z0): theta log-uniform in [1e-6, pi], E in [0.05, 100] eV,
+    z0 = 0 or log-uniform in [0.01, 12]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        theta = math.exp(rng.uniform(math.log(1e-6), math.log(math.pi)))
+        energy = math.exp(rng.uniform(math.log(0.05), math.log(100.0)))
+        z0 = 0.0 if rng.random() < 0.25 else math.exp(rng.uniform(math.log(0.01), math.log(12.0)))
+        out.append((theta, energy, z0))
+    return out
+
+
+@pytest.mark.parametrize("theta,energy,z0", _draws(20261018, 12))
+def test_fixed_nodes_match_adaptive_oracle(theta, energy, z0):
+    q = ScatteringConfig(E_n_ev=energy).q
+    value, error = _reduced_integral(theta, q, 4.0, Z_EFF_HELIUM, z0)
+    ref, _ = reduced_integral_quad(theta, q, 4.0, Z_EFF_HELIUM, z0)
+    assert abs(value - ref) <= 1e-11 * ref
+    assert error <= 1e-10 * value
+
+
+@pytest.mark.parametrize("theta,energy,z0", [(1e-6, 1e-5, 0.0), (0.01, 1e-4, 0.5), (1e-6, 1e-6, 2.0)])
+def test_slow_neutrons_at_forward_angles_match_adaptive_oracle(theta, energy, z0):
+    # below q ~ 0.2 the branch point of kappahat (|k - k'| = 0) comes within
+    # 0.1 of the axis in the stretched variable; the peak is split below it
+    q = ScatteringConfig(E_n_ev=energy).q
+    value, _ = _reduced_integral(theta, q, 4.0, Z_EFF_HELIUM, z0)
+    ref, _ = reduced_integral_quad(theta, q, 4.0, Z_EFF_HELIUM, z0)
+    assert abs(value - ref) <= 1e-11 * ref
+
+
+def test_scan_and_total_are_the_single_angle_values():
+    config = ScatteringConfig(E_n_ev=2.0, z0=0.5)
+    table = angular_scan(config, 5, "numeric")
+    singles = [diff_cross_section_numeric(config, theta) for theta in table.theta_grid]
+    np.testing.assert_allclose(table.dsigma_numeric, singles, rtol=1e-15)
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    total = 2.0 * math.pi * sum(
+        w * diff_cross_section_numeric(config, math.acos(x)) for x, w in zip(nodes, weights)
+    )
+    assert total_cross_section_numeric(config, 6) == pytest.approx(total, rel=1e-14)
+
+
+def _branch_points():
+    """(b, a) in every branch of damped_moments at n_max = 6: a = 0; the
+    asymptotic series (|mu|^2 >= 254); the upward recurrence (|mu|^2 <= 6);
+    Miller's recurrence (Re mu >= 0.5); and past the cap (Re mu < 0.5),
+    both where the capped recurrence wins and where the upward one does."""
+    mus = [cmath.rect(r, phi) for r in (0.3, 1.5, 2.4)
+           for phi in np.linspace(-math.pi / 2 + 0.2, math.pi / 2 - 0.2, 5)]
+    mus += [complex(x, y) for x in (0.5, 1.0, 3.0, 8.0) for y in (-12.0, -4.0, 0.0, 5.0)]
+    mus += [complex(x, y) for x in (20.0, 60.0, 1e3) for y in (-300.0, 0.0, 40.0)]
+    mus += [complex(re, -math.sqrt(s - re * re)) for re in (0.01, 0.1, 0.3)
+            for s in (6.5, 16.0, 60.0, 140.0, 230.0)]
+    points = [(mu * math.sqrt(a), a) for mu in mus for a in (1e-3, 0.7, 40.0)]
+    points += [(complex(2.0, -5.0), 0.0), (complex(0.1, 3.0), 0.0)]
+    return points
+
+
+def test_array_damped_moments_equal_scalar_calls():
+    points = _branch_points()
+    b = np.array([p[0] for p in points])
+    a = np.array([p[1] for p in points])
+    got = damped_moments(b, a, 6)
+    assert got.shape == (7, len(points))
+    for i, (bi, ai) in enumerate(points):
+        ref = np.array(damped_moments(bi, ai, 6))
+        re_mu = bi.real / math.sqrt(ai) if ai > 0.0 else math.inf
+        # numpy's complex arithmetic rounds differently from Python's in the
+        # last bit; past the cap the recurrence amplifies that difference
+        tol = 1e-13 if re_mu >= 0.5 else 1e-11
+        assert np.max(np.abs(got[:, i] - ref) / np.abs(ref)) <= tol, (bi, ai)
+
+
+def test_array_damped_moments_broadcast_and_validate():
+    b = np.array([[1.0 - 2.0j], [3.0 + 0.5j]])
+    a = np.array([0.0, 0.25, 4.0])
+    got = damped_moments(b, a, 3)
+    assert got.shape == (4, 2, 3)
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_allclose(got[:, i, j], damped_moments(b[i, 0], a[j], 3),
+                                       rtol=1e-14)
+    for bad_b, bad_a in ((b, np.array([1.0, np.nan, 1.0])), (-b, a), (b, -a)):
+        with pytest.raises(ValueError):
+            damped_moments(bad_b, bad_a, 3)
+
+
+def test_error_estimate_above_accuracy_raises(monkeypatch):
+    config = ScatteringConfig(E_n_ev=1.0, z0=0.5)
+    assert diff_cross_section_numeric(config, 1.0) > 0.0
+    monkeypatch.setattr(scattering, "_LEVEL", 1)
+    with pytest.raises(QuadratureError, match="error estimate"):
+        diff_cross_section_numeric(config, 1.0)
+    table = angular_scan(config, 3, "numeric")
+    assert np.all(np.isnan(table.dsigma_numeric))
+    assert [f["theta"] for f in table.metadata["failures"]] == list(table.theta_grid)
+    with pytest.raises(QuadratureError):
+        total_cross_section_numeric(config, 4)
