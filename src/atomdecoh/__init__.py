@@ -17,7 +17,6 @@ from .constants import (
 )
 from .density import (
     Z_EFF_HELIUM,
-    CoherenceKernel,
     helium_kernel,
     hydrogen_kernel,
     purity,
@@ -64,7 +63,6 @@ __all__ = [
     "neutron_wavenumber",
     "proton_velocity_scale",
     "Z_EFF_HELIUM",
-    "CoherenceKernel",
     "helium_kernel",
     "hydrogen_kernel",
     "purity",

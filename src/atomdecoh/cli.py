@@ -53,7 +53,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "separation_ab": (float, 1000.0, "slit separation (Bohr radii)"),
         "delta_ab": (float, 200.0, "initial packet width (Bohr radii)"),
         "p0": (float, 0.0, "packet momentum along the slit axis (hbar/a_B)"),
-        "t0": (float, 3.2e6, "drift time before the screen (atomic-style units)"),
+        "t0": (float, 3.2e6, "drift time before the screen (units of M a_B^2/hbar)"),
         "amp1": (float, 2.0**-0.5, "amplitude of the first slit"),
         "amp2": (float, 2.0**-0.5, "amplitude of the second slit"),
         "points": (int, 201, "number of screen samples"),
@@ -133,9 +133,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value parameter file")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument(
-            "--summary-output", help="JSON summary path (xsection; default: stderr)"
-        )
         for key, (typ, default, helptext) in schema.items():
             p.add_argument(
                 f"--{key.replace('_', '-')}",
@@ -144,6 +141,9 @@ def build_parser() -> _Parser:
                 default=None,
                 help=f"{helptext} (default {default})",
             )
+    sub.choices["xsection"].add_argument(
+        "--summary-output", help="JSON summary path (default: stderr)"
+    )
     return parser
 
 
@@ -306,8 +306,6 @@ def _json_safe(obj):
 def run_xsection(params: dict, constants: PhysicalConstants) -> tuple[str, str]:
     """The CSV table and the JSON summary."""
     method = params["method"]
-    if method not in ("numeric", "asymptotic", "both"):
-        raise UsageError("method must be numeric, asymptotic or both")
     config = ScatteringConfig(
         E_n_ev=params["energy_ev"],
         scatt_length=params["scatt_length_fm"] * 1e-15,

@@ -3,7 +3,7 @@
 All constants are SI and pinned to the CODATA 2022 recommended values (as
 scipy 1.17 ships them), so outputs do not move when scipy changes its
 CODATA edition. The alpha mass is not a constant here: the scattering code
-takes it as ``ScatteringConfig.mass_ratio`` times the neutron mass.
+takes it as ``scattering.MASS_RATIO`` (4) times the neutron mass.
 Individual constants can be overridden (e.g. from a CLI config file) with
 :func:`dataclasses.replace`, which re-runs the validation.
 """

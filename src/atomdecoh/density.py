@@ -13,7 +13,7 @@ damped moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 
 import numpy as np
 
@@ -25,6 +25,12 @@ Z_EFF_HELIUM = 27.0 / 16.0
 #: coefficients of (1 + s + s^2/3)^2 in powers of s
 KERNEL_SQ_POLY = (1.0, 2.0, 5.0 / 3.0, 2.0 / 3.0, 1.0 / 9.0)
 
+#: z from which purity is 1 - 2/z^2: the next term, (20/3)/z^4, is below
+#: 1e-19 there; the closed form's rounding, about 1e-15, would make it
+#: decrease in z above 1e5 and exceed 1 above 1e7, and z^3 overflows
+#: past 5.6e102
+_PURITY_SERIES_Z = 1e5
+
 
 def hydrogen_kernel(s):
     """Coherence kernel (1 + s + s^2/3) e^{-s} of a 1s electron."""
@@ -35,47 +41,23 @@ def hydrogen_kernel(s):
     return float(out) if out.ndim == 0 else out
 
 
-def helium_kernel(s_phys, z_eff: float = Z_EFF_HELIUM):
+def helium_kernel(s_phys):
     """Coherence kernel of the helium nucleus: hydrogen_kernel(Z* s)^2."""
     s_phys = np.asarray(s_phys, dtype=float)
     if np.any(s_phys < 0.0):
         raise ValueError("separation must be nonnegative")
-    return hydrogen_kernel(z_eff * s_phys) ** 2
-
-
-@dataclass(frozen=True)
-class CoherenceKernel:
-    """Separable off-diagonal decay factor D(s), s in Bohr radii."""
-
-    species: str = "hydrogen"
-    z_eff: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.species not in ("hydrogen", "helium"):
-            raise ValueError("species must be 'hydrogen' or 'helium'")
-
-    @classmethod
-    def hydrogen(cls) -> "CoherenceKernel":
-        return cls("hydrogen", 1.0)
-
-    @classmethod
-    def helium(cls, z_eff: float = Z_EFF_HELIUM) -> "CoherenceKernel":
-        return cls("helium", z_eff)
-
-    def __call__(self, s_phys):
-        if self.species == "hydrogen":
-            return hydrogen_kernel(np.asarray(s_phys) * self.z_eff)
-        return helium_kernel(s_phys, self.z_eff)
+    return hydrogen_kernel(Z_EFF_HELIUM * s_phys) ** 2
 
 
 def reduced_density(
     packet: GaussianPacket,
-    kernel: CoherenceKernel,
+    kernel: Callable[[float], float],
     r,
     r_prime,
     t: float,
 ) -> complex:
-    """rho(r, r'; t) = psi(r, t) psi*(r', t) D(|r - r'|)."""
+    """rho(r, r'; t) = psi(r, t) psi*(r', t) D(|r - r'|), with D the kernel
+    function, hydrogen_kernel or helium_kernel."""
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)
     s = float(np.linalg.norm(r - r_prime))
@@ -87,11 +69,19 @@ def purity(z: float) -> float:
 
     Tr rho^2 = z^3/(2 sqrt(pi)) * int_0^inf s^2 (1+s+s^2/3)^2
     exp(-2s - s^2 z^2 / 4) ds = z^3/(2 sqrt(pi)) sum_n c_n I_(n+2)(2, z^2/4)
-    in damped moments; z = a_B/Delta_x. Lies in (0, 1]. Closed form, within
-    1e-12 relative of mpmath on z in [1e-3, 1e2] (tests/test_moments.py).
+    in damped moments; z = a_B/Delta_x. From _PURITY_SERIES_Z on it is
+    1 - 2/z^2, the expansion D^2 = 1 - s^2/3 + O(s^4) gives. Lies in [0, 1]
+    and does not decrease over steps of at least 1e-3 decades in z (finer
+    steps can go down by its rounding, about 1e-15); below z ~ 1.6e-108 it
+    underflows to 0, as its leading term 33 z^3 / (16 sqrt(pi)) does.
+    Within 1e-12 relative of mpmath on z in [1e-3, 1e2]
+    (tests/test_moments.py) and on both sides of the switch, where 1 - P is
+    also within 1e-4 relative (tests/test_density.py).
     """
     if not (math.isfinite(z) and z > 0.0):
         raise ValueError(f"z must be positive and finite, got {z!r}")
+    if z >= _PURITY_SERIES_Z:
+        return 1.0 - 2.0 / (z * z)
     moments = damped_moments(2.0, z * z / 4.0, len(KERNEL_SQ_POLY) + 1)
     total = sum(c_n * moments[n + 2].real for n, c_n in enumerate(KERNEL_SQ_POLY))
     return z**3 / (2.0 * math.sqrt(math.pi)) * total

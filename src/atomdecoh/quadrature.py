@@ -251,7 +251,9 @@ def damped_moments(b, a, n_max: int):
         return [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)]
     root = math.sqrt(a)
     mu = b / root
-    mu_sq = abs(mu) ** 2
+    # a product, not ** 2, which raises OverflowError past |mu| ~ 1.3e154
+    mu_abs = abs(mu)
+    mu_sq = mu_abs * mu_abs
     if mu_sq >= 170.0 + 14.0 * n_max:
         # from there on the series of every I_n, n <= n_max, has a smallest
         # term below 1e-17 relative; the two highest moments come from it,

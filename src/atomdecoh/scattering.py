@@ -12,7 +12,9 @@ forward angles where the peak width collapses. The integral runs on fixed
 tanh-sinh nodes (Takahasi & Mori, Publ. RIMS 9, 721 (1974)), evaluated as
 one array over angles x nodes.
 
-The large-q limit gives the lab-frame angular factor
+The target is He-4: the mass ratio MASS_RATIO = 4 and the effective
+charge Z* = 27/16 of its electrons are constants. The large-q limit gives
+the lab-frame angular factor
 f(theta) = (cos t + sqrt(15 + cos^2 t))^2 / sqrt(15 + cos^2 t)
 (isotropic scattering in the center-of-mass frame for a mass-4 target)
 plus a positive anomalous term h(theta)/q^2 inversely proportional to the
@@ -54,9 +56,15 @@ _TAIL_T_MIN = 1e-6
 _ACCURACY = 1e-10
 #: angles evaluated together, which bounds the size of the node arrays
 _ANGLE_BLOCK = 64
+#: Gauss-Legendre nodes in cos(theta) of the total cross-section
+_TOTAL_NODES = 48
 
 #: standard threshold neutron speed for observable decoherence (m/s)
 OBSERVABILITY_SPEED = 4.0e3
+
+#: alpha mass over neutron mass of the He-4 target; f(theta) and h(theta)
+#: are the closed forms for this value
+MASS_RATIO = 4.0
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,6 @@ class ScatteringConfig:
     E_n_ev: float = 1.0
     scatt_length: float = 3.26e-15      # m; bound coherent value for He-4
     z0: float = 0.0
-    mass_ratio: float = 4.0
-    z_eff: float = Z_EFF_HELIUM
     constants: PhysicalConstants = field(default_factory=lambda: CODATA)
 
     def __post_init__(self) -> None:
@@ -77,8 +83,6 @@ class ScatteringConfig:
             raise ValueError("scatt_length must be nonzero")
         if self.z0 < 0.0:
             raise ValueError("z0 must be nonnegative")
-        if self.mass_ratio <= 1.0:
-            raise ValueError("mass_ratio must exceed 1")
 
     @property
     def k(self) -> float:
@@ -170,23 +174,19 @@ def _check_theta(theta: float) -> None:
         raise ValueError("theta must lie in [0, pi]")
 
 
-def _coupling_prefactor(config: ScatteringConfig, mass_ratio: float) -> float:
+def _coupling_prefactor(config: ScatteringConfig) -> float:
     """m_n^2 g^2 / hbar^4 = (2 pi a)^2 (1 + m_n/m_alpha)^2 (m^2)."""
-    return (2.0 * math.pi * config.scatt_length) ** 2 * (1.0 + 1.0 / mass_ratio) ** 2
+    return (2.0 * math.pi * config.scatt_length) ** 2 * (1.0 + 1.0 / MASS_RATIO) ** 2
 
 
 def diff_cross_section_asymptotic(config: ScatteringConfig, theta: float) -> float:
     """Large-q cross-section (m^2/sr):
-    (m_n^2 g^2 / (25 pi^2 hbar^4)) f(theta) (1 + h(theta)/q^2).
-
-    Uses m_alpha = 4 m_n exactly, the working value of the closed-form
-    angular factors.
-    """
+    (m_n^2 g^2 / (25 pi^2 hbar^4)) f(theta) (1 + h(theta)/q^2)."""
     _check_theta(theta)
     q = config.q
     if q < 5.0:
         warnings.warn(f"asymptotic formula dubious at q = {q:.2f} < 5", stacklevel=2)
-    pref = _coupling_prefactor(config, 4.0) / (25.0 * math.pi**2)
+    pref = _coupling_prefactor(config) / (25.0 * math.pi**2)
     return pref * f_theta(theta) * (1.0 + h_theta(theta) / q**2)
 
 
@@ -206,8 +206,7 @@ def _tanh_sinh(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, weights, coarse
 
 
-def _reduced_integrals(theta, q: float, mass_ratio: float, z_eff: float,
-                       z0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_integrals(theta, q: float, z0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """I(theta) = int_0^inf du u^2 What F(what(u), kappahat(u)) in units of
     the common frequency W = hbar k^2 / m_n at every angle of the array
     theta, and its error estimate; the cross-section is
@@ -239,14 +238,14 @@ def _reduced_integrals(theta, q: float, mass_ratio: float, z_eff: float,
     for level in (_LEVEL, _LEVEL + 1):
         for lo in range(0, todo.size, _ANGLE_BLOCK):
             block = todo[lo:lo + _ANGLE_BLOCK]
-            values[block], errors[block] = _integrate_block(
-                theta[block], q, mass_ratio, z_eff, z0, level)
+            values[block], errors[block] = _integrate_block(theta[block], q, z0, level)
         todo = todo[~(errors[todo] <= _ACCURACY * np.abs(values[todo]))]
     return values, errors
 
 
-def _integrate_block(theta: np.ndarray, q: float, r: float, z_eff: float,
-                     z0: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+def _integrate_block(theta: np.ndarray, q: float, z0: float,
+                     level: int) -> tuple[np.ndarray, np.ndarray]:
+    r = MASS_RATIO
     omc = 2.0 * np.sin(0.5 * theta) ** 2            # 1 - cos(theta), stable
     c = 1.0 - omc
     s15 = np.sqrt(c * c + r * r - 1.0)
@@ -255,7 +254,7 @@ def _integrate_block(theta: np.ndarray, q: float, r: float, z_eff: float,
     u_star = 1.0 - e
     w_slope = u_star + (u_star - c) / r              # |dwhat/du| at u*
     gamma = 0.5 * (1.0 + 1.0 / r)
-    kappa_scale = z_eff / (r * q)
+    kappa_scale = Z_EFF_HELIUM / (r * q)
     kappa_peak = kappa_scale * np.sqrt(np.maximum(e * e + 2.0 * u_star * omc, 1e-300))
     h_peak = np.maximum(kappa_peak, 1e-300) / w_slope
     reach = np.minimum(0.5, 0.9 * u_star)
@@ -313,29 +312,30 @@ def _integrate_block(theta: np.ndarray, q: float, r: float, z_eff: float,
     return value, np.abs(value - coarse_value)
 
 
-def _failure(theta: float, value: float, error: float) -> str | None:
-    """Why the reduced integral at theta is not trusted, or None."""
-    if math.isfinite(value) and error <= _ACCURACY * abs(value):
-        return None
-    return (f"cross-section integral failed at theta={theta}: value {value:.6e}, "
-            f"error estimate {error:.3e} above {_ACCURACY:g} relative")
+def _failures(theta: np.ndarray, values: np.ndarray, errors: np.ndarray) -> dict[int, str]:
+    """Index -> reason for every angle whose reduced integral is not trusted:
+    a non-finite value, or an error estimate above _ACCURACY relative."""
+    trusted = np.isfinite(values) & (errors <= _ACCURACY * np.abs(values))
+    return {
+        int(i): (f"cross-section integral failed at theta={float(theta[i])}: value "
+                 f"{values[i]:.6e}, error estimate {errors[i]:.3e} above {_ACCURACY:g} relative")
+        for i in np.flatnonzero(~trusted)
+    }
 
 
-def _reduced_integral(theta: float, q: float, mass_ratio: float, z_eff: float,
-                      z0: float = 0.0) -> tuple[float, float]:
-    """(I(theta), error estimate) of _reduced_integrals at one angle;
-    raises QuadratureError when the estimate exceeds the stated accuracy."""
-    values, errors = _reduced_integrals(np.array([theta]), q, mass_ratio, z_eff, z0)
-    value, error = float(values[0]), float(errors[0])
-    why = _failure(theta, value, error)
-    if why is not None:
-        raise QuadratureError(why)
-    return value, error
+def _trusted_integrals(theta: np.ndarray, q: float, z0: float) -> np.ndarray:
+    """_reduced_integrals' values at every angle of theta; raises
+    QuadratureError for the first angle that is not trusted."""
+    values, errors = _reduced_integrals(theta, q, z0)
+    failures = _failures(theta, values, errors)
+    if failures:
+        raise QuadratureError(failures[min(failures)])
+    return values
 
 
 def _prefactor(config: ScatteringConfig) -> float:
     """m_n^2 g^2 / (8 pi^3 hbar^4): the cross-section per unit reduced integral."""
-    return _coupling_prefactor(config, config.mass_ratio) / (8.0 * math.pi**3)
+    return _coupling_prefactor(config) / (8.0 * math.pi**3)
 
 
 def diff_cross_section_numeric(config: ScatteringConfig, theta: float) -> float:
@@ -349,24 +349,16 @@ def diff_cross_section_numeric(config: ScatteringConfig, theta: float) -> float:
     it raises QuadratureError.
     """
     _check_theta(theta)
-    integral, _ = _reduced_integral(
-        theta, config.q, config.mass_ratio, config.z_eff, config.z0
-    )
-    return _prefactor(config) * integral
+    integral = _trusted_integrals(np.array([theta], dtype=float), config.q, config.z0)
+    return _prefactor(config) * float(integral[0])
 
 
-def total_cross_section_numeric(config: ScatteringConfig, n_nodes: int = 48) -> float:
+def total_cross_section_numeric(config: ScatteringConfig) -> float:
     """Solid-angle integral of the numeric cross-section (m^2) by
-    Gauss-Legendre quadrature in cos(theta), all angles in one evaluation."""
-    nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
-    thetas = np.arccos(nodes)
-    values, errors = _reduced_integrals(
-        thetas, config.q, config.mass_ratio, config.z_eff, config.z0
-    )
-    for theta, value, error in zip(thetas, values, errors):
-        why = _failure(float(theta), float(value), float(error))
-        if why is not None:
-            raise QuadratureError(why)
+    Gauss-Legendre quadrature in cos(theta) on _TOTAL_NODES nodes, all
+    angles in one evaluation."""
+    nodes, wts = np.polynomial.legendre.leggauss(_TOTAL_NODES)
+    values = _trusted_integrals(np.arccos(nodes), config.q, config.z0)
     return 2.0 * math.pi * _prefactor(config) * float(wts @ values)
 
 
@@ -381,52 +373,41 @@ def angular_scan(config: ScatteringConfig, n_points: int, method: str = "both") 
     grid[0] = FORWARD_EPSILON
     numeric = np.full(n_points, np.nan)
     asymptotic = np.full(n_points, np.nan)
-    failures: list[dict] = []
+    failures: dict[int, str] = {}
     if method in ("asymptotic", "both"):
         for i, theta in enumerate(grid):
             asymptotic[i] = diff_cross_section_asymptotic(config, theta)
     if method in ("numeric", "both"):
-        values, errors = _reduced_integrals(
-            grid, config.q, config.mass_ratio, config.z_eff, config.z0
-        )
-        for i, theta in enumerate(grid):
-            why = _failure(float(theta), float(values[i]), float(errors[i]))
-            if why is None:
-                numeric[i] = _prefactor(config) * values[i]
-            else:
-                failures.append({"theta": float(theta), "error": why})
+        values, errors = _reduced_integrals(grid, config.q, config.z0)
+        failures = _failures(grid, values, errors)
+        numeric = _prefactor(config) * values
+        numeric[list(failures)] = np.nan
     meta = {
         "E_n_ev": config.E_n_ev,
         "z0": config.z0,
-        "mass_ratio": config.mass_ratio,
-        "failures": failures,
+        "failures": [{"theta": float(grid[i]), "error": why} for i, why in failures.items()],
     }
     return AngularTable(grid, numeric, asymptotic, config.q, method, meta)
 
 
-def check_conditions(
-    config: ScatteringConfig,
-    delta_v_ms: float | None = None,
-    d_over_a_b: float | None = None,
-) -> dict:
+def check_conditions(config: ScatteringConfig, d_over_a_b: float | None = None) -> dict:
     """Margin report for the three regime conditions.
 
     Each entry gives (value, threshold, margin) where margin > 1 means the
     condition holds. Born-Oppenheimer and almost-diagonality compare the
-    packet velocity uncertainty against hbar/(m_e a_B) and hbar/(m_p a_B);
-    observability compares the neutron speed against the fast-collision
-    threshold (sqrt(d/a_B) v_e when a nucleus size d is supplied, else the
-    standard 4e3 m/s estimate).
+    packet velocity uncertainty hbar z0 / (2 m_alpha a_B) against
+    hbar/(m_e a_B) and hbar/(m_p a_B); observability compares the neutron
+    speed against the fast-collision threshold (sqrt(d/a_B) v_e when a
+    nucleus size d is supplied, else the standard 4e3 m/s estimate).
     """
     c = config.constants
     v_e = electron_velocity_scale(c)
     v_p = proton_velocity_scale(c)
-    if delta_v_ms is None:
-        if config.z0 > 0.0:
-            delta_m = c.a_B / config.z0
-            delta_v_ms = c.hbar / (2.0 * config.mass_ratio * c.m_n * delta_m)
-        else:
-            delta_v_ms = 0.0
+    if config.z0 > 0.0:
+        delta_m = c.a_B / config.z0
+        delta_v = c.hbar / (2.0 * MASS_RATIO * c.m_n * delta_m)
+    else:
+        delta_v = 0.0
     v_neutron = math.sqrt(2.0 * config.E_n_ev * c.eV / c.m_n)
     v_threshold = (
         math.sqrt(d_over_a_b) * v_e if d_over_a_b is not None else OBSERVABILITY_SPEED
@@ -445,8 +426,8 @@ def check_conditions(
         }
 
     return {
-        "born_oppenheimer": entry(delta_v_ms, v_e, larger_wins=False),
-        "almost_diagonal": entry(delta_v_ms, v_p, larger_wins=False),
+        "born_oppenheimer": entry(delta_v, v_e, larger_wins=False),
+        "almost_diagonal": entry(delta_v, v_p, larger_wins=False),
         "observability": entry(v_neutron, v_threshold, larger_wins=True),
         "boundary_energy_ev": boundary_energy_ev,
         "q": config.q,

@@ -7,7 +7,8 @@ at the slits the pattern is the incoherent sum |a|^2 |alpha|^2 +
 |b|^2 |beta|^2. The overlap of the two electron pointer states equals the
 hydrogen coherence kernel at the slit separation and quantifies the error
 of treating the two branches as exactly biorthogonal. Lengths are in Bohr
-radii and hbar = 1, as for the packets themselves.
+radii and hbar = M = 1, as for the packets themselves, so the drift time
+t0 is in units of M a_B^2 / hbar.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class TwoSlitConfig:
     amp1: complex = complex(1.0 / math.sqrt(2.0))
     amp2: complex = complex(1.0 / math.sqrt(2.0))
     packet_delta: float = 200.0
-    mass: float = 1.0
     t0: float = 0.0
     p0: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
@@ -42,16 +42,16 @@ class TwoSlitConfig:
             raise ValueError("|amp1|^2 + |amp2|^2 must equal 1")
         if self.separation == 0.0:
             raise ValueError("slit positions must differ")
-        if self.packet_delta <= 0.0 or self.mass <= 0.0:
-            raise ValueError("packet_delta and mass must be positive")
+        if self.packet_delta <= 0.0:
+            raise ValueError("packet_delta must be positive")
 
     @property
     def separation(self) -> float:
         return float(np.linalg.norm(np.subtract(self.slit1, self.slit2)))
 
     def packets(self) -> tuple[GaussianPacket, GaussianPacket]:
-        alpha = GaussianPacket(self.packet_delta, self.slit1, self.p0, self.mass)
-        beta = GaussianPacket(self.packet_delta, self.slit2, self.p0, self.mass)
+        alpha = GaussianPacket(self.packet_delta, self.slit1, self.p0)
+        beta = GaussianPacket(self.packet_delta, self.slit2, self.p0)
         return alpha, beta
 
 
@@ -96,7 +96,7 @@ def visibility(pattern_values) -> float:
 def expected_fringe_period(config: TwoSlitConfig) -> float:
     """Fringe spacing on the screen from the spreading-phase difference:
     4 pi Delta_x(t0)^2 / (d * theta) with theta = hbar t0 / (2 M delta^2)."""
-    theta = config.t0 / (2.0 * config.mass * config.packet_delta**2)
+    theta = config.t0 / (2.0 * config.packet_delta**2)
     if theta == 0.0:
         return math.inf
     alpha, _ = config.packets()
@@ -104,23 +104,22 @@ def expected_fringe_period(config: TwoSlitConfig) -> float:
     return 4.0 * math.pi * dx**2 / (config.separation * theta)
 
 
-def screen_scan(config: TwoSlitConfig, n_points: int, half_width: float | None = None):
+def screen_scan(config: TwoSlitConfig, n_points: int):
     """Sample both patterns along the slit-separation axis on the screen.
 
     The scan line passes through the drifted midpoint, spans one fringe
-    period by default, and returns (offsets, coherent, decohered).
+    period, and returns (offsets, coherent, decohered).
     """
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
-    if half_width is None:
-        period = expected_fringe_period(config)
-        if not math.isfinite(period):
-            raise ValueError("no fringe period at t0 = 0; pass half_width explicitly")
-        half_width = 0.5 * period
+    period = expected_fringe_period(config)
+    if not math.isfinite(period):
+        raise ValueError("no fringe period at t0 = 0")
+    half = 0.5 * period
     s1 = np.asarray(config.slit1)
     s2 = np.asarray(config.slit2)
-    midpoint = 0.5 * (s1 + s2) + np.asarray(config.p0) * config.t0 / config.mass
+    midpoint = 0.5 * (s1 + s2) + np.asarray(config.p0) * config.t0
     direction = (s1 - s2) / config.separation
-    offsets = np.linspace(-half_width, half_width, n_points)
+    offsets = np.linspace(-half, half, n_points)
     points = midpoint[None, :] + offsets[:, None] * direction[None, :]
     return offsets, coherent_pattern(config, points), decohered_pattern(config, points)

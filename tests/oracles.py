@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
 
-from atomdecoh.density import CoherenceKernel, reduced_density
+from atomdecoh.density import reduced_density
 from atomdecoh.momentum import momentum_density
 from atomdecoh.quadrature import QuadratureError
 from atomdecoh.scattering import _tau_damped
@@ -241,7 +241,7 @@ def evaluate_1d(
 
 def momentum_density_generic(
     packet: GaussianPacket,
-    kernel: CoherenceKernel | None,
+    kernel: Callable[[float], float] | None,
     p,
     t: float = 0.0,
     spec: QuadratureSpec | None = None,
@@ -266,15 +266,15 @@ def momentum_density_generic(
     x0 = packet.R0[axis]
     p0 = packet.P0[axis]
 
-    half_span = 12.0 * max(delta, abs(t) / (2.0 * packet.M * delta))
-    center = x0 + p0 * t / packet.M
+    half_span = 12.0 * max(delta, abs(t) / (2.0 * delta))
+    center = x0 + p0 * t
 
     def diag_average(u: float) -> float:
         """int dx psi(x + u/2) psi*(x - u/2), phase exp(i p0 u) removed."""
         def integrand(x: float, part) -> float:
             val = (
-                evaluate_1d(delta, x0, p0, packet.M, x + 0.5 * u, t)
-                * np.conj(evaluate_1d(delta, x0, p0, packet.M, x - 0.5 * u, t))
+                evaluate_1d(delta, x0, p0, 1.0, x + 0.5 * u, t)
+                * np.conj(evaluate_1d(delta, x0, p0, 1.0, x - 0.5 * u, t))
                 * np.exp(-1j * p0 * u)
             )
             return part(val)
@@ -415,7 +415,7 @@ def reduced_integral_quad(theta: float, q: float, mass_ratio: float, z_eff: floa
 
 def verify_offdiagonal_bound(
     packet: GaussianPacket,
-    kernel: CoherenceKernel,
+    kernel: Callable[[float], float],
     s: float,
     t: float = 0.0,
     n_samples: int = 100,

@@ -17,7 +17,7 @@ from atomdecoh.constants import (
     electron_velocity_scale,
     proton_velocity_scale,
 )
-from atomdecoh.density import CoherenceKernel, purity, reduced_density
+from atomdecoh.density import hydrogen_kernel, purity, reduced_density
 from atomdecoh.momentum import (
     electron_limit,
     gaussian_limit,
@@ -121,8 +121,8 @@ def test_criterion_6_momentum_distribution_properties():
     for q in (1.0, 50.0, 100.0):
         ref = gaussian_limit(q, 0.01)
         ok = ok and abs(momentum_density(q, 100.0) - ref) / ref <= 0.01
-    packet = GaussianPacket(2.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    kernel = CoherenceKernel.hydrogen()
+    packet = GaussianPacket(2.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    kernel = hydrogen_kernel
     for q in (0.0, 1.0, 3.0):
         generic = momentum_density_generic(packet, kernel, (0.0, 0.0, q))
         dedicated = momentum_density(q, 0.5)
@@ -131,8 +131,8 @@ def test_criterion_6_momentum_distribution_properties():
 
 
 def test_criterion_7_density_matrix_oracle():
-    packet = GaussianPacket(5.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    kernel = CoherenceKernel.hydrogen()
+    packet = GaussianPacket(5.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    kernel = hydrogen_kernel
     ok = True
     pairs = [
         ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
@@ -176,7 +176,7 @@ def test_criterion_8_two_slit_contrast():
     alpha, beta = config.packets()
     s1 = np.asarray(config.slit1)
     s2 = np.asarray(config.slit2)
-    midpoint = 0.5 * (s1 + s2) + np.asarray(config.p0) * config.t0 / config.mass
+    midpoint = 0.5 * (s1 + s2) + np.asarray(config.p0) * config.t0
     direction = (s1 - s2) / config.separation
     points = midpoint[None, :] + offsets[:, None] * direction[None, :]
     a_val = evaluate(alpha, points, config.t0)

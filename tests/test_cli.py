@@ -266,9 +266,36 @@ def test_xsection_summary_is_strict_json_below_q_5(capsys):
 
 
 def test_xsection_invalid_method_is_usage_error(capsys):
-    code, _, err = _run(capsys, "xsection", "--method", "magic", "--points", "3")
+    code, out, err = _run(capsys, "xsection", "--method", "magic", "--points", "3")
     assert code == USAGE_EXIT
-    assert "method" in err
+    assert out == ""
+    assert err == "usage error: method must be numeric, asymptotic or both\n"
+
+
+@pytest.mark.parametrize("subcommand", ["purity", "momentum", "twoslit", "conditions"])
+def test_summary_output_is_an_xsection_flag(tmp_path, capsys, subcommand):
+    path = tmp_path / "summary.json"
+    code, out, err = _run(capsys, subcommand, "--summary-output", str(path))
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--summary-output" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("purity", "--z-min", "1e-160", "--z-max", "1e-150", "--points", "3"),
+        ("purity", "--z-min", "1e100", "--z-max", "1e200", "--points", "3"),
+    ],
+)
+def test_purity_at_extreme_packet_widths(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    _, rows = _data_rows(out)
+    assert all(0.0 <= float(row[1]) <= 1.0 for row in rows)
 
 
 def test_constants_override_via_config(tmp_path, capsys):
@@ -286,7 +313,7 @@ def test_constants_override_via_config(tmp_path, capsys):
 
 
 def test_alpha_mass_ratio_is_not_a_config_key(tmp_path, capsys):
-    # the alpha mass is ScatteringConfig.mass_ratio times m_n, not a constant
+    # the alpha mass is scattering.MASS_RATIO times m_n, not a constant
     cfg = tmp_path / "c.cfg"
     cfg.write_text("m_alpha_over_m_n=3.99\n")
     code, out, err = _run(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from atomdecoh.density import (
+    _PURITY_SERIES_Z,
     Z_EFF_HELIUM,
-    CoherenceKernel,
     helium_kernel,
     hydrogen_kernel,
     purity,
@@ -13,6 +13,7 @@ from atomdecoh.density import (
 )
 from atomdecoh.wavepacket import GaussianPacket, evaluate
 from oracles import integrate_3d_oracle, verify_offdiagonal_bound
+from test_moments import ref_purity
 
 
 def test_hydrogen_kernel_values():
@@ -46,8 +47,8 @@ def test_kernels_monotone_decreasing():
 
 
 def test_reduced_density_diagonal_is_probability_density():
-    packet = GaussianPacket(2.0, (0.0, 0.0, 0.0), (0.3, 0.0, 0.0), 1.0)
-    kernel = CoherenceKernel.hydrogen()
+    packet = GaussianPacket(2.0, (0.0, 0.0, 0.0), (0.3, 0.0, 0.0))
+    kernel = hydrogen_kernel
     r = (0.5, -0.2, 1.0)
     rho = reduced_density(packet, kernel, r, r, 0.7)
     assert rho.imag == pytest.approx(0.0, abs=1e-16)
@@ -55,8 +56,8 @@ def test_reduced_density_diagonal_is_probability_density():
 
 
 def test_reduced_density_hermitian():
-    packet = GaussianPacket(2.0, (0.0, 0.0, 0.0), (0.3, 0.1, 0.0), 1.0)
-    kernel = CoherenceKernel.helium()
+    packet = GaussianPacket(2.0, (0.0, 0.0, 0.0), (0.3, 0.1, 0.0))
+    kernel = helium_kernel
     r, rp = (0.5, 0.0, 0.0), (-1.0, 0.4, 0.2)
     assert reduced_density(packet, kernel, r, rp, 1.3) == pytest.approx(
         np.conj(reduced_density(packet, kernel, rp, r, 1.3)), rel=1e-12
@@ -75,8 +76,8 @@ def test_reduced_density_against_3d_oracle(r, rp):
     # trace out the orbital coordinate of the product state
     # psi(r) phi0(r_e - r): the electron integral must reproduce the
     # separable kernel factor
-    packet = GaussianPacket(5.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    kernel = CoherenceKernel.hydrogen()
+    packet = GaussianPacket(5.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    kernel = hydrogen_kernel
     r = np.asarray(r)
     rp = np.asarray(rp)
 
@@ -93,18 +94,18 @@ def test_reduced_density_against_3d_oracle(r, rp):
 
 
 def test_offdiagonal_bound_saturates_on_diagonal():
-    kernel = CoherenceKernel.hydrogen()
+    kernel = hydrogen_kernel
     assert float(kernel(0.0)) == 1.0
 
 
 def test_offdiagonal_bound_sampled():
-    packet = GaussianPacket(3.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    kernel = CoherenceKernel.hydrogen()
+    packet = GaussianPacket(3.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    kernel = hydrogen_kernel
     assert verify_offdiagonal_bound(packet, kernel, 5.0, n_samples=100)
 
 
 def test_offdiagonal_bound_monotone():
-    kernel = CoherenceKernel.helium()
+    kernel = helium_kernel
     grid = np.linspace(0.0, 10.0, 50)
     vals = [float(kernel(s)) for s in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -124,6 +125,18 @@ def test_purity_narrow_packet_limit():
 def test_purity_monotone_in_z():
     vals = [purity(z) for z in (0.01, 0.1, 1.0, 10.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_purity_matches_mpmath_across_the_series_switch():
+    below = math.nextafter(_PURITY_SERIES_Z, 0.0)
+    for z in (1e3, 0.3 * _PURITY_SERIES_Z, below, _PURITY_SERIES_Z, 3.0 * _PURITY_SERIES_Z, 1e8):
+        ref = ref_purity(z)
+        assert abs(purity(z) - ref) <= 1e-12 * ref, z
+        # near the switch P is within 1e-9 of 1, so the bound above barely
+        # sees the 2/z^2 term; 1 - P checks it, up to the reference's own
+        # rounding of 1e-16 (5e-6 relative at 3e5)
+        if z <= 3.0 * _PURITY_SERIES_Z:
+            assert abs((1.0 - purity(z)) - (1.0 - ref)) <= 1e-4 * (1.0 - ref), z
 
 
 def test_purity_rejects_nonpositive_z():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from atomdecoh.density import Z_EFF_HELIUM, CoherenceKernel
+from atomdecoh.density import Z_EFF_HELIUM, helium_kernel, hydrogen_kernel
 from atomdecoh.momentum import (
     MomentumDistribution,
     electron_limit,
@@ -85,8 +85,8 @@ def test_momentum_distribution_matches_pointwise():
 @pytest.mark.parametrize("q", [0.0, 1.0, 3.0])
 def test_generic_path_matches_dedicated_form(q):
     z0 = 0.5
-    packet = GaussianPacket(1.0 / z0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    kernel = CoherenceKernel.hydrogen()
+    packet = GaussianPacket(1.0 / z0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    kernel = hydrogen_kernel
     generic = momentum_density_generic(packet, kernel, (0.0, 0.0, q))
     dedicated = momentum_density(q, z0)
     assert abs(generic - dedicated) <= 1e-6 * max(dedicated, 1e-12)
@@ -94,7 +94,7 @@ def test_generic_path_matches_dedicated_form(q):
 
 def test_generic_without_kernel_is_pure_packet():
     delta = 2.0
-    packet = GaussianPacket(delta, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
+    packet = GaussianPacket(delta, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     for q in (0.0, 0.3, 1.0):
         generic = momentum_density_generic(packet, None, (q, 0.0, 0.0))
         assert generic == pytest.approx(gaussian_limit(q, delta), rel=1e-8, abs=1e-12)
@@ -104,13 +104,16 @@ def test_generic_helium_obeys_z_eff_scaling():
     # with a squared-orbital kernel of charge z the wide-packet density
     # satisfies n_z(q) = n_1(q/z)/z^3; checked through the generic path
     z0 = 0.02
-    packet = GaussianPacket(1.0 / z0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    scaled = CoherenceKernel.helium()
-    unit = CoherenceKernel.helium(z_eff=1.0)
+    packet = GaussianPacket(1.0 / z0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    scaled = helium_kernel
+
+    def unit(s):
+        return hydrogen_kernel(s) ** 2
+
     for q in (0.5, 2.0):
         n_scaled = momentum_density_generic(packet, scaled, (0.0, 0.0, q))
         n_unit = momentum_density_generic(
-            GaussianPacket(Z_EFF_HELIUM / z0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0),
+            GaussianPacket(Z_EFF_HELIUM / z0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
             unit,
             (0.0, 0.0, q / Z_EFF_HELIUM),
         )

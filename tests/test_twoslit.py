@@ -80,7 +80,11 @@ def test_patterns_share_total_weight_on_a_wide_scan():
     # overlap exp(-1000^2 / (8 * 100^2)) ~ 4e-6
     config = _far_field_config(packet_delta=100.0)
     period = expected_fringe_period(config)
-    _, coh, dec = screen_scan(config, 4001, half_width=40.0 * period)
+    offsets = np.linspace(-40.0 * period, 40.0 * period, 4001)
+    midpoint = np.array([0.0, 0.0, config.p0[2] * config.t0])
+    points = midpoint[None, :] + offsets[:, None] * np.array([1.0, 0.0, 0.0])[None, :]
+    coh = coherent_pattern(config, points)
+    dec = decohered_pattern(config, points)
     dx = 80.0 * period / 4000.0
     assert np.sum(coh) * dx == pytest.approx(np.sum(dec) * dx, rel=1e-3)
 
@@ -139,7 +143,7 @@ def test_expected_fringe_period_scaling():
     config = _far_field_config()
     alpha, _ = config.packets()
     dx = width(alpha, config.t0)
-    theta = config.t0 / (2.0 * config.mass * config.packet_delta**2)
+    theta = config.t0 / (2.0 * config.packet_delta**2)
     assert expected_fringe_period(config) == pytest.approx(
         4.0 * math.pi * dx**2 / (config.separation * theta), rel=1e-12
     )
@@ -151,7 +155,7 @@ def test_pointwise_interference_identity():
     alpha, beta = config.packets()
     s1 = np.asarray(config.slit1)
     s2 = np.asarray(config.slit2)
-    midpoint = 0.5 * (s1 + s2) + np.asarray(config.p0) * config.t0 / config.mass
+    midpoint = 0.5 * (s1 + s2) + np.asarray(config.p0) * config.t0
     direction = (s1 - s2) / config.separation
     points = midpoint[None, :] + offsets[:, None] * direction[None, :]
     a_val = evaluate(alpha, points, config.t0)

@@ -7,8 +7,8 @@ from atomdecoh.wavepacket import GaussianPacket, evaluate, width
 from oracles import evaluate_1d, integrate_3d_oracle
 
 
-def _packet(delta=1.0, R0=(0.0, 0.0, 0.0), P0=(0.0, 0.0, 0.0), M=1.0):
-    return GaussianPacket(delta, R0, P0, M)
+def _packet(delta=1.0, R0=(0.0, 0.0, 0.0), P0=(0.0, 0.0, 0.0)):
+    return GaussianPacket(delta, R0, P0)
 
 
 def test_initial_peak_is_real_normalization_factor():
@@ -32,7 +32,7 @@ def test_norm_is_conserved(t):
 
 def test_peak_density_drop_at_unit_spreading():
     p = _packet()
-    t = 2.0 * p.M * p.delta**2  # hbar t / (2 M delta^2) = 1
+    t = 2.0 * p.delta**2  # hbar t / (2 M delta^2) = 1
     peak0 = abs(evaluate(p, (0.0, 0.0, 0.0), 0.0)) ** 2
     peak1 = abs(evaluate(p, (0.0, 0.0, 0.0), t)) ** 2
     assert peak0 / peak1 == pytest.approx(2.0**1.5, rel=1e-12)
@@ -41,7 +41,7 @@ def test_peak_density_drop_at_unit_spreading():
 def test_width_limits():
     p = _packet(delta=3.0)
     assert width(p, 0.0) == 3.0
-    t = 2.0 * p.M * p.delta**2
+    t = 2.0 * p.delta**2
     assert width(p, t) == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-12)
 
 
@@ -52,9 +52,9 @@ def test_width_subadditive_in_time():
 
 
 def test_moving_packet_center_translates():
-    p = _packet(delta=1.0, P0=(1.0, 0.0, 0.0), M=2.0)
+    p = _packet(delta=1.0, P0=(1.0, 0.0, 0.0))
     t = 3.0
-    center = (p.P0[0] * t / p.M, 0.0, 0.0)
+    center = (p.P0[0] * t, 0.0, 0.0)
     on_center = abs(evaluate(p, center, t)) ** 2
     off_center = abs(evaluate(p, (0.0, 0.0, 0.0), t)) ** 2
     assert on_center > off_center
@@ -67,13 +67,11 @@ def test_1d_factorization():
     product = 1.0 + 0.0j
     for ax in range(3):
         product *= complex(
-            evaluate_1d(p.delta, p.R0[ax], p.P0[ax], p.M, point[ax], t)
+            evaluate_1d(p.delta, p.R0[ax], p.P0[ax], 1.0, point[ax], t)
         )
     assert complex(evaluate(p, point, t)) == pytest.approx(product, rel=1e-12)
 
 
 def test_packet_validation():
     with pytest.raises(ValueError):
-        GaussianPacket(-1.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    with pytest.raises(ValueError):
-        GaussianPacket(1.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0)
+        GaussianPacket(-1.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
