@@ -9,8 +9,6 @@ helium.
 
 from .constants import (
     CODATA,
-    CONSTANT_KEYS,
-    PhysicalConstants,
     electron_velocity_scale,
     neutron_wavenumber,
     proton_velocity_scale,
@@ -57,8 +55,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CODATA",
-    "CONSTANT_KEYS",
-    "PhysicalConstants",
     "electron_velocity_scale",
     "neutron_wavenumber",
     "proton_velocity_scale",

@@ -2,15 +2,14 @@
 
 Dispatches {purity, momentum, twoslit, xsection, conditions} to the
 physics modules and emits CSV or JSON with a reproducibility header.
-Parameters come from an optional ``key=value`` config file overridden by
-flags; physical constants can be overridden the same way. Exit codes:
+Parameters come from an optional ``key=value`` config file, which takes
+only the subcommand's parameters, overridden by flags. Exit codes:
 0 success, 1 usage error, 2 numeric failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -20,7 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .constants import CODATA, CONSTANT_KEYS, PhysicalConstants
+from .constants import CODATA
 from .density import purity
 from .momentum import electron_limit, gaussian_limit, momentum_distribution
 from .quadrature import QuadratureError
@@ -147,23 +146,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def resolve_parameters(args: argparse.Namespace) -> tuple[dict, PhysicalConstants]:
+def resolve_parameters(args: argparse.Namespace) -> dict:
     """Merge defaults, config file entries and flags (flags win)."""
     schema = SCHEMAS[args.subcommand]
-    valid = list(schema) + list(CONSTANT_KEYS)
     params = {key: default for key, (_, default, _h) in schema.items()}
-    overrides: dict[str, float] = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise OSError(f"cannot read config file {args.config}: {exc}") from exc
-        for key, value in parse_config_file(text, valid).items():
-            if key in schema:
-                params[key] = _coerce(key, value, schema[key][0])
-            else:
-                overrides[key] = _coerce(key, value, float)
+        for key, value in parse_config_file(text, list(schema)).items():
+            params[key] = _coerce(key, value, schema[key][0])
     for key in schema:
         raw = getattr(args, key)
         if raw is not None:
@@ -173,20 +167,23 @@ def resolve_parameters(args: argparse.Namespace) -> tuple[dict, PhysicalConstant
             raise UsageError(
                 f"parameter {lo!r} ({params[lo]}) must not exceed {hi!r} ({params[hi]})"
             )
-    constants = dataclasses.replace(CODATA, **overrides) if overrides else CODATA
-    return params, constants
+    return params
+
+
+#: the CODATA constants each CSV header records, in this order
+_HEADER_CONSTANTS = ("a_B", "e2_coulomb", "eV", "hbar", "m_e", "m_n", "m_p")
 
 
 def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _header(subcommand: str, params: dict, constants: PhysicalConstants) -> list[str]:
+def _header(subcommand: str, params: dict) -> list[str]:
     lines = [f"# atomdecoh {__version__} subcommand={subcommand}"]
     for key in sorted(params):
         lines.append(f"# param {key}={params[key]}")
-    for key in CONSTANT_KEYS:
-        lines.append(f"# constant {key}={_fmt(getattr(constants, key))}")
+    for key in _HEADER_CONSTANTS:
+        lines.append(f"# constant {key}={_fmt(getattr(CODATA, key))}")
     return lines
 
 
@@ -235,16 +232,16 @@ def _csv(header: list[str], columns: list[str], rows, trailer: list[str] = ()) -
     return "\n".join(lines + list(trailer)) + "\n"
 
 
-def run_purity(params: dict, constants: PhysicalConstants) -> str:
+def run_purity(params: dict) -> str:
     grid = np.logspace(math.log10(params["z_min"]), math.log10(params["z_max"]),
                        params["points"])
     with _stage("purity", "purity", params):
         values = [purity(z) for z in grid]
     _require_finite("purity", "purity", params, values)
-    return _csv(_header("purity", params, constants), ["z", "tr_rho_sq"], zip(grid, values))
+    return _csv(_header("purity", params), ["z", "tr_rho_sq"], zip(grid, values))
 
 
-def run_momentum(params: dict, constants: PhysicalConstants) -> str:
+def run_momentum(params: dict) -> str:
     grid = np.logspace(math.log10(params["q_min"]), math.log10(params["q_max"]),
                        params["points"])
     with _stage("momentum", "momentum density", params):
@@ -256,13 +253,13 @@ def run_momentum(params: dict, constants: PhysicalConstants) -> str:
     _require_finite("momentum", "momentum density and its limits", params,
                     dist.values, gaussian, electron)
     return _csv(
-        _header("momentum", params, constants),
+        _header("momentum", params),
         ["q", "density", "gaussian_limit", "electron_limit"],
         zip(dist.q_grid, dist.values, gaussian, electron),
     )
 
 
-def run_twoslit(params: dict, constants: PhysicalConstants) -> str:
+def run_twoslit(params: dict) -> str:
     if params["t0"] == 0.0:
         raise UsageError(
             "parameter 't0' must be nonzero: at t0 = 0 the packets have not spread, "
@@ -285,7 +282,7 @@ def run_twoslit(params: dict, constants: PhysicalConstants) -> str:
         trailer = [f"# visibility coherent={_fmt(visibility(coh))} "
                    f"decohered={_fmt(visibility(dec))}"]
     return _csv(
-        _header("twoslit", params, constants),
+        _header("twoslit", params),
         ["screen_coordinate", "coherent_P", "decohered_P"],
         zip(coords, coh, dec),
         trailer,
@@ -303,14 +300,13 @@ def _json_safe(obj):
     return obj
 
 
-def run_xsection(params: dict, constants: PhysicalConstants) -> tuple[str, str]:
+def run_xsection(params: dict) -> tuple[str, str]:
     """The CSV table and the JSON summary."""
     method = params["method"]
     config = ScatteringConfig(
         E_n_ev=params["energy_ev"],
         scatt_length=params["scatt_length_fm"] * 1e-15,
         z0=params["z0"],
-        constants=constants,
     )
     with warnings.catch_warnings(record=True) as caught, \
             _stage("xsection", "cross-section scan", params):
@@ -345,17 +341,15 @@ def run_xsection(params: dict, constants: PhysicalConstants) -> tuple[str, str]:
         "warnings": list(dict.fromkeys(str(w.message) for w in caught)),
     }
     csv = _csv(
-        _header("xsection", params, constants),
+        _header("xsection", params),
         ["theta_rad", "dsigma_numeric", "dsigma_asymptotic", "anomalous_fraction"],
         rows,
     )
     return csv, json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n"
 
 
-def run_conditions(params: dict, constants: PhysicalConstants) -> str:
-    config = ScatteringConfig(
-        E_n_ev=params["energy_ev"], z0=params["z0"], constants=constants
-    )
+def run_conditions(params: dict) -> str:
+    config = ScatteringConfig(E_n_ev=params["energy_ev"], z0=params["z0"])
     d_over = params["d_over_a_b"] if params["d_over_a_b"] > 0.0 else None
     with _stage("conditions", "condition margins", params):
         report = check_conditions(config, d_over_a_b=d_over)
@@ -379,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        params, constants = resolve_parameters(args)
+        params = resolve_parameters(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -387,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         # numpy's floating-point warnings would reach stderr; the runners
         # check their results for non-finite values instead
         with np.errstate(all="ignore"):
-            result = RUNNERS[args.subcommand](params, constants)
+            result = RUNNERS[args.subcommand](params)
         if args.subcommand == "xsection":
             csv, summary = result
             _write(args.output, csv, sys.stdout)

@@ -2,16 +2,15 @@
 
 All constants are SI and pinned to the CODATA 2022 recommended values (as
 scipy 1.17 ships them), so outputs do not move when scipy changes its
-CODATA edition. The alpha mass is not a constant here: the scattering code
-takes it as ``scattering.MASS_RATIO`` (4) times the neutron mass.
-Individual constants can be overridden (e.g. from a CLI config file) with
-:func:`dataclasses.replace`, which re-runs the validation.
+CODATA edition. ``CODATA`` is the only set of constants the package uses.
+The alpha mass is not a constant here: the scattering code takes it as
+``scattering.MASS_RATIO`` (4) times the neutron mass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -26,34 +25,23 @@ class PhysicalConstants:
     e2_coulomb: float = 2.307077550778355e-28   # J*m, e^2/(4 pi eps0)
     eV: float = 1.602176634e-19                 # J, exact
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise ValueError(f"constant {f.name} must be positive")
-        bohr = self.hbar**2 / (self.m_e * self.e2_coulomb)
-        if abs(bohr - self.a_B) > 1e-6 * self.a_B:
-            raise ValueError("a_B inconsistent with hbar^2/(m_e e^2)")
-
 
 CODATA = PhysicalConstants()
 
-#: Config-file keys accepted as constant overrides: the field names.
-CONSTANT_KEYS = tuple(sorted(f.name for f in fields(PhysicalConstants)))
 
-
-def neutron_wavenumber(energy_joule: float, constants: PhysicalConstants = CODATA) -> float:
+def neutron_wavenumber(energy_joule: float) -> float:
     """Wavenumber k = sqrt(2 m_n E)/hbar of a neutron with kinetic energy E (J)."""
     if energy_joule <= 0.0:
         raise ValueError("neutron energy must be positive")
-    return math.sqrt(2.0 * constants.m_n * energy_joule) / constants.hbar
+    return math.sqrt(2.0 * CODATA.m_n * energy_joule) / CODATA.hbar
 
 
-def electron_velocity_scale(constants: PhysicalConstants = CODATA) -> float:
+def electron_velocity_scale() -> float:
     """hbar/(m_e a_B), the atomic electron velocity scale (m/s)."""
-    return constants.hbar / (constants.m_e * constants.a_B)
+    return CODATA.hbar / (CODATA.m_e * CODATA.a_B)
 
 
-def proton_velocity_scale(constants: PhysicalConstants = CODATA) -> float:
+def proton_velocity_scale() -> float:
     """hbar/(m_p a_B), the velocity scale below which the nuclear density
     matrix is narrow compared to the packet (m/s)."""
-    return constants.hbar / (constants.m_p * constants.a_B)
+    return CODATA.hbar / (CODATA.m_p * CODATA.a_B)

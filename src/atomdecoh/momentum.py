@@ -80,7 +80,13 @@ def gaussian_limit(p_offset: float, delta: float) -> float:
     (2/pi)^{3/2} delta^3 exp(-2 (p - P0)^2 delta^2) in (a_B, hbar) units."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    return (2.0 / math.pi) ** 1.5 * delta**3 * math.exp(-2.0 * (p_offset * delta) ** 2)
+    # exp(-2 x^2) is 0 from |x| = 19.31 on; the value is 0 there, though
+    # x**2 overflows past 1.3e154 and delta**3 past 5.6e102
+    x = p_offset * delta
+    decay = math.exp(-2.0 * x**2) if abs(x) < 20.0 else 0.0
+    if decay == 0.0:
+        return 0.0
+    return (2.0 / math.pi) ** 1.5 * delta**3 * decay
 
 
 def electron_limit(q: float) -> float:

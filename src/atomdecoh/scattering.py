@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .constants import (
     CODATA,
-    PhysicalConstants,
     electron_velocity_scale,
     neutron_wavenumber,
     proton_velocity_scale,
@@ -74,9 +73,11 @@ class ScatteringConfig:
     E_n_ev: float = 1.0
     scatt_length: float = 3.26e-15      # m; bound coherent value for He-4
     z0: float = 0.0
-    constants: PhysicalConstants = field(default_factory=lambda: CODATA)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.E_n_ev <= 0.0:
             raise ValueError("E_n_ev must be positive")
         if self.scatt_length == 0.0:
@@ -87,13 +88,12 @@ class ScatteringConfig:
     @property
     def k(self) -> float:
         """Incident wavenumber (1/m)."""
-        c = self.constants
-        return neutron_wavenumber(self.E_n_ev * c.eV, c)
+        return neutron_wavenumber(self.E_n_ev * CODATA.eV)
 
     @property
     def q(self) -> float:
         """Dimensionless incident wavenumber k * a_B."""
-        return self.k * self.constants.a_B
+        return self.k * CODATA.a_B
 
 
 @dataclass
@@ -400,9 +400,9 @@ def check_conditions(config: ScatteringConfig, d_over_a_b: float | None = None) 
     speed against the fast-collision threshold (sqrt(d/a_B) v_e when a
     nucleus size d is supplied, else the standard 4e3 m/s estimate).
     """
-    c = config.constants
-    v_e = electron_velocity_scale(c)
-    v_p = proton_velocity_scale(c)
+    c = CODATA
+    v_e = electron_velocity_scale()
+    v_p = proton_velocity_scale()
     if config.z0 > 0.0:
         delta_m = c.a_B / config.z0
         delta_v = c.hbar / (2.0 * MASS_RATIO * c.m_n * delta_m)

@@ -14,7 +14,7 @@ t0 is in units of M a_B^2 / hbar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,9 @@ class TwoSlitConfig:
         object.__setattr__(self, "slit1", tuple(float(x) for x in self.slit1))
         object.__setattr__(self, "slit2", tuple(float(x) for x in self.slit2))
         object.__setattr__(self, "p0", tuple(float(x) for x in self.p0))
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if abs(abs(self.amp1) ** 2 + abs(self.amp2) ** 2 - 1.0) > 1e-12:
             raise ValueError("|amp1|^2 + |amp2|^2 must equal 1")
         if self.separation == 0.0:

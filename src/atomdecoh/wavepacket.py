@@ -9,7 +9,7 @@ loop and packets are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,9 @@ class GaussianPacket:
         object.__setattr__(self, "P0", tuple(float(x) for x in self.P0))
         if len(self.R0) != 3 or len(self.P0) != 3:
             raise ValueError("R0 and P0 must be 3-vectors")
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
 
 
 def evaluate(

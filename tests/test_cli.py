@@ -26,6 +26,12 @@ def _data_rows(text):
     return header, rows
 
 
+# the Gaussian limit is truly out of range here: its exponential is 1 and
+# delta^3 = 1e360
+_LIMIT_OVERFLOW = ("momentum", "--z0", "1e-120", "--q-min", "1e-200", "--q-max", "1e-190",
+                   "--points", "3")
+
+
 def test_config_file_parsing_with_comments():
     text = "# comment\nz0=0.5  # inline\n\nenergy_ev=2.0\n"
     out = parse_config_file(text, ["z0", "energy_ev"])
@@ -112,7 +118,7 @@ def test_twoslit_at_t0_zero_names_t0(capsys):
     "argv",
     [
         ("twoslit", "--delta-ab", "1e-300", "--points", "5"),
-        ("momentum", "--z0", "1e-300", "--points", "3"),
+        _LIMIT_OVERFLOW,
     ],
 )
 def test_arithmetic_error_is_numeric_failure(capsys, argv):
@@ -126,8 +132,8 @@ def test_arithmetic_error_is_numeric_failure(capsys, argv):
 @pytest.mark.parametrize(
     "argv,names",
     [
-        (("momentum", "--z0", "1e-300", "--points", "3"),
-         ("momentum: Gaussian and electron limits failed", "z0=1e-300", "points=3")),
+        (_LIMIT_OVERFLOW,
+         ("momentum: Gaussian and electron limits failed", "z0=1e-120", "points=3")),
         (("xsection", "--z0", "1e300", "--points", "3"),
          ("xsection: cross-section scan failed", "z0=1e+300", "energy_ev=1.0")),
         (("twoslit", "--delta-ab", "1e-300", "--points", "5"),
@@ -150,7 +156,7 @@ def test_numeric_failure_names_command_computation_and_parameters(capsys, argv, 
     "argv",
     [
         ("twoslit", "--p0", "1e200", "--points", "5"),
-        ("momentum", "--z0", "1e-300", "--points", "3"),
+        _LIMIT_OVERFLOW,
         ("xsection", "--z0", "1e300", "--points", "3"),
         ("xsection", "--z0", "0.5", "--points", "1"),
     ],
@@ -298,32 +304,32 @@ def test_purity_at_extreme_packet_widths(capsys, argv):
     assert all(0.0 <= float(row[1]) <= 1.0 for row in rows)
 
 
-def test_constants_override_via_config(tmp_path, capsys):
-    # the almost-diagonality threshold hbar/(m_p a_B) halves with m_p doubled
-    _, base, _ = _run(capsys, "conditions", "--energy-ev", "1.0")
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("m_p=3.34524385190e-27\n")
-    code, out, _ = _run(
-        capsys, "conditions", "--config", str(cfg), "--energy-ev", "1.0"
-    )
+def test_momentum_of_a_very_wide_packet(capsys):
+    # the Gaussian limit underflows to 0 where delta^3 = 1e480 would overflow
+    code, out, err = _run(capsys, "momentum", "--z0", "1e-160", "--points", "3")
     assert code == 0
-    before = json.loads(base)["almost_diagonal"]["threshold"]
-    after = json.loads(out)["almost_diagonal"]["threshold"]
-    assert after == pytest.approx(before / 2.0, rel=1e-12)
+    assert err == ""
+    header, rows = _data_rows(out)
+    gaussian, electron = header.index("gaussian_limit"), header.index("electron_limit")
+    for row in rows:
+        assert float(row[gaussian]) == 0.0
+        assert float(row[1]) == pytest.approx(float(row[electron]), rel=1e-12)
 
 
 def test_alpha_mass_ratio_is_not_a_config_key(tmp_path, capsys):
-    # the alpha mass is scattering.MASS_RATIO times m_n, not a constant
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("m_alpha_over_m_n=3.99\n")
-    code, out, err = _run(
-        capsys, "conditions", "--config", str(cfg), "--energy-ev", "1.0"
-    )
-    assert code == USAGE_EXIT
-    assert out == ""
-    assert err.count("\n") == 1
-    assert "unknown key 'm_alpha_over_m_n'" in err
-    assert "valid keys: " in err and "m_p" in err
+    # the alpha mass is scattering.MASS_RATIO times m_n, and the physical
+    # constants are CODATA's: a config file takes only the parameters
+    for key, value in (("m_alpha_over_m_n", "3.99"), ("m_p", "3.34524385190e-27")):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        code, out, err = _run(
+            capsys, "conditions", "--config", str(cfg), "--energy-ev", "1.0"
+        )
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"unknown key {key!r}" in err
+        assert "valid keys: " in err and "energy_ev" in err
 
 
 def test_csv_format_is_twelve_significant_digits(capsys):

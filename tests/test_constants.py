@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -6,8 +5,6 @@ from scipy import constants as sc
 
 from atomdecoh.constants import (
     CODATA,
-    CONSTANT_KEYS,
-    PhysicalConstants,
     electron_velocity_scale,
     neutron_wavenumber,
     proton_velocity_scale,
@@ -54,26 +51,6 @@ def test_velocity_scale_ratio_is_mass_ratio():
     ratio = electron_velocity_scale() / proton_velocity_scale()
     assert ratio == pytest.approx(CODATA.m_p / CODATA.m_e, rel=1e-12)
     assert ratio == pytest.approx(1836.0, rel=1e-3)
-
-
-def test_with_overrides_plain_field():
-    modified = dataclasses.replace(CODATA, m_p=2.0 * CODATA.m_p)
-    assert modified.m_p == 2.0 * CODATA.m_p
-    assert modified.m_e == CODATA.m_e
-
-
-def test_rejects_nonpositive_constants():
-    with pytest.raises(ValueError):
-        PhysicalConstants(hbar=-1.0)
-
-
-def test_rejects_inconsistent_bohr_radius():
-    with pytest.raises(ValueError):
-        dataclasses.replace(CODATA, a_B=2.0 * CODATA.a_B)
-
-
-def test_constant_keys_cover_fields():
-    assert "hbar" in CONSTANT_KEYS and "a_B" in CONSTANT_KEYS
 
 
 @pytest.mark.parametrize(

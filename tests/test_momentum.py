@@ -51,6 +51,12 @@ def test_gaussian_limit_half_max_location():
     )
 
 
+@pytest.mark.parametrize("p_offset, delta", [(0.1, 6e102), (1e-3, 1e160), (1e200, 1e200)])
+def test_gaussian_limit_is_zero_where_its_exponential_underflows(p_offset, delta):
+    # delta^3 or (p delta)^2 alone would overflow at these points
+    assert gaussian_limit(p_offset, delta) == 0.0
+
+
 def test_wide_packet_approaches_electron_limit():
     val = momentum_density(1.0, 0.01)
     assert abs(val - electron_limit(1.0)) / electron_limit(1.0) < 0.01

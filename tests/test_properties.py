@@ -2,14 +2,18 @@
 Hypothesis draws. Derandomized and without an example database, so every
 run draws the same examples and writes nothing to the working tree."""
 
+import io
 import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from atomdecoh.cli import SCHEMAS, main
 from atomdecoh.density import purity
-from atomdecoh.momentum import momentum_density
+from atomdecoh.momentum import electron_limit, gaussian_limit, momentum_density
 from atomdecoh.scattering import tau_transform
 
 REPRODUCIBLE = settings(derandomize=True, deadline=None, database=None)
@@ -52,3 +56,87 @@ def test_tau_transform_is_real_and_even_in_omega(kappa, omega, z0):
 @given(st.one_of(st.just(0.0), st.floats(1e-6, 1e4)), st.floats(1e-3, 1e3))
 def test_momentum_density_is_nonnegative(q, z0):
     assert momentum_density(q, z0) >= 0.0
+
+
+@REPRODUCIBLE
+@given(st.floats(-6.0, -2.0), st.floats(0.0, 10.0))
+def test_wide_packet_momentum_density_tends_to_the_electron_limit(log_z0, q):
+    # the leading correction is O(z0^2); its coefficient stays below 3
+    z0 = 10.0**log_z0
+    ratio = momentum_density(q, z0) / electron_limit(q)
+    assert abs(ratio - 1.0) <= 4.0 * z0**2
+
+
+@REPRODUCIBLE
+@given(st.floats(2.0, 6.0), st.floats(0.0, 1.0))
+def test_narrow_packet_momentum_density_tends_to_the_gaussian_limit(log_z0, x):
+    # q = z0 x spans the Gaussian out to exp(-2) of its peak; the leading
+    # correction is O(1/z0^2) with a coefficient below 2
+    z0 = 10.0**log_z0
+    q = z0 * x
+    ratio = momentum_density(q, z0) / gaussian_limit(q, 1.0 / z0)
+    assert abs(ratio - 1.0) <= 3.0 / z0**2
+
+
+#: flag values at and past the edges of every parameter's domain
+_EDGE_VALUES = st.sampled_from([
+    "0", "-1", "-0.5", "1e300", "-1e300", "1e-300", "1e-160", "nan", "inf", "-inf",
+    "abc", "", "1,5", "numeric",
+])
+_FLAG_VALUES = st.one_of(
+    _EDGE_VALUES,
+    st.integers(-2, 64).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats(-6.0, 6.0).map(lambda e: repr(10.0**e)),
+    st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e)),
+)
+#: keys a config file may carry besides the subcommand's own: unknown ones,
+#: the physical constants, and the alpha-mass ratio
+_FOREIGN_KEYS = st.sampled_from(
+    ["bogus", "hbar", "m_e", "m_p", "m_n", "a_B", "e2_coulomb", "eV", "m_alpha_over_m_n"]
+)
+#: parameters whose values are not numbers in general: grid sizes up to 64,
+#: drawn mostly from the valid ones, and the cross-section method
+_KEY_VALUES = {
+    "points": st.one_of(_EDGE_VALUES, st.integers(-2, 64).map(str), st.integers(2, 64).map(str)),
+    "method": st.sampled_from(["numeric", "asymptotic", "both", "bogus", ""]),
+}
+
+
+def _run_cli(argv):
+    """main(argv) in process, with what it writes to stdout and stderr; a
+    warning that reaches the default handler counts as stderr output."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    stray = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), err.getvalue() + stray
+
+
+@settings(REPRODUCIBLE, max_examples=300)
+@given(st.sampled_from(sorted(SCHEMAS)), st.data())
+def test_cli_exits_cleanly_on_any_flags(tmp_path_factory, subcommand, data):
+    schema = SCHEMAS[subcommand]
+    keys = data.draw(st.lists(st.sampled_from(sorted(schema)), unique=True, max_size=4))
+    argv = [subcommand]
+    for key in keys:
+        value = data.draw(_KEY_VALUES.get(key, _FLAG_VALUES))
+        flag = "--" + key.replace("_", "-")
+        argv += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+    if data.draw(st.integers(0, 3)) == 0:
+        lines = data.draw(st.lists(
+            st.tuples(st.one_of(st.sampled_from(sorted(schema)), _FOREIGN_KEYS),
+                      _FLAG_VALUES),
+            max_size=3,
+        ))
+        config = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        config.write_text("".join(f"{key}={value}\n" for key, value in lines))
+        argv += ["--config", str(config)]
+    code, out, err = _run_cli(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    if code != 0:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")

@@ -199,6 +199,16 @@ def test_config_validation():
         ScatteringConfig(z0=-0.1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("E_n_ev", math.nan), ("E_n_ev", math.inf), ("scatt_length", -math.inf),
+     ("z0", math.inf), ("z0", math.nan)],
+)
+def test_config_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ScatteringConfig(**{field: value})
+
+
 def test_conditions_one_ev_margin():
     report = check_conditions(ScatteringConfig(E_n_ev=1.0))
     obs = report["observability"]

@@ -38,6 +38,17 @@ def test_coincident_slits_rejected():
         TwoSlitConfig(slit1=(1.0, 0.0, 0.0), slit2=(1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("slit1", (math.inf, 0.0, 0.0)), ("slit2", (0.0, math.nan, 0.0)),
+     ("amp1", complex(math.nan, 0.0)), ("amp2", complex(0.0, math.inf)),
+     ("packet_delta", math.nan), ("t0", math.inf), ("p0", (math.nan, 0.0, 0.0))],
+)
+def test_config_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        _far_field_config(**{field: value})
+
+
 def test_single_slit_has_no_fringes():
     config = _far_field_config(amp1=1.0, amp2=0.0)
     alpha, _ = config.packets()

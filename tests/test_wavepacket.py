@@ -75,3 +75,13 @@ def test_1d_factorization():
 def test_packet_validation():
     with pytest.raises(ValueError):
         GaussianPacket(-1.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("delta", math.nan), ("delta", math.inf), ("R0", (0.0, math.inf, 0.0)),
+     ("P0", (math.nan, 0.0, 0.0))],
+)
+def test_packet_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        GaussianPacket(**{"delta": 1.0, field: value})
