@@ -10,6 +10,7 @@ only the subcommand's parameters, overridden by flags. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -124,7 +125,10 @@ def _coerce(key: str, value: str, typ: type):
     return parsed
 
 
-def build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = _Parser(prog="atomdecoh", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -370,9 +374,8 @@ RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     """Compute everything first and write only then, so a failed run leaves
     no partial output on stdout or in --output."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         params = resolve_parameters(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

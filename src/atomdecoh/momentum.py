@@ -36,7 +36,7 @@ class MomentumDistribution:
     z0: float
 
     def __post_init__(self) -> None:
-        if np.any(np.asarray(self.values) < 0.0):
+        if (np.asarray(self.values) < 0.0).any():
             raise ValueError("momentum density must be nonnegative")
 
 
@@ -54,6 +54,9 @@ def momentum_density(q: float, z0: float) -> float:
     falls into its tail, so for narrower packets the error is stated against
     the peak: at z0 = 100 (Re b / sqrt(a) = 0.028) it stays below 1e-15 n(0)
     on q in [0, 500], which is 1e-9 relative down to n(q) = 1e-8 n(0).
+    Far out in the tail the cancellation leaves noise of either sign (at
+    z0 = 1e-3 from q ~ 3e4 on), and a negative value raises ArithmeticError;
+    so does a z0 whose damping z0^2/8 overflows (z0 above ~3.8e154).
     """
     if not (math.isfinite(q) and math.isfinite(z0)):
         raise ValueError(f"q and z0 must be finite, got q={q!r}, z0={z0!r}")
@@ -62,6 +65,8 @@ def momentum_density(q: float, z0: float) -> float:
     if z0 <= 0.0:
         raise ValueError("z0 must be positive")
     a = z0 * z0 / 8.0
+    if a == math.inf:
+        raise OverflowError(f"the packet damping z0^2/8 overflows for z0={z0!r}")
     if q < _Q_TAYLOR:
         moments = damped_moments(1.0, a, 2 * _TAYLOR_TERMS + 2)
         total = 0.0
@@ -72,7 +77,12 @@ def momentum_density(q: float, z0: float) -> float:
             coeff *= -q * q / ((2 * k + 2) * (2 * k + 3))
         return total / (2.0 * math.pi**2)
     moments = damped_moments(complex(1.0, -q), a, 3)
-    return (moments[1] + moments[2] + moments[3] / 3.0).imag / (2.0 * math.pi**2 * q)
+    value = (moments[1] + moments[2] + moments[3] / 3.0).imag / (2.0 * math.pi**2 * q)
+    if value < 0.0:
+        raise ArithmeticError(
+            f"momentum density at q={q!r}, z0={z0!r} is lost to cancellation: got {value!r}"
+        )
+    return value
 
 
 def gaussian_limit(p_offset: float, delta: float) -> float:
@@ -99,5 +109,5 @@ def electron_limit(q: float) -> float:
 
 def momentum_distribution(z0: float, q_grid) -> MomentumDistribution:
     q_grid = np.asarray(q_grid, dtype=float)
-    values = np.array([momentum_density(q, z0) for q in q_grid])
+    values = np.array([momentum_density(q, z0) for q in q_grid.tolist()])
     return MomentumDistribution(q_grid, values, z0)

@@ -140,6 +140,12 @@ def test_arithmetic_error_is_numeric_failure(capsys, argv):
          ("twoslit: screen scan failed", "delta_ab=1e-300", "p0=0.0")),
         (("twoslit", "--p0", "1e200", "--points", "5"),
          ("twoslit: screen scan gave non-finite values", "p0=1e+200")),
+        # the damping z0^2/8 overflows
+        (("momentum", "--z0", "1e200", "--points", "3"),
+         ("momentum: momentum density failed", "z0=1e+200", "points=3")),
+        # cancellation in the far tail leaves a negative density
+        (("momentum", "--z0", "0.01", "--q-max", "1e300", "--points", "5"),
+         ("momentum: momentum density failed", "z0=0.01", "q_max=1e+300")),
     ],
 )
 def test_numeric_failure_names_command_computation_and_parameters(capsys, argv, names):

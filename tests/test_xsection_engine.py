@@ -25,9 +25,24 @@ from atomdecoh.scattering import (
 from oracles import reduced_integral_quad
 
 
+#: the five subcommands of the README's CLI section
+_README_COMMANDS = [
+    ["purity", "--z-min", "1e-3", "--z-max", "1e2", "--points", "50"],
+    ["momentum", "--z0", "0.1", "--points", "100"],
+    ["twoslit", "--separation-ab", "1000", "--delta-ab", "200", "--points", "201"],
+    ["xsection", "--energy-ev", "1.0", "--method", "both", "--points", "19"],
+    ["conditions", "--energy-ev", "1.0"],
+]
+
+
 def test_import_loads_no_scipy():
+    """Neither the import nor a run of the README subcommands loads scipy."""
     code = (
-        "import sys, atomdecoh, atomdecoh.cli; "
+        "import contextlib, io, sys, atomdecoh, atomdecoh.cli\n"
+        f"for argv in {_README_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert atomdecoh.cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     src = os.path.dirname(os.path.dirname(atomdecoh.__file__))
