@@ -23,7 +23,6 @@ from . import __version__
 from .constants import CODATA
 from .density import purity
 from .momentum import electron_limit, gaussian_limit, momentum_distribution
-from .quadrature import QuadratureError
 from .scattering import (
     ScatteringConfig,
     angular_scan,
@@ -205,7 +204,7 @@ def _stage(subcommand: str, computation: str, params: dict):
     that names the subcommand, the computation and the parameters."""
     try:
         yield
-    except (QuadratureError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         raise NumericFailure(
             f"{subcommand}: {computation} failed for {_given(params)}: {exc}"
         ) from None
@@ -316,11 +315,6 @@ def run_xsection(params: dict) -> tuple[str, str]:
             _stage("xsection", "cross-section scan", params):
         warnings.simplefilter("always")
         table = angular_scan(config, params["points"], method)
-    if table.metadata["failures"]:
-        first = table.metadata["failures"][0]
-        raise NumericFailure(
-            f"xsection: cross-section scan failed for {_given(params)}: {first['error']}"
-        )
     computed = {"numeric": [table.dsigma_numeric], "asymptotic": [table.dsigma_asymptotic],
                 "both": [table.dsigma_numeric, table.dsigma_asymptotic]}[method]
     _require_finite("xsection", "cross-section scan", params, *computed)
@@ -394,8 +388,12 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (NumericFailure, QuadratureError, ArithmeticError) as exc:
+    except (NumericFailure, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return NUMERIC_EXIT
+    except MemoryError as exc:
+        print(f"numeric failure: {args.subcommand}: out of memory for {_given(params)}: "
+              f"{str(exc) or 'MemoryError'}", file=sys.stderr)
         return NUMERIC_EXIT
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

@@ -108,6 +108,8 @@ def electron_limit(q: float) -> float:
 
 
 def momentum_distribution(z0: float, q_grid) -> MomentumDistribution:
+    """momentum_density(q, z0) at every q of q_grid, with the accuracy
+    stated there; raises as momentum_density does."""
     q_grid = np.asarray(q_grid, dtype=float)
     values = np.array([momentum_density(q, z0) for q in q_grid.tolist()])
     return MomentumDistribution(q_grid, values, z0)

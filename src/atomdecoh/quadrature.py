@@ -13,8 +13,10 @@ import math
 import numpy as np
 
 
-class QuadratureError(RuntimeError):
-    """Numerical integration failed."""
+class QuadratureError(ArithmeticError):
+    """Numerical integration failed: the cross-section's reduced integral
+    (scattering._reduced_integrals) raises it for the first angle it cannot
+    trust. An ArithmeticError, like every numeric failure of the library."""
 
 
 #: |mu|^2 up to which the upward recurrence from J_0 keeps 1e-13

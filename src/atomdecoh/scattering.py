@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -104,8 +104,6 @@ class AngularTable:
     dsigma_numeric: np.ndarray
     dsigma_asymptotic: np.ndarray
     q: float
-    method: str
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         th = np.asarray(self.theta_grid)
@@ -228,8 +226,11 @@ def _reduced_integrals(theta, q: float, z0: float = 0.0) -> tuple[np.ndarray, np
     them together as one array over angles x nodes, in blocks of
     _ANGLE_BLOCK angles. The error estimate is the difference from the rule
     with twice the node spacing, whose nodes are every other one of the
-    same set. Angles whose estimate exceeds _ACCURACY are evaluated once
-    more at half the node spacing.
+    same set. An angle is trusted when its value is finite and its estimate
+    is within _ACCURACY relative; the others are evaluated once more at
+    half the node spacing. This is the one place that decides trust: if an
+    angle is still not trusted then, it raises QuadratureError for the
+    first such angle.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     values = np.empty(theta.shape)
@@ -239,7 +240,14 @@ def _reduced_integrals(theta, q: float, z0: float = 0.0) -> tuple[np.ndarray, np
         for lo in range(0, todo.size, _ANGLE_BLOCK):
             block = todo[lo:lo + _ANGLE_BLOCK]
             values[block], errors[block] = _integrate_block(theta[block], q, z0, level)
-        todo = todo[~(errors[todo] <= _ACCURACY * np.abs(values[todo]))]
+        trusted = np.isfinite(values[todo]) & (errors[todo] <= _ACCURACY * np.abs(values[todo]))
+        todo = todo[~trusted]
+    if todo.size:
+        i = todo[0]
+        raise QuadratureError(
+            f"cross-section integral failed at theta={float(theta[i])}: value "
+            f"{values[i]:.6e}, error estimate {errors[i]:.3e} above {_ACCURACY:g} relative"
+        )
     return values, errors
 
 
@@ -312,27 +320,6 @@ def _integrate_block(theta: np.ndarray, q: float, z0: float,
     return value, np.abs(value - coarse_value)
 
 
-def _failures(theta: np.ndarray, values: np.ndarray, errors: np.ndarray) -> dict[int, str]:
-    """Index -> reason for every angle whose reduced integral is not trusted:
-    a non-finite value, or an error estimate above _ACCURACY relative."""
-    trusted = np.isfinite(values) & (errors <= _ACCURACY * np.abs(values))
-    return {
-        int(i): (f"cross-section integral failed at theta={float(theta[i])}: value "
-                 f"{values[i]:.6e}, error estimate {errors[i]:.3e} above {_ACCURACY:g} relative")
-        for i in np.flatnonzero(~trusted)
-    }
-
-
-def _trusted_integrals(theta: np.ndarray, q: float, z0: float) -> np.ndarray:
-    """_reduced_integrals' values at every angle of theta; raises
-    QuadratureError for the first angle that is not trusted."""
-    values, errors = _reduced_integrals(theta, q, z0)
-    failures = _failures(theta, values, errors)
-    if failures:
-        raise QuadratureError(failures[min(failures)])
-    return values
-
-
 def _prefactor(config: ScatteringConfig) -> float:
     """m_n^2 g^2 / (8 pi^3 hbar^4): the cross-section per unit reduced integral."""
     return _coupling_prefactor(config) / (8.0 * math.pi**3)
@@ -349,8 +336,8 @@ def diff_cross_section_numeric(config: ScatteringConfig, theta: float) -> float:
     it raises QuadratureError.
     """
     _check_theta(theta)
-    integral = _trusted_integrals(np.array([theta], dtype=float), config.q, config.z0)
-    return _prefactor(config) * float(integral[0])
+    (integral,), _ = _reduced_integrals(theta, config.q, config.z0)
+    return _prefactor(config) * float(integral)
 
 
 def total_cross_section_numeric(config: ScatteringConfig) -> float:
@@ -358,13 +345,15 @@ def total_cross_section_numeric(config: ScatteringConfig) -> float:
     Gauss-Legendre quadrature in cos(theta) on _TOTAL_NODES nodes, all
     angles in one evaluation."""
     nodes, wts = np.polynomial.legendre.leggauss(_TOTAL_NODES)
-    values = _trusted_integrals(np.arccos(nodes), config.q, config.z0)
+    values, _ = _reduced_integrals(np.arccos(nodes), config.q, config.z0)
     return 2.0 * math.pi * _prefactor(config) * float(wts @ values)
 
 
 def angular_scan(config: ScatteringConfig, n_points: int, method: str = "both") -> AngularTable:
     """Uniform theta grid on [0, pi] with the forward point offset by
-    FORWARD_EPSILON; per-point numeric failures are recorded and skipped."""
+    FORWARD_EPSILON. The method not asked for is left NaN. Like
+    diff_cross_section_numeric, the numeric method raises QuadratureError
+    for the first angle whose integral is not trusted."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     if method not in ("numeric", "asymptotic", "both"):
@@ -373,21 +362,12 @@ def angular_scan(config: ScatteringConfig, n_points: int, method: str = "both") 
     grid[0] = FORWARD_EPSILON
     numeric = np.full(n_points, np.nan)
     asymptotic = np.full(n_points, np.nan)
-    failures: dict[int, str] = {}
     if method in ("asymptotic", "both"):
         for i, theta in enumerate(grid):
             asymptotic[i] = diff_cross_section_asymptotic(config, theta)
     if method in ("numeric", "both"):
-        values, errors = _reduced_integrals(grid, config.q, config.z0)
-        failures = _failures(grid, values, errors)
-        numeric = _prefactor(config) * values
-        numeric[list(failures)] = np.nan
-    meta = {
-        "E_n_ev": config.E_n_ev,
-        "z0": config.z0,
-        "failures": [{"theta": float(grid[i]), "error": why} for i, why in failures.items()],
-    }
-    return AngularTable(grid, numeric, asymptotic, config.q, method, meta)
+        numeric = _prefactor(config) * _reduced_integrals(grid, config.q, config.z0)[0]
+    return AngularTable(grid, numeric, asymptotic, config.q)
 
 
 def check_conditions(config: ScatteringConfig, d_over_a_b: float | None = None) -> dict:

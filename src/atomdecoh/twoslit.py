@@ -50,7 +50,7 @@ class TwoSlitConfig:
 
     @property
     def separation(self) -> float:
-        return float(np.linalg.norm(np.subtract(self.slit1, self.slit2)))
+        return math.dist(self.slit1, self.slit2)
 
     def packets(self) -> tuple[GaussianPacket, GaussianPacket]:
         alpha = GaussianPacket(self.packet_delta, self.slit1, self.p0)
@@ -111,13 +111,17 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
     """Sample both patterns along the slit-separation axis on the screen.
 
     The scan line passes through the drifted midpoint, spans one fringe
-    period, and returns (offsets, coherent, decohered).
+    period, and returns (offsets, coherent, decohered). At t0 = 0 there
+    are no fringes (ValueError); a fringe period that is not finite, or a
+    decohered pattern that is 0 at every sample, raises ArithmeticError.
     """
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
+    if config.t0 == 0.0:
+        raise ValueError("no fringe period at t0 = 0")
     period = expected_fringe_period(config)
     if not math.isfinite(period):
-        raise ValueError("no fringe period at t0 = 0")
+        raise ArithmeticError(f"the fringe period is not finite: got {period!r}")
     half = 0.5 * period
     s1 = np.asarray(config.slit1)
     s2 = np.asarray(config.slit2)
@@ -125,4 +129,7 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
     direction = (s1 - s2) / config.separation
     offsets = np.linspace(-half, half, n_points)
     points = midpoint[None, :] + offsets[:, None] * direction[None, :]
-    return offsets, coherent_pattern(config, points), decohered_pattern(config, points)
+    decohered = decohered_pattern(config, points)
+    if not decohered.any():
+        raise ArithmeticError("both packets underflow to 0 at every sample of the scan line")
+    return offsets, coherent_pattern(config, points), decohered

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from atomdecoh.cli import (
@@ -140,6 +141,12 @@ def test_arithmetic_error_is_numeric_failure(capsys, argv):
          ("twoslit: screen scan failed", "delta_ab=1e-300", "p0=0.0")),
         (("twoslit", "--p0", "1e200", "--points", "5"),
          ("twoslit: screen scan gave non-finite values", "p0=1e+200")),
+        # both packets underflow to 0 on the scan line
+        (("twoslit", "--separation-ab", "1e200", "--points", "5"),
+         ("twoslit: screen scan failed", "separation_ab=1e+200", "underflow")),
+        # the fringe period 4 pi dx^2 / (d theta) overflows
+        (("twoslit", "--delta-ab", "1e150", "--points", "5"),
+         ("twoslit: screen scan failed", "delta_ab=1e+150", "fringe period")),
         # the damping z0^2/8 overflows
         (("momentum", "--z0", "1e200", "--points", "3"),
          ("momentum: momentum density failed", "z0=1e+200", "points=3")),
@@ -156,6 +163,47 @@ def test_numeric_failure_names_command_computation_and_parameters(capsys, argv, 
     assert err.startswith("numeric failure: ")
     for name in names:
         assert name in err
+
+
+def test_untrusted_cross_section_angle_is_one_exact_line(capsys):
+    # at z0 = 12 and 1e-5 eV the forward angle's error estimate stays above
+    # 1e-10 even at half the node spacing
+    code, out, err = _run(capsys, "xsection", "--energy-ev", "1e-5", "--z0", "12",
+                          "--points", "5")
+    assert code == NUMERIC_EXIT
+    assert out == ""
+    assert err == (
+        "numeric failure: xsection: cross-section scan failed for energy_ev=1e-05, "
+        "method=both, points=5, scatt_length_fm=3.26, z0=12.0: cross-section integral "
+        "failed at theta=1e-06: value 4.490095e+02, error estimate 2.236e-07 above "
+        "1e-10 relative\n"
+    )
+
+
+def test_slits_a_tiny_distance_apart_are_distinct(capsys):
+    # the separation is 1e-300 exactly, not its square rounded to 0
+    code, out, err = _run(capsys, "twoslit", "--separation-ab", "1e-300", "--points", "5")
+    assert code == 0
+    assert err == ""
+    assert len(_data_rows(out)[1]) == 5
+
+
+@pytest.mark.parametrize("subcommand", ["purity", "momentum", "twoslit", "xsection"])
+def test_grid_too_large_for_memory_is_numeric_failure(monkeypatch, capsys, subcommand):
+    # the grid allocation is made to fail: a real allocation past the
+    # machine's memory could succeed where memory is overcommitted
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(np, "linspace", no_memory)
+    monkeypatch.setattr(np, "logspace", no_memory)
+    code, out, err = _run(capsys, subcommand, "--points", "7")
+    assert code == NUMERIC_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"numeric failure: {subcommand}: out of memory for ")
+    assert "points=7" in err
+    assert "Unable to allocate" in err
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from atomdecoh.cli import SCHEMAS, main
 from atomdecoh.density import purity
 from atomdecoh.momentum import electron_limit, gaussian_limit, momentum_density
 from atomdecoh.scattering import tau_transform
+from oracles import normalization_integral
 
 REPRODUCIBLE = settings(derandomize=True, deadline=None, database=None)
 
@@ -76,6 +77,15 @@ def test_narrow_packet_momentum_density_tends_to_the_gaussian_limit(log_z0, x):
     q = z0 * x
     ratio = momentum_density(q, z0) / gaussian_limit(q, 1.0 / z0)
     assert abs(ratio - 1.0) <= 3.0 / z0**2
+
+
+@settings(REPRODUCIBLE, max_examples=30)
+@given(st.floats(-3.0, 2.0))
+def test_momentum_density_is_normalized(log_z0):
+    # 4 pi int q^2 n(q) dq = Tr rho = 1. The oracle integrates out to
+    # q = 5 z0; at z0 = 1000 that reaches the far tail, where
+    # n(q) < 1e-20 n(0) and the closed form turns negative
+    assert abs(normalization_integral(10.0**log_z0) - 1.0) <= 1e-8
 
 
 #: flag values at and past the edges of every parameter's domain

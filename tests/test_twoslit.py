@@ -38,6 +38,31 @@ def test_coincident_slits_rejected():
         TwoSlitConfig(slit1=(1.0, 0.0, 0.0), slit2=(1.0, 0.0, 0.0))
 
 
+def test_separation_does_not_square_to_zero():
+    config = TwoSlitConfig(slit1=(5e-301, 0.0, 0.0), slit2=(-5e-301, 0.0, 0.0))
+    assert config.separation == 1e-300
+    assert _far_field_config().separation == 1000.0
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        # 4 pi dx^2 / (d theta) overflows
+        (dict(packet_delta=1e150), "fringe period is not finite"),
+        # both packets are 0 to double precision on the whole scan line
+        (dict(slit1=(5e199, 0.0, 0.0), slit2=(-5e199, 0.0, 0.0)), "underflow"),
+    ],
+)
+def test_screen_scan_out_of_range_is_arithmetic_error(kwargs, match):
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match=match):
+        screen_scan(_far_field_config(**kwargs), 5)
+
+
+def test_screen_scan_at_t0_zero_is_value_error():
+    with pytest.raises(ValueError, match="t0 = 0"):
+        screen_scan(_far_field_config(t0=0.0), 5)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("slit1", (math.inf, 0.0, 0.0)), ("slit2", (0.0, math.nan, 0.0)),
