@@ -30,6 +30,7 @@ KERNEL_SQ_POLY = (1.0, 2.0, 5.0 / 3.0, 2.0 / 3.0, 1.0 / 9.0)
 #: decrease in z above 1e5 and exceed 1 above 1e7, and z^3 overflows
 #: past 5.6e102
 _PURITY_SERIES_Z = 1e5
+_TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
 
 def hydrogen_kernel(s):
@@ -83,5 +84,7 @@ def purity(z: float) -> float:
     if z >= _PURITY_SERIES_Z:
         return 1.0 - 2.0 / (z * z)
     moments = damped_moments(2.0, z * z / 4.0, len(KERNEL_SQ_POLY) + 1)
-    total = sum(c_n * moments[n + 2].real for n, c_n in enumerate(KERNEL_SQ_POLY))
-    return z**3 / (2.0 * math.sqrt(math.pi)) * total
+    total = 0.0
+    for c_n, moment in zip(KERNEL_SQ_POLY, moments[2:]):
+        total += c_n * moment.real
+    return z**3 / _TWO_SQRT_PI * total

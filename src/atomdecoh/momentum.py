@@ -25,19 +25,33 @@ from .quadrature import damped_moments
 _Q_TAYLOR = 1e-2
 #: terms of that expansion; the first one dropped is below 1e-18 relative
 _TAYLOR_TERMS = 5
+_TWO_PI_SQ = 2.0 * math.pi**2
 
 
 @dataclass(frozen=True)
 class MomentumDistribution:
-    """Radial momentum density sampled on a grid of dimensionless q."""
+    """Radial momentum density sampled on a grid of dimensionless q: two
+    1-D float arrays of one length, finite and nonnegative, and the width
+    ratio z0 > 0. A field that breaks this raises ValueError naming it."""
 
     q_grid: np.ndarray
     values: np.ndarray
     z0: float
 
     def __post_init__(self) -> None:
-        if (np.asarray(self.values) < 0.0).any():
-            raise ValueError("momentum density must be nonnegative")
+        # checked on Python floats: for the few points of a typical grid
+        # that takes a fraction of a numpy comparison and reduction
+        if self.q_grid.ndim != 1 or self.values.shape != self.q_grid.shape:
+            raise ValueError(
+                f"values must hold one density per q_grid point, got shapes "
+                f"{self.values.shape} and {self.q_grid.shape}"
+            )
+        if not all(0.0 <= q < math.inf for q in self.q_grid.tolist()):
+            raise ValueError("q_grid must be finite and nonnegative")
+        if not all(0.0 <= v < math.inf for v in self.values.tolist()):
+            raise ValueError("values must be finite and nonnegative densities")
+        if not 0.0 < self.z0 < math.inf:
+            raise ValueError(f"z0 must be positive and finite, got {self.z0!r}")
 
 
 def momentum_density(q: float, z0: float) -> float:
@@ -75,9 +89,9 @@ def momentum_density(q: float, z0: float) -> float:
             i = 2 * k + 2
             total += coeff * (moments[i] + moments[i + 1] + moments[i + 2] / 3.0).real
             coeff *= -q * q / ((2 * k + 2) * (2 * k + 3))
-        return total / (2.0 * math.pi**2)
+        return total / _TWO_PI_SQ
     moments = damped_moments(complex(1.0, -q), a, 3)
-    value = (moments[1] + moments[2] + moments[3] / 3.0).imag / (2.0 * math.pi**2 * q)
+    value = (moments[1] + moments[2] + moments[3] / 3.0).imag / (_TWO_PI_SQ * q)
     if value < 0.0:
         raise ArithmeticError(
             f"momentum density at q={q!r}, z0={z0!r} is lost to cancellation: got {value!r}"

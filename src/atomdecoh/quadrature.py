@@ -8,6 +8,7 @@ damped spectral weight of the cross-section.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -23,9 +24,12 @@ class QuadratureError(ArithmeticError):
 _UPWARD_MU_SQ = 6.0
 #: largest start index of the backward recurrence
 _MILLER_CAP = 4000
-#: ln 2^53: how far the dominant solution must outgrow J for the backward
-#: recurrence's arbitrary start to fall below double-precision roundoff
+#: ln 2^53: how far the dominant solution must outgrow J for an error of 1
+#: in the backward recurrence's start to fall below double-precision roundoff
 _LN_EPS = 53.0 * math.log(2.0)
+#: factors of the asymptotic series that _series_factors tabulates per n; the
+#: series branch, |mu|^2 >= 170 + 14 n, adds at most 52 terms (_series_terms)
+_SERIES_TERMS = 64
 #: the array type damped_moments evaluates elementwise; an exact type test
 #: keeps the dispatch far below the cost of a scalar call
 _ARRAY = np.ndarray
@@ -126,28 +130,40 @@ def _erfcx(y: float) -> float:
     return math.exp(hi * hi) * math.exp((y - hi) * (y + hi)) * math.erfc(y)
 
 
-def _asymptotic_moment(b: complex, a: float, n: int) -> complex:
-    """sum_k (-a)^k (n+2k)! / (k! b^(n+2k+1)), truncated at its smallest term."""
+@functools.lru_cache(maxsize=32)
+def _series_factors(n: int) -> tuple:
+    """(n+2k-1)(n+2k)/k for k = 1.._SERIES_TERMS: the ratio of the k-th term
+    of _asymptotic_moments's series for I_n to the previous one, over -a/b^2."""
+    return tuple((n + 2 * k - 1) * (n + 2 * k) / k for k in range(1, _SERIES_TERMS + 1))
+
+
+def _asymptotic_moments(b: complex, a: float, top: int) -> list:
+    """I_(top-1) and I_top by sum_k (-a)^k (n+2k)! / (k! b^(n+2k+1)), each
+    truncated at its smallest term."""
     inv_b = 1.0 / b
     ratio = -a * inv_b * inv_b
-    term = math.factorial(n) * inv_b ** (n + 1)
-    total = term
-    size = abs(term)
-    # the sum stays within 25% of its first term where this series is used
-    limit = 2.0**-57 * size
-    k = 0
-    while size > limit:
-        k += 1
-        term *= ratio * ((n + 2 * k - 1) * (n + 2 * k) / k)
-        if abs(term) >= size:
-            break
-        total += term
+    moments = []
+    for n in (top - 1, top):
+        term = math.factorial(n) * inv_b ** (n + 1)
+        total = term
         size = abs(term)
-    return total
+        # the sum stays within 25% of its first term where this series is used
+        limit = 2.0**-57 * size
+        for factor in _series_factors(n):
+            if not size > limit:
+                break
+            term *= ratio * factor
+            next_size = abs(term)
+            if next_size >= size:
+                break
+            total += term
+            size = next_size
+        moments.append(total)
+    return moments
 
 
 def _series_terms(n: int, mu_sq: float) -> int:
-    """How many terms _asymptotic_moment adds for I_n at |mu|^2 = mu_sq:
+    """How many terms _asymptotic_moments adds for I_n at |mu|^2 = mu_sq:
     up to the first below 2^-57 of the leading one, or up to the smallest."""
     size, k = 1.0, 0
     while size > 2.0**-57:
@@ -160,12 +176,12 @@ def _series_terms(n: int, mu_sq: float) -> int:
 
 
 def _asymptotic_pairs(b: np.ndarray, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_asymptotic_moment for m = n-1 and n, elementwise: I_m = m!/b^(m+1)
-    times the polynomial sum_k (m+2k)!/(m! k!) y^k in y = -a/b^2, by
-    Horner's rule. The elements are banded by |mu|^2 = 1/|y| within factors
-    of 2, the last band open above 2^16, and each band takes the terms its
-    smallest |mu|^2 needs for I_n; the terms past an element's own stop are
-    smaller still."""
+    """_asymptotic_moments(b, a, n) elementwise, for m = n-1 and n:
+    I_m = m!/b^(m+1) times the polynomial sum_k (m+2k)!/(m! k!) y^k in
+    y = -a/b^2, by Horner's rule. The elements are banded by
+    |mu|^2 = 1/|y| within factors of 2, the last band open above 2^16, and
+    each band takes the terms its smallest |mu|^2 needs for I_n; the terms
+    past an element's own stop are smaller still."""
     inv_b = 1.0 / b
     y = -a * inv_b * inv_b
     with np.errstate(divide="ignore", over="ignore"):
@@ -201,29 +217,72 @@ def _dominance(mu, n: float):
     return n * (2.0 * math.log(abs(w + mu)) - math.log(8.0 * n)) + (mu * w).real / 4.0
 
 
+def _seed(mu, n):
+    """g_n = 2 J_(n+1) / J_n by two Liouville-Green terms: with
+    w = sqrt(mu^2 + 8(n+1)), g_n (mu + g_(n+1)) = 2(n + 1) gives
+    g_n = (w - mu)/2 (1 - 2/w^2 + ...). Elementwise for arrays mu, n."""
+    if type(mu) is _ARRAY:
+        w = np.sqrt(mu * mu + 8.0 * (n + 1))
+    else:
+        w = cmath.sqrt(mu * mu + 8.0 * (n + 1))
+    return 0.5 * (w - mu) * (1.0 - 2.0 / (w * w))
+
+
+def _seed_gain(mu, w):
+    """-ln of _seed's relative error at w = sqrt(mu^2 + 8n). The next
+    Liouville-Green term is g_n (2w + 10 mu) / w^5, so the error is
+    |2w + 10 mu| / |w|^5, about 1/(32 n^2) for large n; measured against
+    the converged ratio it holds within a few percent from n = 50 on.
+    Elementwise for arrays."""
+    if type(mu) is _ARRAY:
+        return np.log(np.abs(w) ** 5 / np.abs(2.0 * w + 10.0 * mu))
+    return math.log(abs(w) ** 5 / abs(2.0 * w + 10.0 * mu))
+
+
 def _miller_start(mu: complex, n_max: int) -> int | None:
-    """Smallest N with _dominance(N) - _dominance(n_max) >= ln 2^53, or None
-    past _MILLER_CAP. The estimate is concave in n, so Newton's iterates
-    approach N from below; far out it grows like Re(mu) sqrt(2n), which
-    makes N grow like 1/Re(mu)^2."""
+    """Start N of the backward recurrence, or None for the upward one.
+
+    N is the smallest index with _dominance(N) - _dominance(n_max) >=
+    ln 2^53 minus _seed_gain(N): the backward recurrence from _seed(N) is
+    then within roundoff at n_max. Newton's method finds N stepping in
+    sqrt(n), along which the dominance grows about linearly far out (like
+    Re(mu) sqrt(2n), which makes N grow like 1/Re(mu)^2), and takes the
+    gain's slope as 2/n, its large-n form. Both terms are concave in sqrt(n)
+    far out, so the iterates approach N from below; near the turning point
+    n = -Re(mu^2)/8 one can overshoot N, and the rule keeps it rather than
+    step back. Past _MILLER_CAP the choice is _cap_wins'."""
     target = _dominance(mu, n_max) + _LN_EPS
+    mu_mu, ten_mu = mu * mu, 10.0 * mu
     x = float(max(n_max, 1))
     while x <= _MILLER_CAP:
-        w = cmath.sqrt(mu * mu + 8.0 * x)
-        slope = 2.0 * math.log(abs(w + mu)) - math.log(8.0 * x)
+        eight_x = 8.0 * x
+        w = cmath.sqrt(mu_mu + eight_x)
+        slope = 2.0 * math.log(abs(w + mu)) - math.log(eight_x)
         if slope <= 0.0:
-            return None
-        # x * slope + Re(mu w) / 4 is _dominance(mu, x), and slope its derivative
-        step = (target - x * slope - (mu * w).real / 4.0) / slope
-        x += step
+            break
+        # x * slope + Re(mu w) / 4 is _dominance(mu, x), and slope its
+        # derivative; the last term is _seed_gain(mu, w), inlined
+        gain = x * slope + (mu * w).real / 4.0 + math.log(abs(w) ** 5 / abs(2.0 * w + ten_mu))
+        step = (target - gain) / (slope + 2.0 / x)
         if step <= 0.5:
-            return math.ceil(x) + 1
-    return None
+            return math.ceil(x + max(step, 0.0)) + 1
+        # the same Newton step taken in sqrt(x)
+        x += step + step * step / (4.0 * x)
+    return _MILLER_CAP if _cap_wins(mu, n_max) else None
+
+
+def _cap_wins(mu, n_max: int):
+    """Past the cap: whether the backward recurrence from _seed at the cap
+    has a smaller predicted ln(error / roundoff) than the upward one.
+    Elementwise for arrays."""
+    sqrt = np.sqrt if type(mu) is _ARRAY else cmath.sqrt
+    gain = _seed_gain(mu, sqrt(mu * mu + 8.0 * _MILLER_CAP))
+    capped_loss = _LN_EPS - gain - (_dominance(mu, _MILLER_CAP) - _dominance(mu, n_max))
+    return capped_loss < _dominance(mu, n_max) - _dominance(mu, 0)
 
 
 def _miller_starts(mu: np.ndarray, n_max: int) -> np.ndarray:
-    """_miller_start elementwise, with the choice past the cap made too:
-    the start of the backward recurrence, or 0 for the upward one."""
+    """_miller_start elementwise, with 0 for the upward recurrence."""
     x = np.full(mu.shape, float(max(n_max, 1)))
     starts = np.zeros(mu.shape, dtype=int)
     past_cap = np.zeros(mu.shape, dtype=bool)
@@ -236,18 +295,16 @@ def _miller_starts(mu: np.ndarray, n_max: int) -> np.ndarray:
         rising = slope > 0.0
         past_cap[live[~rising]] = True
         live, m, w, xl, slope = live[rising], m[rising], w[rising], xl[rising], slope[rising]
-        step = (target[live] - xl * slope - (m * w).real / 4.0) / slope
-        x[live] = xl + step
+        gain = xl * slope + (m * w).real / 4.0 + _seed_gain(m, w)
+        step = (target[live] - gain) / (slope + 2.0 / xl)
         done = step <= 0.5
-        starts[live[done]] = np.ceil(x[live[done]]).astype(int) + 1
+        starts[live[done]] = np.ceil(xl[done] + np.maximum(step[done], 0.0)).astype(int) + 1
+        x[live] = xl + step + step * step / (4.0 * xl)
         live = live[~done]
         beyond = x[live] > _MILLER_CAP
         past_cap[live[beyond]] = True
         live = live[~beyond]
-    m = mu[past_cap]
-    upward_loss = _dominance(m, n_max) - _dominance(m, 0)
-    capped_loss = _LN_EPS - (_dominance(m, _MILLER_CAP) - _dominance(m, n_max))
-    starts[past_cap] = np.where(capped_loss < upward_loss, _MILLER_CAP, 0)
+    starts[past_cap] = np.where(_cap_wins(mu[past_cap], n_max), _MILLER_CAP, 0)
     return starts
 
 
@@ -262,35 +319,36 @@ def _upward(mu, j0, n_max: int) -> list:
     return js
 
 
-def _backward(mu, j0, n_max: int, start: int, h=0j) -> list:
-    """J_0..J_n_max from J_0 and the ratios h_n = J_{n+1}/J_n of Miller's
-    backward recurrence h_{n-1} = n / (mu + 2 h_n), h_start = 0, or
-    h_n_max = h when start = n_max."""
-    for n in range(start, n_max, -1):
-        h = n / (mu + 2.0 * h)
-    ratios = []
-    for n in range(n_max, 0, -1):
-        h = n / (mu + 2.0 * h)
-        ratios.append(h)
+def _backward(mu, j0, n_max: int, start: int, g) -> list:
+    """J_0..J_n_max from J_0 and the ratios J_{n+1}/J_n = g_n / 2 of
+    Miller's backward recurrence g_{n-1} = 2n / (mu + g_n) from g_start = g.
+    Scaling by 2 is exact, so this rounds as the recurrence for the ratios
+    themselves does, one multiplication per step fewer."""
+    for n in range(2 * start, 2 * n_max, -2):
+        g = n / (mu + g)
+    gs = []
+    for n in range(2 * n_max, 0, -2):
+        g = n / (mu + g)
+        gs.append(g)
     js = [j0]
-    for h in reversed(ratios):
-        js.append(js[-1] * h)
+    for g in reversed(gs):
+        js.append(js[-1] * g * 0.5)
     return js
 
 
 def _backward_array(mu: np.ndarray, j0: np.ndarray, n_max: int, starts: np.ndarray) -> list:
-    """_backward elementwise, each element from its own start: sorted by
-    start, the elements still running at index n are a prefix of the
-    arrays, so every step updates one slice. The steps run on g = 2 h."""
+    """_backward elementwise, each element from _seed at its own start:
+    sorted by start, the elements still running at index n are a prefix of
+    the arrays, so every step updates one slice."""
     order = np.argsort(-starts, kind="stable")
     running = np.searchsorted(-starts[order], -np.arange(starts.max() + 1), side="right")
     mu_sorted = mu[order]
-    g = np.zeros(mu.shape, dtype=complex)
+    g = _seed(mu_sorted, starts[order])
     for n in range(int(starts.max()), n_max, -1):
         k = running[n]
         g[:k] = 2.0 * n / (mu_sorted[:k] + g[:k])
     g[order] = g.copy()
-    return _backward(mu, j0, n_max, n_max, 0.5 * g)
+    return _backward(mu, j0, n_max, n_max, g)
 
 
 def damped_moments(b, a, n_max: int):
@@ -299,8 +357,9 @@ def damped_moments(b, a, n_max: int):
 
     For scalar b and a the result is a list of n_max + 1 complex numbers.
     If b or a is a numpy.ndarray (not a subclass), the two are broadcast
-    together and give an array of shape (n_max + 1,) + that shape. Each element takes the branch and the
-    backward-recurrence start its scalar call takes, and the elements of a
+    together and give an array of shape (n_max + 1,) + that shape. Each
+    element takes the branch and the backward-recurrence start its scalar
+    call takes, and the elements of a
     branch are evaluated together. The two agree to a few units in the last
     place, and past the cap to what the recurrence makes of that, because
     numpy rounds complex products differently from Python and the array
@@ -326,18 +385,24 @@ def damped_moments(b, a, n_max: int):
       and the recurrence downwards from them;
     * |mu|^2 <= 6: upward recurrence from J_0;
     * otherwise Miller's backward recurrence for J_n / J_(n-1), normalised
-      by J_0 (Gautschi, SIAM Rev. 9, 24 (1967)). It starts where the
-      dominant solution has outgrown J by 2^53 past n_max (``_miller_start``),
-      an index that grows like 1/Re(mu)^2 and is capped at 4000;
+      by J_0 (Gautschi, SIAM Rev. 9, 24 (1967)). It starts at an index N
+      from two Liouville-Green terms of the ratio (Gil, Segura & Temme,
+      Numerical Methods for Special Functions, SIAM 2007, ch. 4):
+      J_(N+1)/J_N = (w - mu)/4 (1 - 2/w^2) with w = sqrt(mu^2 + 8(N+1))
+      (``_seed``). The seed is off by the next term, |2w + 10 mu| / |w|^5
+      relative, about 1/(32 N^2); N is where the dominant solution has
+      outgrown J past n_max by 2^53 times that error (``_miller_start``).
+      N grows like 1/Re(mu)^2 and is capped at 4000;
     * past the cap, which only Re(mu) < 0.5 reaches: the upward recurrence
-      or the backward one started at the cap, whichever has the smaller
-      predicted loss.
+      or the backward one from the seed at the cap, whichever has the
+      smaller predicted loss.
 
-    Accuracy against mpmath (tests/test_moments.py): at most 1e-13 relative
-    for n <= 6 wherever Re(mu) >= 0.5. Past the cap the error follows the
-    predicted loss within a factor of 5. Measured for Re(mu) in [0.01, 0.5),
-    it stays below 1e-14 for |mu|^2 <= 16 and peaks near |mu|^2 = 140 at
-    3e-10 for n <= 3 and 6e-7 for n = 6.
+    Accuracy against mpmath (tests/test_moments.py, and over the whole
+    Miller branch tests/test_properties.py): at most 1e-13 relative for
+    n <= 6 wherever Re(mu) >= 0.5. Past the cap the error stays within
+    about twice the predicted loss. Measured for Re(mu) in [0.01, 0.5), it
+    stays below 2e-14 for |mu|^2 <= 16 and peaks near Re(mu) = 0.015,
+    |mu|^2 = 60 at 3e-12 for n <= 3 and 1.5e-10 for n = 6.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -362,26 +427,24 @@ def damped_moments(b, a, n_max: int):
         # term below 1e-17 relative; the two highest moments come from it,
         # the rest from the recurrence downwards, the stable direction
         top = max(n_max, 1)
-        moments = [_asymptotic_moment(b, a, top - 1), _asymptotic_moment(b, a, top)]
+        low, high = _asymptotic_moments(b, a, top)
+        moments = [high, low]
+        two_a = 2.0 * a
         for n in range(top - 1, 0, -1):
-            moments.insert(0, (b * moments[0] + 2.0 * a * moments[1]) / n)
+            low, high = (b * low + two_a * high) / n, low
+            moments.append(low)
+        moments.reverse()
         return moments[: n_max + 1]
     if mu.imag == 0.0 and mu.real <= 2.0 * _ERFCX_MAX:
         # real b: w(i mu/2) in closed form, over ten times cheaper than _faddeeva
         j0 = complex(_HALF_SQRT_PI * _erfcx(0.5 * mu.real))
     else:
         j0 = _HALF_SQRT_PI * _faddeeva(0.5j * mu)
-    if mu_sq <= _UPWARD_MU_SQ:
-        start = None
+    start = None if mu_sq <= _UPWARD_MU_SQ else _miller_start(mu, n_max)
+    if start is None:
+        js = _upward(mu, j0, n_max)
     else:
-        start = _miller_start(mu, n_max)
-        if start is None:
-            # past the cap: the route with the smaller ln(error / roundoff)
-            upward_loss = _dominance(mu, n_max) - _dominance(mu, 0)
-            capped_loss = _LN_EPS - (_dominance(mu, _MILLER_CAP) - _dominance(mu, n_max))
-            if capped_loss < upward_loss:
-                start = _MILLER_CAP
-    js = _upward(mu, j0, n_max) if start is None else _backward(mu, j0, n_max, start)
+        js = _backward(mu, j0, n_max, start, _seed(mu, start))
     scale = 1.0 / root
     moments = []
     for j in js:

@@ -112,8 +112,12 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
 
     The scan line passes through the drifted midpoint, spans one fringe
     period, and returns (offsets, coherent, decohered). At t0 = 0 there
-    are no fringes (ValueError); a fringe period that is not finite, or a
-    decohered pattern that is 0 at every sample, raises ArithmeticError.
+    are no fringes (ValueError); a fringe period that is not finite, a
+    decohered pattern that is 0 at every sample, or one that fewer than 3
+    samples resolve raises ArithmeticError. A sample resolves the envelope
+    where the decohered pattern reaches half its largest sampled value;
+    when the period dwarfs the packet width, the whole envelope falls
+    between two samples and no visibility can be read off the scan.
     """
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
@@ -132,4 +136,13 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
     decohered = decohered_pattern(config, points)
     if not decohered.any():
         raise ArithmeticError("both packets underflow to 0 at every sample of the scan line")
+    peak = decohered.max()
+    resolved = np.count_nonzero(decohered >= 0.5 * peak)
+    # a pattern that is not finite is left for the caller to report
+    if math.isfinite(peak) and resolved < 3:
+        raise ArithmeticError(
+            f"only {resolved} of {n_points} samples resolve the packet envelope (reach half "
+            f"its largest sampled value): the fringe period {period:.3g} a_B is too long "
+            f"for a scan of one period"
+        )
     return offsets, coherent_pattern(config, points), decohered

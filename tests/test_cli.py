@@ -153,6 +153,11 @@ def test_arithmetic_error_is_numeric_failure(capsys, argv):
         # cancellation in the far tail leaves a negative density
         (("momentum", "--z0", "0.01", "--q-max", "1e300", "--points", "5"),
          ("momentum: momentum density failed", "z0=0.01", "q_max=1e+300")),
+        # the fringe period, 2e307 a_B, leaves the envelope between two
+        # samples, so no visibility can be read off the scan
+        (("twoslit", "--separation-ab", "1e-300", "--points", "5"),
+         ("twoslit: screen scan failed", "separation_ab=1e-300",
+          "only 1 of 5 samples resolve the packet envelope")),
     ],
 )
 def test_numeric_failure_names_command_computation_and_parameters(capsys, argv, names):
@@ -181,11 +186,13 @@ def test_untrusted_cross_section_angle_is_one_exact_line(capsys):
 
 
 def test_slits_a_tiny_distance_apart_are_distinct(capsys):
-    # the separation is 1e-300 exactly, not its square rounded to 0
+    # the separation is 1e-300 exactly, not its square rounded to 0: the
+    # slits are not rejected as coincident (a usage error), and the scan
+    # over the fringe period they give fails as a numeric one
     code, out, err = _run(capsys, "twoslit", "--separation-ab", "1e-300", "--points", "5")
-    assert code == 0
-    assert err == ""
-    assert len(_data_rows(out)[1]) == 5
+    assert code == NUMERIC_EXIT
+    assert out == ""
+    assert "slit positions must differ" not in err
 
 
 @pytest.mark.parametrize("subcommand", ["purity", "momentum", "twoslit", "xsection"])

@@ -81,6 +81,25 @@ def test_distribution_container_validation():
         MomentumDistribution(grid, np.array([0.5, -0.1]), 1.0)
 
 
+@pytest.mark.parametrize(
+    "q_grid, values, z0, field",
+    [
+        (np.array([0.1, 0.2]), np.array([0.5, math.nan]), 1.0, "values"),
+        (np.array([0.1, 0.2]), np.array([math.inf, 0.5]), 1.0, "values"),
+        (np.array([0.1, 0.2]), np.array([0.5, 0.4]), math.nan, "z0"),
+        (np.array([0.1, 0.2]), np.array([0.5, 0.4]), math.inf, "z0"),
+        (np.array([0.1, 0.2]), np.array([0.5, 0.4]), 0.0, "z0"),
+        (np.array([0.0, 1.0, 2.0]), np.array([1.0]), 1.0, "values"),
+        (np.array([[0.1, 0.2]]), np.array([[0.5, 0.4]]), 1.0, "values"),
+        (np.array([0.1, math.nan]), np.array([0.5, 0.4]), 1.0, "q_grid"),
+        (np.array([-0.1, 0.2]), np.array([0.5, 0.4]), 1.0, "q_grid"),
+    ],
+)
+def test_distribution_container_names_the_bad_field(q_grid, values, z0, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        MomentumDistribution(q_grid, values, z0)
+
+
 def test_momentum_distribution_matches_pointwise():
     grid = np.array([0.2, 1.0, 2.5])
     dist = momentum_distribution(0.5, grid)

@@ -3,6 +3,7 @@ Hypothesis draws. Derandomized and without an example database, so every
 run draws the same examples and writes nothing to the working tree."""
 
 import io
+import math
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,8 +15,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from atomdecoh.cli import SCHEMAS, main
 from atomdecoh.density import purity
 from atomdecoh.momentum import electron_limit, gaussian_limit, momentum_density
+from atomdecoh.quadrature import damped_moments
 from atomdecoh.scattering import tau_transform
 from oracles import normalization_integral
+from test_moments import max_rel_err, ref_moments
 
 REPRODUCIBLE = settings(derandomize=True, deadline=None, database=None)
 
@@ -24,6 +27,30 @@ REPRODUCIBLE = settings(derandomize=True, deadline=None, database=None)
 # collects; a temporary home, removed at exit, keeps the tree clean
 _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HOME.name)
+
+
+@settings(REPRODUCIBLE, max_examples=200)
+@given(
+    st.sampled_from([3, 4, 6, 12]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.floats(-3.0, 2.0),
+)
+def test_miller_branch_moments_match_mpmath(n_max, re_frac, sq_frac, upper, log_a):
+    # Miller's branch: Re mu in [0.5, 30] and 6 < |mu|^2 < 170 + 14 n_max,
+    # drawn as fractions of the range each coordinate has left
+    top = 170.0 + 14.0 * n_max
+    re_mu = 0.5 + re_frac * (min(30.0, math.sqrt(top)) - 0.5)
+    low = max(6.0, re_mu * re_mu)
+    mu_sq = low + sq_frac * (top - low)
+    im_mu = math.sqrt(max(mu_sq - re_mu * re_mu, 0.0))
+    mu = complex(re_mu, im_mu if upper else -im_mu)
+    if not 6.0 < abs(mu) ** 2 < top:
+        return
+    a = 10.0**log_a
+    b = mu * math.sqrt(a)
+    assert max_rel_err(damped_moments(b, a, n_max), ref_moments(b, a, n_max)) <= 1e-13
 
 
 @REPRODUCIBLE

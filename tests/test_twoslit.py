@@ -58,6 +58,38 @@ def test_screen_scan_out_of_range_is_arithmetic_error(kwargs, match):
         screen_scan(_far_field_config(**kwargs), 5)
 
 
+@pytest.mark.parametrize(
+    "separation, n_points, resolved",
+    [
+        # the fringe period, 2e307 a_B, leaves every sample but the centre
+        # far outside the packets, which the scan reads as 0
+        (1e-300, 5, 1),
+        (1e-300, 801, 1),
+        # a period of about 25 packet widths puts the samples 6 widths apart
+        (100.0, 5, 1),
+        # the edges of one period at separation 1000 sit below half the peak
+        (1000.0, 3, 1),
+    ],
+)
+def test_screen_scan_that_cannot_resolve_the_envelope_is_arithmetic_error(
+    separation, n_points, resolved
+):
+    config = _far_field_config(slit1=(separation / 2.0, 0.0, 0.0),
+                               slit2=(-separation / 2.0, 0.0, 0.0))
+    with np.errstate(all="ignore"), pytest.raises(
+        ArithmeticError, match=f"^only {resolved} of {n_points} samples resolve the packet envelope"
+    ):
+        screen_scan(config, n_points)
+
+
+@pytest.mark.parametrize("separation, n_points", [(100.0, 201), (1000.0, 5)])
+def test_screen_scan_resolving_the_envelope_at_three_samples_or_more(separation, n_points):
+    config = _far_field_config(slit1=(separation / 2.0, 0.0, 0.0),
+                               slit2=(-separation / 2.0, 0.0, 0.0))
+    _, _, dec = screen_scan(config, n_points)
+    assert np.count_nonzero(dec >= 0.5 * dec.max()) >= 3
+
+
 def test_screen_scan_at_t0_zero_is_value_error():
     with pytest.raises(ValueError, match="t0 = 0"):
         screen_scan(_far_field_config(t0=0.0), 5)

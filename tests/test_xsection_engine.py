@@ -13,7 +13,14 @@ import pytest
 import atomdecoh
 from atomdecoh import scattering
 from atomdecoh.density import Z_EFF_HELIUM
-from atomdecoh.quadrature import QuadratureError, damped_moments
+from atomdecoh.quadrature import (
+    _SERIES_TERMS,
+    QuadratureError,
+    _miller_start,
+    _miller_starts,
+    _series_terms,
+    damped_moments,
+)
 from atomdecoh.scattering import (
     ScatteringConfig,
     _reduced_integrals,
@@ -124,6 +131,26 @@ def test_array_damped_moments_equal_scalar_calls():
         # last bit; past the cap the recurrence amplifies that difference
         tol = 1e-13 if re_mu >= 0.5 else 1e-11
         assert np.max(np.abs(got[:, i] - ref) / np.abs(ref)) <= tol, (bi, ai)
+
+
+@pytest.mark.parametrize("n_max", [3, 4, 6, 12])
+def test_scalar_and_array_moments_share_one_start_rule(n_max):
+    # the start of the backward recurrence, the cap, or 0 for the upward
+    # recurrence, on every branch point and a seeded grid of Re mu in
+    # [0.01, 30] reaching past the cap and into the series branch
+    rng = np.random.default_rng(20261018)
+    re = np.exp(rng.uniform(math.log(0.01), math.log(30.0), 600))
+    mus = [b / math.sqrt(a) for b, a in _branch_points() if a > 0.0]
+    mus += [complex(mu) for mu in re + 1j * rng.uniform(-20.0, 20.0, re.size)]
+    scalar = [_miller_start(mu, n_max) or 0 for mu in mus]
+    assert scalar == _miller_starts(np.array(mus), n_max).tolist()
+
+
+def test_series_factor_table_outlasts_every_series():
+    # the scalar series takes its factors from a table of _SERIES_TERMS per n
+    # and would stop early past it; the branch starts at |mu|^2 = 170 + 14 n
+    # at the latest, and a larger |mu|^2 needs fewer terms
+    assert max(_series_terms(n, 170.0 + 14.0 * n) for n in range(400)) + 2 <= _SERIES_TERMS
 
 
 def test_damped_moments_where_mu_squared_overflows():
