@@ -133,7 +133,11 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
     direction = (s1 - s2) / config.separation
     offsets = np.linspace(-half, half, n_points)
     points = midpoint[None, :] + offsets[:, None] * direction[None, :]
-    decohered = decohered_pattern(config, points)
+    # where the squared distance to a packet overflows, its exponent is -inf
+    # and the packet 0, its value to double precision
+    with np.errstate(over="ignore"):
+        decohered = decohered_pattern(config, points)
+        coherent = coherent_pattern(config, points)
     if not decohered.any():
         raise ArithmeticError("both packets underflow to 0 at every sample of the scan line")
     peak = decohered.max()
@@ -145,4 +149,4 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
             f"its largest sampled value): the fringe period {period:.3g} a_B is too long "
             f"for a scan of one period"
         )
-    return offsets, coherent_pattern(config, points), decohered
+    return offsets, coherent, decohered

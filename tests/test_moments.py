@@ -124,8 +124,8 @@ def test_damped_moments_accuracy_below_re_mu_half(re_mu):
         got, ref = damped_moments(mu, 1.0, 6), ref_moments(mu, 1.0, 6)
         worst3 = max(worst3, max_rel_err(got[:4], ref[:4]))
         worst6 = max(worst6, max_rel_err(got, ref))
-    assert worst3 <= 1e-9
-    assert worst6 <= 2e-6
+    assert worst3 <= 3e-12
+    assert worst6 <= 1.5e-10
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,14 @@
 Hypothesis draws. Derandomized and without an example database, so every
 run draws the same examples and writes nothing to the working tree."""
 
+import cmath
 import io
 import math
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -51,6 +52,42 @@ def test_miller_branch_moments_match_mpmath(n_max, re_frac, sq_frac, upper, log_
     a = 10.0**log_a
     b = mu * math.sqrt(a)
     assert max_rel_err(damped_moments(b, a, n_max), ref_moments(b, a, n_max)) <= 1e-13
+
+
+def _examples(cases):
+    def apply(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return apply
+
+
+#: log2 |mu|^2 on both sides of the octave edges 2^k, k = 8..17, at which the
+#: series branch of damped_moments changes its band
+_OCTAVE_EDGES = [k + side for k in range(8, 18) for side in (0.0, math.log2(1.0 - 1e-12))]
+
+
+@settings(REPRODUCIBLE, max_examples=300)
+@given(
+    st.sampled_from([1, 3, 4, 6, 7, 12]),
+    st.floats(7.0, math.log2(1e12)),
+    st.floats(-1.55, 1.55),
+    st.floats(-3.0, 2.0),
+)
+@_examples([(n_max, 0.0, arg, 0.0) for n_max in (1, 3, 4, 6, 7, 12) for arg in (0.0, 1.51)])
+@_examples([(6, edge, arg, 0.0) for edge in _OCTAVE_EDGES for arg in (0.0, -1.5)])
+def test_series_branch_moments_match_mpmath(n_max, log2_mu_sq, arg, log_a):
+    # the series branch: |mu|^2 from 170 + 14 n_max, to which a smaller
+    # 2^log2_mu_sq is raised, up to 1e12. Each octave of |mu|^2 is summed
+    # with the terms its lower edge needs, or the threshold if that is higher
+    top = 170.0 + 14.0 * n_max
+    mu = cmath.rect(math.sqrt(max(2.0**log2_mu_sq, top)), arg)
+    a = 10.0**log_a
+    b = mu * math.sqrt(a)
+    # rounding can leave |mu|^2 an ulp below the threshold, off the branch
+    while abs(b / math.sqrt(a)) ** 2 < top:
+        b *= 1.0 + 2.0**-52
+    assert max_rel_err(damped_moments(b, a, n_max), ref_moments(b, a, n_max)) <= 1e-14
 
 
 @REPRODUCIBLE

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_screen_scan_that_cannot_resolve_the_envelope_is_arithmetic_error(
         ArithmeticError, match=f"^only {resolved} of {n_points} samples resolve the packet envelope"
     ):
         screen_scan(config, n_points)
+
+
+@pytest.mark.parametrize(
+    "slit_x, match",
+    [(5e-301, "^only 1 of 5 samples resolve"), (5e199, "underflow")],
+)
+def test_screen_scan_past_the_float_range_raises_only_the_error(slit_x, match):
+    # the squared distance from a packet to the far samples overflows; the
+    # packet is 0 there, and a library caller sees the error and no warning
+    config = _far_field_config(slit1=(slit_x, 0.0, 0.0), slit2=(-slit_x, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=match):
+            screen_scan(config, 5)
 
 
 @pytest.mark.parametrize("separation, n_points", [(100.0, 201), (1000.0, 5)])

@@ -14,11 +14,9 @@ import atomdecoh
 from atomdecoh import scattering
 from atomdecoh.density import Z_EFF_HELIUM
 from atomdecoh.quadrature import (
-    _SERIES_TERMS,
     QuadratureError,
     _miller_start,
     _miller_starts,
-    _series_terms,
     damped_moments,
 )
 from atomdecoh.scattering import (
@@ -106,7 +104,9 @@ def _branch_points():
     """(b, a) in every branch of damped_moments at n_max = 6: a = 0; the
     asymptotic series (|mu|^2 >= 254); the upward recurrence (|mu|^2 <= 6);
     Miller's recurrence (Re mu >= 0.5); and past the cap (Re mu < 0.5),
-    both where the capped recurrence wins and where the upward one does."""
+    both where the capped recurrence wins and where the upward one does;
+    and, at a = 1, the octave edges 2^k and 2^k (1 - 1e-12), k = 8..17, at
+    which the series branch changes its band (2^16 exactly: mu = 256)."""
     mus = [cmath.rect(r, phi) for r in (0.3, 1.5, 2.4)
            for phi in np.linspace(-math.pi / 2 + 0.2, math.pi / 2 - 0.2, 5)]
     mus += [complex(x, y) for x in (0.5, 1.0, 3.0, 8.0) for y in (-12.0, -4.0, 0.0, 5.0)]
@@ -115,6 +115,8 @@ def _branch_points():
             for s in (6.5, 16.0, 60.0, 140.0, 230.0)]
     points = [(mu * math.sqrt(a), a) for mu in mus for a in (1e-3, 0.7, 40.0)]
     points += [(complex(2.0, -5.0), 0.0), (complex(0.1, 3.0), 0.0)]
+    points += [(cmath.rect(math.sqrt(2.0**k * side), phi), 1.0) for k in range(8, 18)
+               for side in (1.0, 1.0 - 1e-12) for phi in (0.0, 1.0, -1.5)]
     return points
 
 
@@ -144,13 +146,6 @@ def test_scalar_and_array_moments_share_one_start_rule(n_max):
     mus += [complex(mu) for mu in re + 1j * rng.uniform(-20.0, 20.0, re.size)]
     scalar = [_miller_start(mu, n_max) or 0 for mu in mus]
     assert scalar == _miller_starts(np.array(mus), n_max).tolist()
-
-
-def test_series_factor_table_outlasts_every_series():
-    # the scalar series takes its factors from a table of _SERIES_TERMS per n
-    # and would stop early past it; the branch starts at |mu|^2 = 170 + 14 n
-    # at the latest, and a larger |mu|^2 needs fewer terms
-    assert max(_series_terms(n, 170.0 + 14.0 * n) for n in range(400)) + 2 <= _SERIES_TERMS
 
 
 def test_damped_moments_where_mu_squared_overflows():
