@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from atomdecoh import scattering
 from atomdecoh.cli import (
     IO_EXIT,
     NUMERIC_EXIT,
@@ -170,9 +172,35 @@ def test_numeric_failure_names_command_computation_and_parameters(capsys, argv, 
         assert name in err
 
 
-def test_untrusted_cross_section_angle_is_one_exact_line(capsys):
-    # at z0 = 12 and 1e-5 eV the forward angle's error estimate stays above
-    # 1e-10 even at half the node spacing
+def test_readme_cross_section_values(capsys):
+    # the README run's CSV, as written before the nested tanh-sinh ladder;
+    # its values are compared parsed, not byte for byte
+    code, out, _ = _run(capsys, "xsection", "--energy-ev", "1.0", "--method", "both",
+                        "--points", "19")
+    assert code == 0
+    golden = (Path(__file__).parent / "readme_xsection.csv").read_text(encoding="utf-8")
+    header, rows = _data_rows(out)
+    golden_header, golden_rows = _data_rows(golden)
+    assert header == golden_header
+    assert len(rows) == len(golden_rows) == 19
+    for row, golden_row in zip(rows, golden_rows):
+        for value, expected in zip(map(float, row), map(float, golden_row)):
+            assert abs(value - expected) <= 1e-11 * abs(expected)
+
+
+def test_slow_neutrons_off_a_narrow_packet_scan(capsys):
+    code, out, _ = _run(capsys, "xsection", "--energy-ev", "1e-5", "--z0", "12",
+                        "--points", "5")
+    assert code == 0
+    _, rows = _data_rows(out)
+    assert len(rows) == 5
+    assert all(float(row[1]) > 0.0 for row in rows)
+
+
+def test_untrusted_cross_section_angle_is_one_exact_line(monkeypatch, capsys):
+    # at z0 = 12 and 1e-5 eV the forward angle is trusted only at level 7;
+    # a ladder cut at level 6 leaves its error estimate above 1e-10
+    monkeypatch.setattr(scattering, "_LEVELS", (5, 6))
     code, out, err = _run(capsys, "xsection", "--energy-ev", "1e-5", "--z0", "12",
                           "--points", "5")
     assert code == NUMERIC_EXIT

@@ -9,6 +9,8 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import mpmath as mp
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -17,9 +19,9 @@ from atomdecoh.cli import SCHEMAS, main
 from atomdecoh.density import purity
 from atomdecoh.momentum import electron_limit, gaussian_limit, momentum_density
 from atomdecoh.quadrature import damped_moments
-from atomdecoh.scattering import tau_transform
+from atomdecoh.scattering import _tau_damped, tau_transform
 from oracles import normalization_integral
-from test_moments import max_rel_err, ref_moments
+from test_moments import KERNEL_SQ, max_rel_err, ref_moments
 
 REPRODUCIBLE = settings(derandomize=True, deadline=None, database=None)
 
@@ -115,6 +117,57 @@ def test_tau_transform_is_real_and_even_in_omega(kappa, omega, z0):
     assert value.imag == 0.0 and mirrored.imag == 0.0
     # |F(omega)| <= F(0), the integral of a positive function
     assert abs(value.real - mirrored.real) <= 1e-14 * tau_transform(kappa, 0.0, z0).real
+
+
+def _undamped_weight_reference(kappa, omega):
+    """2 Re sum_n c_n kappa^n n!/(2 kappa + i omega)^(n+1), the z0 = 0
+    spectral weight as its factorial-moment sum, at 400 digits: the sum
+    cancels like (omega/kappa)^5, about 1e100 at omega/kappa = 1e20."""
+    with mp.workdps(400):
+        k = mp.mpf(kappa)
+        b = 2 * k + 1j * mp.mpf(omega)
+        total = sum(mp.mpf(num) / den * k**n * mp.factorial(n) / b ** (n + 1)
+                    for n, (num, den) in enumerate(KERNEL_SQ))
+        return float(2 * total.real)
+
+
+@settings(REPRODUCIBLE, max_examples=300)
+@given(st.floats(-12.0, 3.0), st.one_of(st.just(-math.inf), st.floats(-15.0, 8.0)),
+       st.booleans())
+def test_undamped_spectral_weight_matches_the_moment_sum(log_kappa, log_omega, negative):
+    kappa = 10.0**log_kappa
+    omega = -(10.0**log_omega) if negative else 10.0**log_omega
+    ref = _undamped_weight_reference(kappa, omega)
+    assert abs(tau_transform(kappa, omega, 0.0).real - ref) <= 4e-15 * ref
+
+
+@REPRODUCIBLE
+@given(st.floats(-12.0, 3.0), st.floats(-300.0, 300.0), st.booleans())
+@example(-12.0, 300.0, False)
+@example(3.0, 300.0, True)
+def test_undamped_spectral_weight_is_finite_at_any_frequency(log_kappa, log_ratio, negative):
+    # |omega| / kappa up to 1e300: far past the peak the weight underflows to
+    # 0, and neither the scalar nor the array form overflows on the way
+    kappa = 10.0**log_kappa
+    omega = kappa * 10.0**log_ratio * (-1.0 if negative else 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = tau_transform(kappa, omega, 0.0).real
+        array = _tau_damped(np.array([kappa, kappa]), np.array([omega, -omega]), 0.0)
+    assert math.isfinite(value) and value >= 0.0
+    assert array.tolist() == [value, value]
+
+
+@REPRODUCIBLE
+@given(st.floats(-12.0, 3.0), st.floats(-2.0, 2.0))
+def test_slightly_damped_spectral_weight_tends_to_the_undamped_one(log_kappa, ratio):
+    # the damping moves F by about z0^2 = 1e-18 relative. For |omega| up to
+    # 2 kappa the damped moment sum cancels little; past it the sum loses
+    # about 5 log10(|omega| / kappa) digits
+    kappa = 10.0**log_kappa
+    omega = ratio * kappa
+    undamped = tau_transform(kappa, omega, 0.0).real
+    assert abs(tau_transform(kappa, omega, 1e-9).real - undamped) <= 1e-14 * undamped
 
 
 @REPRODUCIBLE

@@ -1,5 +1,6 @@
-"""The cross-section engine: fixed tanh-sinh nodes evaluated as arrays over
-angles x nodes, and the array form of the damped moments beneath it."""
+"""The cross-section engine: a nested ladder of tanh-sinh rules evaluated
+as arrays over angles x nodes, and the array form of the damped moments
+beneath it."""
 
 import cmath
 import math
@@ -78,10 +79,14 @@ def test_fixed_nodes_match_adaptive_oracle(theta, energy, z0):
     assert error <= 1e-10 * value
 
 
-@pytest.mark.parametrize("theta,energy,z0", [(1e-6, 1e-5, 0.0), (0.01, 1e-4, 0.5), (1e-6, 1e-6, 2.0)])
+@pytest.mark.parametrize("theta,energy,z0", [
+    (1e-6, 1e-5, 0.0), (0.01, 1e-4, 0.5), (1e-6, 1e-6, 2.0),
+    (1e-6, 1e-5, 12.0), (0.5, 1e-6, 12.0), (math.pi, 1e-5, 12.0),
+])
 def test_slow_neutrons_at_forward_angles_match_adaptive_oracle(theta, energy, z0):
     # below q ~ 0.2 the branch point of kappahat (|k - k'| = 0) comes within
-    # 0.1 of the axis in the stretched variable; the peak is split below it
+    # 0.1 of the axis in the stretched variable; the peak is split below it.
+    # Off a narrow packet (z0 = 12) these angles are trusted only at level 7
     q = ScatteringConfig(E_n_ev=energy).q
     (value,) = _reduced_integrals(np.array([theta]), q, z0)[0]
     ref, _ = reduced_integral_quad(theta, q, 4.0, Z_EFF_HELIUM, z0)
@@ -98,6 +103,92 @@ def test_scan_and_total_are_the_single_angle_values():
         w * diff_cross_section_numeric(config, math.acos(x)) for x, w in zip(nodes, weights)
     )
     assert total_cross_section_numeric(config) == pytest.approx(total, rel=1e-14)
+
+
+def _one_shot(theta, q, z0, level):
+    """The reduced integral at every angle of theta by the tanh-sinh rule of
+    the given level, all of its nodes at once."""
+    node_sums = scattering._node_sums(theta, q, z0)
+    return node_sums(np.arange(theta.size), *scattering._tanh_sinh(level, False))
+
+
+def _trust_levels(theta, q, z0):
+    """The rung at which each angle of theta passes the trust test, from
+    one-shot rules at consecutive levels, and its one-shot value there."""
+    levels = np.zeros(theta.size, dtype=int)
+    values = np.full(theta.size, np.nan)
+    coarse = _one_shot(theta, q, z0, scattering._LEVELS[0] - 1)
+    for level in scattering._LEVELS:
+        value = _one_shot(theta, q, z0, level)
+        passed = (levels == 0) & np.isfinite(value) & (
+            np.abs(value - coarse) <= scattering._ACCURACY * np.abs(value))
+        levels[passed], values[passed] = level, value[passed]
+        coarse = value
+    return levels, values
+
+
+#: (E, z0, points) of scans whose angles, between them, are trusted at every
+#: rung: levels 4 and 5 at 1 eV, 5 at 0.05 eV, 6 at 1e-3 eV and 7 at 1e-5 eV
+_LADDER_SCANS = [(1.0, 0.0, 19), (1.0, 2.0, 19), (0.05, 12.0, 19), (1e-3, 12.0, 9),
+                 (1e-5, 12.0, 5)]
+
+
+def _scan_grid(points):
+    """The angles of angular_scan(config, points)."""
+    grid = np.linspace(0.0, math.pi, points)
+    grid[0] = scattering.FORWARD_EPSILON
+    return grid
+
+
+@pytest.mark.parametrize("energy,z0,points", _LADDER_SCANS)
+def test_ladder_values_are_the_one_shot_rule_where_trusted(energy, z0, points):
+    q = ScatteringConfig(E_n_ev=energy).q
+    grid = _scan_grid(points)
+    levels, expected = _trust_levels(grid, q, z0)
+    assert np.all(levels > 0)
+    values, _ = _reduced_integrals(grid, q, z0)
+    np.testing.assert_allclose(values, expected, rtol=1e-15, atol=0.0)
+
+
+def test_ladder_scans_reach_every_rung():
+    reached = set()
+    for energy, z0, points in _LADDER_SCANS:
+        grid = _scan_grid(points)
+        reached.update(_trust_levels(grid, ScatteringConfig(E_n_ev=energy).q, z0)[0].tolist())
+    assert reached == set(scattering._LEVELS)
+
+
+def _evaluations(monkeypatch, call):
+    """The number of integrand values call() asks of the spectral weight."""
+    count = 0
+    tau = scattering._tau_damped
+
+    def counted(kappa_val, omega, z0):
+        nonlocal count
+        count += np.size(kappa_val)
+        return tau(kappa_val, omega, z0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scattering, "_tau_damped", counted)
+        call()
+    return count
+
+
+def test_ladder_evaluates_no_node_twice(monkeypatch):
+    # the README scan is trusted at level 4 everywhere: it costs the level-4
+    # rule's nodes, the level-3 start included
+    config = ScatteringConfig(E_n_ev=1.0)
+    scan = _evaluations(monkeypatch, lambda: angular_scan(config, 19, "numeric"))
+    assert scan == _evaluations(monkeypatch, lambda: _one_shot(_scan_grid(19), config.q, 0.0, 4))
+    # an angle trusted at level 6 costs the level-6 rule's nodes, not those
+    # of level 5 on top of them
+    grid = _scan_grid(9)
+    q = ScatteringConfig(E_n_ev=1e-3).q
+    levels, _ = _trust_levels(grid, q, 12.0)
+    theta = grid[levels == 6][:1]
+    assert theta.size == 1
+    retried = _evaluations(monkeypatch, lambda: _reduced_integrals(theta, q, 12.0))
+    assert retried == _evaluations(monkeypatch, lambda: _one_shot(theta, q, 12.0, 6))
 
 
 def _branch_points():
@@ -174,7 +265,8 @@ def test_error_estimate_above_accuracy_raises(monkeypatch):
     assert issubclass(QuadratureError, ArithmeticError)
     config = ScatteringConfig(E_n_ev=1.0, z0=0.5)
     assert diff_cross_section_numeric(config, 1.0) > 0.0
-    monkeypatch.setattr(scattering, "_LEVEL", 1)
+    # a ladder of levels 1 and 2 trusts no angle
+    monkeypatch.setattr(scattering, "_LEVELS", (1, 2))
     with pytest.raises(QuadratureError, match="error estimate"):
         diff_cross_section_numeric(config, 1.0)
     with pytest.raises(QuadratureError, match="at theta=1e-06: "):
