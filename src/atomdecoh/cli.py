@@ -368,13 +368,10 @@ RUNNERS = {
 def main(argv: list[str] | None = None) -> int:
     """Compute everything first and write only then, so a failed run leaves
     no partial output on stdout or in --output."""
+    params: dict = {}
     try:
         args = _parser().parse_args(argv)
         params = resolve_parameters(args)
-    except (UsageError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
         # numpy's floating-point warnings would reach stderr; the runners
         # check their results for non-finite values instead
         with np.errstate(all="ignore"):

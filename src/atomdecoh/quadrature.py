@@ -339,21 +339,21 @@ def _backward_array(mu: np.ndarray, j0: np.ndarray, n_max: int, starts: np.ndarr
     return _backward(mu, j0, n_max, n_max, g)
 
 
-def damped_moments(b, a, n_max: int):
+def damped_moments(b, a: float, n_max: int):
     """I_n = int_0^inf s^n exp(-b s - a s^2) ds for n = 0..n_max;
     Re b > 0, a >= 0, both finite.
 
-    For scalar b and a the result is a list of n_max + 1 complex numbers.
-    If b or a is a numpy.ndarray (not a subclass), the two are broadcast
-    together and give an array of shape (n_max + 1,) + that shape. Each
-    element takes the branch, the series band and the backward-recurrence
-    start its scalar call takes, and the elements of a branch (or band) are
-    evaluated together; both forms sum the asymptotic series by Horner's
-    rule on the same coefficients. The two agree to a few units in the last
-    place, and past the cap to what the recurrence makes of that, because
-    numpy rounds complex products differently from Python
-    (tests/test_xsection_engine.py). Scalars pick their branch by plain
-    comparisons, since the array masks cost more than a whole scalar call.
+    a is one float: an array a raises TypeError. A scalar b gives a list of
+    n_max + 1 complex numbers, and a 1-D numpy.ndarray b (not a subclass)
+    an array of shape (n_max + 1, b.size). The two forms share the
+    validation and the a = 0 limit. Each element takes the branch, the
+    series band and the backward-recurrence start its scalar call takes,
+    and the elements of a branch (or band) are evaluated together, the
+    series by Horner's rule on the same coefficients. The two agree to a
+    few units in the last place, and past the cap to what the recurrence
+    makes of that, because numpy rounds complex products differently from
+    Python (tests/test_xsection_engine.py). Scalars pick their branch by
+    plain comparisons, since the array masks cost more than a whole call.
 
     With mu = b / sqrt(a), J_n = a^((n+1)/2) I_n obeys
     mu J_n + 2 J_{n+1} = n J_{n-1} (n >= 1), and
@@ -400,18 +400,27 @@ def damped_moments(b, a, n_max: int):
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if type(b) is _ARRAY or type(a) is _ARRAY:
-        return _damped_moments_array(b, a, n_max)
-    b = complex(b)
+    if type(a) is _ARRAY:
+        raise TypeError("damped moments take one float a; only b may be an array")
+    array = type(b) is _ARRAY
+    if array:
+        b = np.asarray(b, dtype=complex)
+        if b.ndim != 1:
+            raise ValueError(f"damped moments take a 1-D array b, got shape {b.shape}")
+        valid_b = np.isfinite(b).all() and (b.real > 0.0).all()
+    else:
+        b = complex(b)
+        valid_b = cmath.isfinite(b) and b.real > 0.0
     a = float(a)
-    if not (cmath.isfinite(b) and math.isfinite(a)):
-        raise ValueError(f"damped moments need finite b and a, got b={b!r}, a={a!r}")
-    if b.real <= 0.0 or a < 0.0:
-        raise ValueError(f"damped moments need Re b > 0 and a >= 0, got b={b!r}, a={a!r}")
+    if not (valid_b and 0.0 <= a < math.inf):
+        raise ValueError(f"damped moments need finite b, Re b > 0 and finite a >= 0, got a={a!r}")
     if a == 0.0:
         inv_b = 1.0 / b
-        return [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)]
+        moments = [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)]
+        return np.array(moments) if array else moments
     root = math.sqrt(a)
+    if array:
+        return _damped_moments_array(b, a, root, n_max)
     mu = b / root
     # a product, not ** 2, which raises OverflowError past |mu| ~ 1.3e154
     mu_abs = abs(mu)
@@ -431,49 +440,36 @@ def damped_moments(b, a, n_max: int):
     return _unscale(_backward(mu, j0, n_max, start, _seed(mu, start)), root)
 
 
-def _damped_moments_array(b, a, n_max: int) -> np.ndarray:
-    b, a = np.broadcast_arrays(np.asarray(b, dtype=complex), np.asarray(a, dtype=float))
-    shape = b.shape
-    b, a = b.ravel(), a.ravel()
-    if not (np.isfinite(b).all() and np.isfinite(a).all()):
-        raise ValueError("damped moments need finite b and a")
-    if (b.real <= 0.0).any() or (a < 0.0).any():
-        raise ValueError("damped moments need Re b > 0 and a >= 0")
+def _damped_moments_array(b: np.ndarray, a: float, root: float, n_max: int) -> np.ndarray:
+    """damped_moments for a validated 1-D b and a > 0, root = sqrt(a)."""
     out = np.empty((n_max + 1, b.size), dtype=complex)
 
     def put(idx, moments):
         for row, moment in zip(out, moments):
             row[idx] = moment
 
-    exact = np.flatnonzero(a == 0.0)
-    inv_b = 1.0 / b[exact]
-    put(exact, [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)])
-    damped = np.flatnonzero(a != 0.0)
-    root = np.sqrt(a[damped])
     # b / root part by part, as Python divides a complex by a float
-    mu = b[damped].copy()
+    mu = b.copy()
     mu.real /= root
     mu.imag /= root
     with np.errstate(over="ignore"):
         mu_sq = np.abs(mu) ** 2
     series = mu_sq >= 170.0 + 14.0 * n_max
-    idx = damped[series]
-    bands = np.frexp(np.minimum(mu_sq[series], 2.0**_OPEN_BAND))[1] - 1
+    idx = np.flatnonzero(series)
+    bands = np.frexp(np.minimum(mu_sq[idx], 2.0**_OPEN_BAND))[1] - 1
     for band in np.unique(bands).tolist():
         members = idx[bands == band]
-        put(members, _series(b[members], a[members], n_max, band))
-    rest = ~series
-    if rest.any():
-        idx, mu, mu_sq, root = damped[rest], mu[rest], mu_sq[rest], root[rest]
-        j0 = _HALF_SQRT_PI * _faddeeva(0.5j * mu)
-        starts = np.zeros(mu.shape, dtype=int)
-        miller = mu_sq > _UPWARD_MU_SQ
-        starts[miller] = _miller_starts(mu[miller], n_max)
-        up = starts == 0
-        if up.any():
-            put(idx[up], _unscale(_upward(mu[up], j0[up], n_max), root[up]))
-        back = ~up
-        if back.any():
-            js = _backward_array(mu[back], j0[back], n_max, starts[back])
-            put(idx[back], _unscale(js, root[back]))
-    return out.reshape((n_max + 1,) + shape)
+        put(members, _series(b[members], a, n_max, band))
+    idx = np.flatnonzero(~series)
+    mu, mu_sq = mu[idx], mu_sq[idx]
+    j0 = _HALF_SQRT_PI * _faddeeva(0.5j * mu)
+    starts = np.zeros(mu.shape, dtype=int)
+    miller = mu_sq > _UPWARD_MU_SQ
+    starts[miller] = _miller_starts(mu[miller], n_max)
+    up = starts == 0
+    put(idx[up], _unscale(_upward(mu[up], j0[up], n_max), root))
+    back = ~up
+    if back.any():
+        js = _backward_array(mu[back], j0[back], n_max, starts[back])
+        put(idx[back], _unscale(js, root))
+    return out

@@ -119,17 +119,18 @@ class AngularTable:
                 raise ValueError("cross-section values must be nonnegative")
 
 
-def tau_transform(kappa_val: float, omega: float, z0: float) -> complex:
+def tau_transform(kappa_val: float, omega: float, z0: float) -> float:
     """Spectral weight F(omega) = int dtau exp(-2 kappa |tau|)
-    (1 + kappa|tau| + kappa^2 tau^2 / 3)^2 exp(-i omega tau - z0^2 kappa^2 tau^2 / 8).
+    (1 + kappa|tau| + kappa^2 tau^2 / 3)^2 exp(-i omega tau - z0^2 kappa^2 tau^2 / 8),
+    a real number, in closed form for every z0.
 
-    Closed form for every z0: at z0 = 0 the real rational function
-    (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5) of u = omega / (2 kappa),
-    within 1.5e-15 relative of a 400-digit reference for kappa in
-    [1e-12, 1e3] and |omega| up to 1e8, finite and nonnegative at any
-    |omega| / kappa; damped moments for z0 > 0. At kappa = 0 the integral
-    is distributional (2 pi delta(omega)) for every z0 and is rejected, as
-    is non-finite input.
+    kappa F is a function of u = omega / (2 kappa) alone: to 1e-14 relative
+    at |u| <= 1 for kappa in [1e-300, 1e300] (tests/test_properties.py). At
+    z0 = 0 F is (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5), within 1.5e-15
+    relative of a 400-digit reference for kappa in [1e-12, 1e3] and |omega|
+    up to 1e8, finite and nonnegative at any |omega| / kappa; damped moments
+    for z0 > 0. At kappa = 0 the integral is distributional
+    (2 pi delta(omega)) for every z0 and is rejected, as is non-finite input.
     """
     if not all(math.isfinite(x) for x in (kappa_val, omega, z0)):
         raise ValueError(
@@ -139,35 +140,36 @@ def tau_transform(kappa_val: float, omega: float, z0: float) -> complex:
         raise ValueError("kappa_val and z0 must be nonnegative")
     if kappa_val == 0.0:
         raise ValueError("tau_transform singular at kappa = 0")
-    return complex(_tau_damped(kappa_val, omega, z0), 0.0)
+    return float(_tau_damped(kappa_val, omega, z0))
 
 
 def _tau_damped(kappa_val, omega, z0: float):
     """Closed-form spectral weight, elementwise for arrays kappa_val and omega.
 
-    For z0 > 0, 2 Re sum_n c_n kappa^n I_n(2 kappa + i omega, z0^2 kappa^2 / 8)
-    in damped moments. At z0 = 0 the moments are n!/b^(n+1), and the sum is
-    the real rational function (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5) of
-    u = omega / (2 kappa). It is summed as t^3 (1 + 4t + 16t^2) / (6 kappa)
-    in t = 1/(1 + u^2), in (0, 1], whose terms are all positive; t is formed
-    from |omega|/2 and kappa scaled by the larger of the two, so nothing
-    overflows and the value is finite wherever it is representable."""
+    kappa F is a function of u = omega / (2 kappa) alone. For z0 > 0 it is
+    (2 / kappa) Re sum_n c_n I_n(2 + 2iu, z0^2 / 8) in damped moments, one
+    damping for every element; 2u is capped at 1e300, past which F is below
+    the smallest double, and z0^2 / 8 past the largest raises OverflowError.
+    At z0 = 0 it is (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5), summed as
+    t^3 (1 + 4t + 16t^2) / (6 kappa) in t = 1/(1 + u^2), in (0, 1], whose
+    terms are all positive; t is formed from |omega|/2 and kappa scaled by
+    the larger of the two, so nothing overflows and the value is finite
+    wherever it is representable."""
     if z0 == 0.0:
         half = 0.5 * abs(omega)
         scale = np.maximum(half, kappa_val)
         x, y = half / scale, kappa_val / scale
         t = y * y / (x * x + y * y)
         return t * t * t * (1.0 + t * (4.0 + 16.0 * t)) / 6.0 / kappa_val
-    with np.errstate(over="raise"):
-        a = (z0 * kappa_val) ** 2 / 8.0
-    b = 2.0 * kappa_val + 1j * omega
-    moments = damped_moments(b, a, len(KERNEL_SQ_POLY) - 1)
+    a = z0 * z0 / 8.0
+    if a == math.inf:
+        raise OverflowError(f"spectral weight: z0^2 / 8 overflows at z0 = {z0!r}")
+    ratio = omega / np.maximum(kappa_val, 1e-300 * np.abs(omega))
+    moments = damped_moments(2.0 + 1j * ratio, a, len(KERNEL_SQ_POLY) - 1)
     total = 0.0
-    power = 2.0
     for c_n, moment in zip(KERNEL_SQ_POLY, moments):
-        total += (c_n * power) * moment.real
-        power = power * kappa_val
-    return total
+        total += c_n * moment.real
+    return 2.0 * total / kappa_val
 
 
 def f_theta(theta: float) -> float:

@@ -197,6 +197,17 @@ def test_slow_neutrons_off_a_narrow_packet_scan(capsys):
     assert all(float(row[1]) > 0.0 for row in rows)
 
 
+def test_fast_neutrons_off_a_narrow_packet_scan(capsys):
+    # kappa is below 1e-55 at every node; the spectral weight is computed
+    # at kappa = 1, so its moments neither overflow nor underflow
+    code, out, _ = _run(capsys, "xsection", "--energy-ev", "1e120", "--z0", "12",
+                        "--points", "3")
+    assert code == 0
+    _, rows = _data_rows(out)
+    assert len(rows) == 3
+    assert all(math.isfinite(float(value)) for row in rows for value in row)
+
+
 def test_untrusted_cross_section_angle_is_one_exact_line(monkeypatch, capsys):
     # at z0 = 12 and 1e-5 eV the forward angle is trusted only at level 7;
     # a ladder cut at level 6 leaves its error estimate above 1e-10
@@ -290,6 +301,16 @@ def test_unwritable_output_is_io_error(capsys):
     )
     assert code == IO_EXIT
     assert "i/o failure" in err
+
+
+@pytest.mark.parametrize("subcommand", ["purity", "momentum"])
+def test_unreadable_config_file_is_io_error(tmp_path, capsys, subcommand):
+    for config in (tmp_path / "missing.cfg", tmp_path):
+        code, out, err = _run(capsys, subcommand, "--config", str(config))
+        assert code == IO_EXIT
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"i/o failure: cannot read config file {config}: ")
 
 
 def test_purity_default_grid(capsys):

@@ -119,6 +119,21 @@ def test_tau_transform_is_real_and_even_in_omega(kappa, omega, z0):
     assert abs(value.real - mirrored.real) <= 1e-14 * tau_transform(kappa, 0.0, z0).real
 
 
+@settings(REPRODUCIBLE, max_examples=300)
+@given(
+    st.floats(-300.0, 300.0),
+    st.floats(-1.0, 1.0),
+    st.one_of(st.just(0.0), st.floats(1e-2, 12.0)),
+)
+@example(-300.0, 1.0, 12.0)
+@example(300.0, -1.0, 1e-2)
+def test_spectral_weight_is_scale_free(log_kappa, u, z0):
+    # kappa F(kappa, 2 u kappa) depends on u alone, at any scale of kappa
+    kappa = 10.0**log_kappa
+    unit = tau_transform(1.0, 2.0 * u, z0)
+    assert abs(kappa * tau_transform(kappa, 2.0 * u * kappa, z0) - unit) <= 1e-14 * unit
+
+
 def _undamped_weight_reference(kappa, omega):
     """2 Re sum_n c_n kappa^n n!/(2 kappa + i omega)^(n+1), the z0 = 0
     spectral weight as its factorial-moment sum, at 400 digits: the sum
@@ -252,7 +267,11 @@ def test_cli_exits_cleanly_on_any_flags(tmp_path_factory, subcommand, data):
         value = data.draw(_KEY_VALUES.get(key, _FLAG_VALUES))
         flag = "--" + key.replace("_", "-")
         argv += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
-    if data.draw(st.integers(0, 3)) == 0:
+    # a config file a quarter of the time, and one that does not exist an eighth
+    config_kind = data.draw(st.integers(0, 7))
+    if config_kind == 2:
+        argv += ["--config", str(tmp_path_factory.getbasetemp() / "missing.cfg")]
+    elif config_kind < 2:
         lines = data.draw(st.lists(
             st.tuples(st.one_of(st.sampled_from(sorted(schema)), _FOREIGN_KEYS),
                       _FLAG_VALUES),
