@@ -229,10 +229,14 @@ def _write(path: str | None, text: str, default) -> None:
         fh.write(text)
 
 
-def _csv(header: list[str], columns: list[str], rows, trailer: list[str] = ()) -> str:
-    lines = header + [",".join(columns)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    return "\n".join(lines + list(trailer)) + "\n"
+def _csv(header: list[str], names: list[str], columns, trailer: list[str] = ()) -> str:
+    """The header lines, the names, a row per index of the equal-length
+    columns and the trailer lines. The values are formatted as _fmt does,
+    all of them in one % over a tuple of Python floats."""
+    values = np.column_stack(columns).ravel().tolist()
+    rows = (",".join(["%.11e"] * len(names)) + "\n") * (len(values) // len(names))
+    lines = "".join(line + "\n" for line in header + [",".join(names)])
+    return lines + rows % tuple(values) + "".join(line + "\n" for line in trailer)
 
 
 def run_purity(params: dict) -> str:
@@ -241,7 +245,7 @@ def run_purity(params: dict) -> str:
     with _stage("purity", "purity", params):
         values = [purity(z) for z in grid]
     _require_finite("purity", "purity", params, values)
-    return _csv(_header("purity", params), ["z", "tr_rho_sq"], zip(grid, values))
+    return _csv(_header("purity", params), ["z", "tr_rho_sq"], [grid, values])
 
 
 def run_momentum(params: dict) -> str:
@@ -258,7 +262,7 @@ def run_momentum(params: dict) -> str:
     return _csv(
         _header("momentum", params),
         ["q", "density", "gaussian_limit", "electron_limit"],
-        zip(dist.q_grid, dist.values, gaussian, electron),
+        [dist.q_grid, dist.values, gaussian, electron],
     )
 
 
@@ -287,7 +291,7 @@ def run_twoslit(params: dict) -> str:
     return _csv(
         _header("twoslit", params),
         ["screen_coordinate", "coherent_P", "decohered_P"],
-        zip(coords, coh, dec),
+        [coords, coh, dec],
         trailer,
     )
 
@@ -320,12 +324,7 @@ def run_xsection(params: dict) -> tuple[str, str]:
     _require_finite("xsection", "cross-section scan", params, *computed)
     q_sq = table.q**2
     with _stage("xsection", "anomalous fraction and condition margins", params):
-        rows = [
-            (theta, num, asym, h_theta(theta) / q_sq)
-            for theta, num, asym in zip(
-                table.theta_grid, table.dsigma_numeric, table.dsigma_asymptotic
-            )
-        ]
+        anomalous = [h_theta(theta) / q_sq for theta in table.theta_grid]
         margins = check_conditions(config)
     summary = {
         "q": table.q,
@@ -341,7 +340,7 @@ def run_xsection(params: dict) -> tuple[str, str]:
     csv = _csv(
         _header("xsection", params),
         ["theta_rad", "dsigma_numeric", "dsigma_asymptotic", "anomalous_fraction"],
-        rows,
+        [table.theta_grid, table.dsigma_numeric, table.dsigma_asymptotic, anomalous],
     )
     return csv, json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n"
 

@@ -131,6 +131,8 @@ def tau_transform(kappa_val: float, omega: float, z0: float) -> float:
     up to 1e8, finite and nonnegative at any |omega| / kappa; damped moments
     for z0 > 0. At kappa = 0 the integral is distributional
     (2 pi delta(omega)) for every z0 and is rejected, as is non-finite input.
+    Where F exceeds the largest double, which only kappa below about 2e-308
+    reaches (F(0) = 3.5 / kappa at z0 = 0), it raises OverflowError.
     """
     if not all(math.isfinite(x) for x in (kappa_val, omega, z0)):
         raise ValueError(
@@ -140,7 +142,11 @@ def tau_transform(kappa_val: float, omega: float, z0: float) -> float:
         raise ValueError("kappa_val and z0 must be nonnegative")
     if kappa_val == 0.0:
         raise ValueError("tau_transform singular at kappa = 0")
-    return float(_tau_damped(kappa_val, omega, z0))
+    with np.errstate(over="ignore"):
+        value = float(_tau_damped(kappa_val, omega, z0))
+    if not math.isfinite(value):
+        raise OverflowError(f"spectral weight overflows at kappa_val={kappa_val!r}")
+    return value
 
 
 def _tau_damped(kappa_val, omega, z0: float):
@@ -286,6 +292,14 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     The two flanks in d = u - u* follow, and the tail d in [2, inf) in
     t = 2/d, without the nodes at t < 1e-6. All cancellation-prone
     combinations are built from 1 - cos(theta) directly.
+
+    A call lays the nodes out as rows: one per (piece, angle) pair whose
+    piece is not empty, piece by piece, then one tail row per angle, and
+    evaluates the integrand once over all of them. Each row is summed
+    pairwise and np.bincount adds the row sums of an angle in piece order
+    from 0.0, so every value is the same to the bit as summing each piece
+    on its own and the pieces one after the other
+    (tests/oracles.py::node_sums_by_piece).
     """
     r = MASS_RATIO
     omc = 2.0 * np.sin(0.5 * theta) ** 2            # 1 - cos(theta), stable
@@ -320,37 +334,37 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     v_branch = np.arcsinh((c - u_star + 1j * np.sin(theta)) / h_peak)
     near = (np.abs(v_branch.imag) < 0.5 * third) & (np.abs(v_branch.real) < third)
     cut = np.where(near, v_branch.real, third)
-    pieces = [(lo, hi, stretched, False)
-              for lo, hi in ((-v_max, -v_mid), (-v_mid, -third), (-third, cut),
-                             (cut, third), (third, v_mid), (v_mid, v_max))]
-    pieces += [(-u_star, -reach, straight, False), (reach, zero + 2.0, straight, False),
-               (zero, zero + 1.0, inverted, True)]
+    # per angle, the bounds of the six stretched pieces in v, then of the two
+    # flanks in d; the tail, t = 2/d in (0, 1], is not empty at any angle
+    lo = np.stack((-v_max, -v_mid, -third, cut, third, v_mid, -u_star, reach), axis=1)
+    hi = np.stack((-v_mid, -third, cut, third, v_mid, v_max, -reach, zero + 2.0), axis=1)
+    kept, length = hi > lo, hi - lo
 
     def sums(idx, nodes, weights):
-        angle, d, fw, shapes = [], [], [], []
-        for lo, hi, to_d, tail in pieces:
-            kept = idx[hi[idx] > lo[idx]]
-            x_unit, w_unit = (nodes, weights) if not tail else (
-                nodes[nodes >= _TAIL_T_MIN], weights[nodes >= _TAIL_T_MIN])
-            length = (hi - lo)[kept, None]
-            d_piece, dd_dx = to_d(kept[:, None], lo[kept, None] + length * x_unit)
-            angle.append(np.repeat(kept, x_unit.size))
-            d.append(d_piece.ravel())
-            fw.append((length * dd_dx * w_unit).ravel())
-            shapes.append((kept, x_unit.size))
-        angle, d = np.concatenate(angle), np.concatenate(d)
-        ksq = (e[angle] - d) ** 2 + 2.0 * (u_star[angle] + d) * omc[angle]
+        # piece by piece, so the rows of the stretched pieces come first
+        piece, row = np.nonzero(kept[idx].T)
+        angle = idx[row]
+        size = length[angle, piece, None]
+        d = lo[angle, piece, None] + size * nodes
+        fw = size * weights
+        peak = np.searchsorted(piece, 6)
+        h = h_peak[angle[:peak], None]
+        fw[:peak] = size[:peak] * (h * np.cosh(d[:peak])) * weights
+        d[:peak] = h * np.sinh(d[:peak])
+        tail = nodes >= _TAIL_T_MIN
+        t = nodes[tail]
+        angle = np.concatenate((np.repeat(angle, nodes.size), np.repeat(idx, t.size)))
+        d = np.concatenate((d.ravel(), np.tile(2.0 / t, idx.size)))
+        fw = np.concatenate((fw.ravel(), np.tile(2.0 / (t * t) * weights[tail], idx.size)))
+        u = u_star[angle] + d
+        ksq = (e[angle] - d) ** 2 + 2.0 * u * omc[angle]
         kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
         w_hat = -w_slope[angle] * d - gamma * d * d
-        f = np.concatenate(fw) * (u_star[angle] + d) ** 2 * _tau_damped(kappa_hat, w_hat, z0)
-        # each piece's nodes are summed pairwise, then the pieces per angle
-        total = np.zeros(theta.size)
-        start = 0
-        for kept, size in shapes:
-            stop = start + kept.size * size
-            total[kept] += f[start:stop].reshape(kept.size, size).sum(axis=1)
-            start = stop
-        return total[idx]
+        f = fw * u**2 * _tau_damped(kappa_hat, w_hat, z0)
+        split = row.size * nodes.size
+        row_sums = np.concatenate((f[:split].reshape(row.size, nodes.size).sum(axis=1),
+                                   f[split:].reshape(idx.size, t.size).sum(axis=1)))
+        return np.bincount(np.concatenate((row, np.arange(idx.size))), row_sums, idx.size)
 
     return sums
 

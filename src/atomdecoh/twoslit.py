@@ -65,16 +65,22 @@ def _amplitudes(config: TwoSlitConfig, screen_point):
     return a_val, b_val
 
 
+def _coherent(config: TwoSlitConfig, a_val, b_val):
+    return np.abs(config.amp1 * a_val + config.amp2 * b_val) ** 2
+
+
+def _decohered(config: TwoSlitConfig, a_val, b_val):
+    return abs(config.amp1) ** 2 * np.abs(a_val) ** 2 + abs(config.amp2) ** 2 * np.abs(b_val) ** 2
+
+
 def coherent_pattern(config: TwoSlitConfig, screen_point):
     """P(r) = |a alpha(r, t0) + b beta(r, t0)|^2, interference included."""
-    a_val, b_val = _amplitudes(config, screen_point)
-    return np.abs(config.amp1 * a_val + config.amp2 * b_val) ** 2
+    return _coherent(config, *_amplitudes(config, screen_point))
 
 
 def decohered_pattern(config: TwoSlitConfig, screen_point):
     """P(r) = |a|^2 |alpha|^2 + |b|^2 |beta|^2, interference removed."""
-    a_val, b_val = _amplitudes(config, screen_point)
-    return abs(config.amp1) ** 2 * np.abs(a_val) ** 2 + abs(config.amp2) ** 2 * np.abs(b_val) ** 2
+    return _decohered(config, *_amplitudes(config, screen_point))
 
 
 def schmidt_overlap(config: TwoSlitConfig) -> float:
@@ -111,13 +117,15 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
     """Sample both patterns along the slit-separation axis on the screen.
 
     The scan line passes through the drifted midpoint, spans one fringe
-    period, and returns (offsets, coherent, decohered). At t0 = 0 there
-    are no fringes (ValueError); a fringe period that is not finite, a
-    decohered pattern that is 0 at every sample, or one that fewer than 3
-    samples resolve raises ArithmeticError. A sample resolves the envelope
-    where the decohered pattern reaches half its largest sampled value;
-    when the period dwarfs the packet width, the whole envelope falls
-    between two samples and no visibility can be read off the scan.
+    period, and returns (offsets, coherent, decohered), the patterns of
+    coherent_pattern and decohered_pattern from one evaluation of the two
+    packet amplitudes. At t0 = 0 there are no fringes (ValueError); a
+    fringe period that is not finite, a decohered pattern that is 0 at
+    every sample, or one that fewer than 3 samples resolve raises
+    ArithmeticError. A sample resolves the envelope where the decohered
+    pattern reaches half its largest sampled value; when the period dwarfs
+    the packet width, the whole envelope falls between two samples and no
+    visibility can be read off the scan.
     """
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
@@ -136,8 +144,9 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
     # where the squared distance to a packet overflows, its exponent is -inf
     # and the packet 0, its value to double precision
     with np.errstate(over="ignore"):
-        decohered = decohered_pattern(config, points)
-        coherent = coherent_pattern(config, points)
+        amplitudes = _amplitudes(config, points)
+        decohered = _decohered(config, *amplitudes)
+        coherent = _coherent(config, *amplitudes)
     if not decohered.any():
         raise ArithmeticError("both packets underflow to 0 at every sample of the scan line")
     peak = decohered.max()

@@ -18,7 +18,8 @@ can compare the two:
 * the normalization 4 pi int q^2 n(q) dq of the momentum density;
 * the spectral weight F(omega) for z0 > 0 by panelled quadrature;
 * the reduced cross-section integral by adaptive quadrature on the
-  sinh-stretched peak, the flanks and the tail;
+  sinh-stretched peak, the flanks and the tail, and the library's
+  tanh-sinh node sums evaluated piece by piece;
 * a sampled check of the off-diagonal bound of the reduced density matrix.
 """
 
@@ -36,7 +37,8 @@ from scipy.integrate import IntegrationWarning, quad
 from atomdecoh.density import reduced_density
 from atomdecoh.momentum import momentum_density
 from atomdecoh.quadrature import QuadratureError
-from atomdecoh.scattering import _tau_damped
+from atomdecoh.density import Z_EFF_HELIUM
+from atomdecoh.scattering import _TAIL_T_MIN, MASS_RATIO, _tau_damped
 from atomdecoh.wavepacket import GaussianPacket, width
 
 TRUNCATION_DECAY_LENGTHS = 40.0
@@ -411,6 +413,58 @@ def reduced_integral_quad(theta: float, q: float, mass_ratio: float, z_eff: floa
             f"peak u*={u_star:.6f}, width={h_peak:.3e}, error={err:.3e}"
         )
     return total, err
+
+
+def node_sums_by_piece(theta: np.ndarray, q: float, z0: float):
+    """scattering._node_sums as a loop over its nine pieces: each piece's
+    nodes for its angles in one array, summed pairwise per angle, and the
+    piece sums added per angle one piece after the other."""
+    r = MASS_RATIO
+    omc = 2.0 * np.sin(0.5 * theta) ** 2
+    c = 1.0 - omc
+    s15 = np.sqrt(c * c + r * r - 1.0)
+    e = (omc * (1.0 + c) / (s15 + r) + omc) / (r + 1.0)
+    u_star = 1.0 - e
+    w_slope = u_star + (u_star - c) / r
+    gamma = 0.5 * (1.0 + 1.0 / r)
+    kappa_scale = Z_EFF_HELIUM / (r * q)
+    kappa_peak = kappa_scale * np.sqrt(np.maximum(e * e + 2.0 * u_star * omc, 1e-300))
+    h_peak = np.maximum(kappa_peak, 1e-300) / w_slope
+    reach = np.minimum(0.5, 0.9 * u_star)
+    v_max = np.arcsinh(reach / h_peak)
+    v_mid = np.minimum(5.0, v_max)
+    zero = np.zeros_like(theta)
+    third = v_mid / 3.0
+    v_branch = np.arcsinh((c - u_star + 1j * np.sin(theta)) / h_peak)
+    near = (np.abs(v_branch.imag) < 0.5 * third) & (np.abs(v_branch.real) < third)
+    cut = np.where(near, v_branch.real, third)
+    maps = {"stretched": lambda i, v: (h_peak[i] * np.sinh(v), h_peak[i] * np.cosh(v)),
+            "straight": lambda i, x: (x, np.ones_like(x)),
+            "inverted": lambda i, t: (2.0 / t, 2.0 / (t * t))}
+    pieces = [(lo, hi, "stretched")
+              for lo, hi in ((-v_max, -v_mid), (-v_mid, -third), (-third, cut),
+                             (cut, third), (third, v_mid), (v_mid, v_max))]
+    pieces += [(-u_star, -reach, "straight"), (reach, zero + 2.0, "straight"),
+               (zero, zero + 1.0, "inverted")]
+
+    def sums(idx, nodes, weights):
+        total = np.zeros(theta.size)
+        for lo, hi, kind in pieces:
+            kept = idx[hi[idx] > lo[idx]]
+            x_unit, w_unit = (nodes, weights) if kind != "inverted" else (
+                nodes[nodes >= _TAIL_T_MIN], weights[nodes >= _TAIL_T_MIN])
+            length = (hi - lo)[kept, None]
+            d, dd_dx = maps[kind](kept[:, None], lo[kept, None] + length * x_unit)
+            angle = kept[:, None]
+            ksq = (e[angle] - d) ** 2 + 2.0 * (u_star[angle] + d) * omc[angle]
+            kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
+            w_hat = -w_slope[angle] * d - gamma * d * d
+            tau = _tau_damped(kappa_hat.ravel(), w_hat.ravel(), z0).reshape(d.shape)
+            f = length * dd_dx * w_unit * (u_star[angle] + d) ** 2 * tau
+            total[kept] += f.sum(axis=1)
+        return total[idx]
+
+    return sums
 
 
 def verify_offdiagonal_bound(

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atomdecoh import scattering
+from atomdecoh import cli, scattering
 from atomdecoh.cli import (
     IO_EXIT,
     NUMERIC_EXIT,
@@ -450,6 +450,26 @@ def test_csv_format_is_twelve_significant_digits(capsys):
         for cell in row:
             mantissa, _, _exp = cell.partition("e")
             assert len(mantissa.lstrip("-").replace(".", "")) == 12
+
+
+def _csv_by_row(header, names, columns, trailer=()):
+    """The formatter _csv replaces: one f-string per value, row by row."""
+    rows = [",".join(f"{x:.11e}" for x in row) for row in zip(*columns)]
+    return "\n".join(header + [",".join(names)] + rows + list(trailer)) + "\n"
+
+
+@pytest.mark.parametrize("columns", [
+    [np.array([1.5, -0.0, 5e-324]), [2.0, 1.7976931348623157e308, -1.7976931348623157e308]],
+    [np.array([math.nan, math.inf, -math.inf]), [np.float64(0.1), 1.0 / 3.0, -5e-324]],
+    [np.array([np.pi]), [math.e]],
+    [np.logspace(-300, 300, 7), list(np.linspace(-1.0, 1.0, 7)), np.full(7, math.nan)],
+])
+@pytest.mark.parametrize("trailer", [(), ["# visibility coherent=1 decohered=0"]])
+def test_csv_equals_the_row_by_row_formatter(columns, trailer):
+    header = ["# atomdecoh test", "# param x=1"]
+    names = [f"c{j}" for j in range(len(columns))]
+    expected = _csv_by_row(header, names, columns, trailer)
+    assert cli._csv(header, names, columns, trailer) == expected
 
 
 def test_deterministic_output(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from atomdecoh import momentum
 from atomdecoh.density import Z_EFF_HELIUM, helium_kernel, hydrogen_kernel
 from atomdecoh.momentum import (
     MomentumDistribution,
@@ -12,6 +13,7 @@ from atomdecoh.momentum import (
     momentum_density,
     momentum_distribution,
 )
+from atomdecoh.quadrature import damped_moments
 from atomdecoh.wavepacket import GaussianPacket
 from oracles import momentum_density_generic, normalization_integral
 
@@ -101,10 +103,31 @@ def test_distribution_container_names_the_bad_field(q_grid, values, z0, field):
 
 
 def test_momentum_distribution_matches_pointwise():
-    grid = np.array([0.2, 1.0, 2.5])
-    dist = momentum_distribution(0.5, grid)
-    for q, v in zip(dist.q_grid, dist.values):
-        assert v == pytest.approx(momentum_density(float(q), 0.5), rel=1e-12)
+    # both sides of the Taylor branch's edge at q = 1e-2, and far out; each
+    # point of the reference computes its Taylor moments afresh
+    grid = np.array([0.0, 1e-3, np.nextafter(1e-2, 0.0), 1e-2, 0.3, 50.0])
+    for z0 in (1e-3, 0.1, 5.0, 100.0):
+        expected = []
+        for q in grid.tolist():
+            momentum._taylor_moments.cache_clear()
+            expected.append(momentum_density(q, z0))
+        assert momentum_distribution(z0, grid).values.tolist() == expected
+        assert momentum_distribution(z0, grid).values.tolist() == expected
+
+
+def test_taylor_grid_computes_its_moments_once_per_z0(monkeypatch):
+    dampings = []
+
+    def counted(b, a, n_max):
+        dampings.append(a)
+        return damped_moments(b, a, n_max)
+
+    monkeypatch.setattr(momentum, "damped_moments", counted)
+    momentum._taylor_moments.cache_clear()
+    grid = np.linspace(0.0, np.nextafter(1e-2, 0.0), 25)
+    for z0 in (1e-3, 0.1, 5.0, 100.0):
+        momentum_distribution(z0, grid)
+    assert dampings == [z0 * z0 / 8.0 for z0 in (1e-3, 0.1, 5.0, 100.0)]
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0, 3.0])
@@ -150,3 +173,11 @@ def test_momentum_density_rejects_negative_arguments():
         momentum_density(-1.0, 0.5)
     with pytest.raises(ValueError):
         momentum_density(1.0, -0.5)
+    # and below q = 1e-2, with the Taylor moments at z0 = 0.5 kept
+    momentum_density(1e-3, 0.5)
+    for q, z0 in ((-1e-3, 0.5), (-1e-300, 0.5), (math.nan, 0.5),
+                  (1e-3, 0.0), (1e-3, -0.5), (1e-3, math.nan)):
+        with pytest.raises(ValueError):
+            momentum_density(q, z0)
+        with pytest.raises(ValueError):
+            momentum_distribution(z0, [0.0, q])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ def test_tau_transform_rejects_singular_point():
     for z0 in (0.0, 0.5):
         with pytest.raises(ValueError, match="singular"):
             tau_transform(0.0, 1.0, z0)
+
+
+@pytest.mark.parametrize("kappa,z0", [(1e-308, 0.0), (5e-324, 0.5)])
+def test_tau_transform_raises_where_the_weight_overflows(kappa, z0):
+    # F(0) = 3.5 / kappa at z0 = 0 is past the largest double; the error
+    # names kappa, and no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=f"kappa_val={kappa!r}"):
+            tau_transform(kappa, 0.0, z0)
 
 
 @pytest.mark.parametrize(

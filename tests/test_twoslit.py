@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from atomdecoh import twoslit
 from atomdecoh.density import hydrogen_kernel
 from atomdecoh.twoslit import (
     TwoSlitConfig,
@@ -103,6 +104,42 @@ def test_screen_scan_resolving_the_envelope_at_three_samples_or_more(separation,
                                slit2=(-separation / 2.0, 0.0, 0.0))
     _, _, dec = screen_scan(config, n_points)
     assert np.count_nonzero(dec >= 0.5 * dec.max()) >= 3
+
+
+#: the README run, and one with a drift along the slit axis and unequal amplitudes
+_SCANNED = [
+    dict(slit1=(500.0, 0.0, 0.0), slit2=(-500.0, 0.0, 0.0), amp1=2.0**-0.5, amp2=2.0**-0.5,
+         packet_delta=200.0, t0=3.2e6),
+    dict(slit1=(500.0, 0.0, 0.0), slit2=(-500.0, 0.0, 0.0), amp1=0.6, amp2=0.8j,
+         packet_delta=200.0, t0=3.2e6, p0=(0.003, 0.0, 0.0)),
+]
+
+
+def _recorded_scan(monkeypatch, config):
+    """screen_scan(config, 201) and the screen points of each packet evaluation."""
+    points = []
+
+    def recorded(packet, R, t):
+        points.append(R)
+        return evaluate(packet, R, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(twoslit, "evaluate", recorded)
+        return screen_scan(config, 201), points
+
+
+@pytest.mark.parametrize("kwargs", _SCANNED)
+def test_screen_scan_patterns_are_the_public_patterns_bit_for_bit(monkeypatch, kwargs):
+    config = TwoSlitConfig(**kwargs)
+    (_, coherent, decohered), points = _recorded_scan(monkeypatch, config)
+    assert coherent.tobytes() == coherent_pattern(config, points[0]).tobytes()
+    assert decohered.tobytes() == decohered_pattern(config, points[0]).tobytes()
+
+
+@pytest.mark.parametrize("kwargs", _SCANNED)
+def test_screen_scan_evaluates_each_packet_once(monkeypatch, kwargs):
+    _, points = _recorded_scan(monkeypatch, TwoSlitConfig(**kwargs))
+    assert len(points) == 2 and points[0] is points[1]
 
 
 def test_screen_scan_at_t0_zero_is_value_error():

@@ -27,7 +27,7 @@ from atomdecoh.scattering import (
     diff_cross_section_numeric,
     total_cross_section_numeric,
 )
-from oracles import reduced_integral_quad
+from oracles import node_sums_by_piece, reduced_integral_quad
 
 
 #: the five subcommands of the README's CLI section
@@ -189,6 +189,20 @@ def test_ladder_evaluates_no_node_twice(monkeypatch):
     assert theta.size == 1
     retried = _evaluations(monkeypatch, lambda: _reduced_integrals(theta, q, 12.0))
     assert retried == _evaluations(monkeypatch, lambda: _one_shot(theta, q, 12.0, 6))
+
+
+@pytest.mark.parametrize("energy,z0", [(1.0, 0.0), (100.0, 0.5), (1.0, 2.0), (0.05, 12.0),
+                                       (1e-5, 12.0)])
+def test_node_sums_equal_the_piece_by_piece_loop_bit_for_bit(energy, z0):
+    # with empty pieces at forward angles, the branch-point split, and
+    # angle subsets as the ladder passes them
+    q = ScatteringConfig(E_n_ev=energy).q
+    theta = _scan_grid(37)
+    rows, pieces = scattering._node_sums(theta, q, z0), node_sums_by_piece(theta, q, z0)
+    for level, odd in ((3, False), (4, True), (7, True)):
+        nodes, weights = scattering._tanh_sinh(level, odd)
+        for idx in (np.arange(theta.size), np.arange(0, theta.size, 5), np.array([36])):
+            assert rows(idx, nodes, weights).tobytes() == pieces(idx, nodes, weights).tobytes()
 
 
 def _branch_points():
