@@ -65,8 +65,8 @@ def momentum_density(q: float, z0: float) -> float:
     q^2 over the real moments at b = 1, which do not depend on q and are
     computed once for the last z0 (_taylor_moments). Closed form; against mpmath
     (tests/test_moments.py) it is within 1e-9 relative at q = 0 and on
-    q in [1e-3, 50] x z0 in [0.01, 5], the worst measured being 5.9e-10 at
-    q = 49.8, z0 = 2.2 (3324 points, dense in q over [40, 50]) from
+    q in [1e-3, 50] x z0 in [0.01, 5], the worst measured being 4.7e-10 at
+    q = 49.6, z0 = 0.52 (9764 points, dense in q over [40, 50]) from
     cancellation inside the imaginary part. That cancellation grows as n(q)
     falls into its tail, so for narrower packets the error is stated against
     the peak: at z0 = 100 (Re b / sqrt(a) = 0.028) it stays below 1e-15 n(0)

@@ -59,6 +59,8 @@ _TAIL_T_MIN = 1e-6
 _ACCURACY = 1e-10
 #: angles evaluated together, which bounds the size of the node arrays
 _ANGLE_BLOCK = 64
+#: the smallest normal double; a spectral weight t^3 below it has lost bits
+_SMALLEST_NORMAL = 2.0**-1022
 #: Gauss-Legendre nodes in cos(theta) of the total cross-section
 _TOTAL_NODES = 48
 
@@ -160,13 +162,24 @@ def _tau_damped(kappa_val, omega, z0: float):
     t^3 (1 + 4t + 16t^2) / (6 kappa) in t = 1/(1 + u^2), in (0, 1], whose
     terms are all positive; t is formed from |omega|/2 and kappa scaled by
     the larger of the two, so nothing overflows and the value is finite
-    wherever it is representable."""
+    wherever it is representable. Where t^3 falls below the smallest normal
+    double, t is divided by kappa before it is cubed, so a tiny kappa keeps
+    F (1.07e-59 at kappa = 1e-300, omega = 1e-240) from underflowing early."""
     if z0 == 0.0:
         half = 0.5 * abs(omega)
         scale = np.maximum(half, kappa_val)
         x, y = half / scale, kappa_val / scale
         t = y * y / (x * x + y * y)
-        return t * t * t * (1.0 + t * (4.0 + 16.0 * t)) / 6.0 / kappa_val
+        poly = 1.0 + t * (4.0 + 16.0 * t)
+        value = t * t * t * poly / 6.0 / kappa_val
+        low = np.min(t, initial=1.0)
+        if low * low * low < _SMALLEST_NORMAL:
+            # t^3 underflows before the division by kappa: divide first where
+            # it does, and there t / kappa, below 2^-340 / 2^-1074, cannot overflow
+            lost = t * t * t < _SMALLEST_NORMAL
+            small = np.where(lost, t, 0.0)
+            value = np.where(lost, small / kappa_val * small * small * poly / 6.0, value)
+        return value
     a = z0 * z0 / 8.0
     if a == math.inf:
         raise OverflowError(f"spectral weight: z0^2 / 8 overflows at z0 = {z0!r}")
@@ -316,15 +329,6 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     reach = np.minimum(0.5, 0.9 * u_star)
     v_max = np.arcsinh(reach / h_peak)
     v_mid = np.minimum(5.0, v_max)
-
-    def stretched(i, v):
-        return h_peak[i] * np.sinh(v), h_peak[i] * np.cosh(v)
-
-    def straight(i, x):
-        return x, np.ones_like(x)
-
-    def inverted(i, t):
-        return 2.0 / t, 2.0 / (t * t)
 
     zero = np.zeros_like(theta)
     third = v_mid / 3.0

@@ -152,9 +152,10 @@ def test_arithmetic_error_is_numeric_failure(capsys, argv):
         # the damping z0^2/8 overflows
         (("momentum", "--z0", "1e200", "--points", "3"),
          ("momentum: momentum density failed", "z0=1e+200", "points=3")),
-        # cancellation in the far tail leaves a negative density
-        (("momentum", "--z0", "0.01", "--q-max", "1e300", "--points", "5"),
-         ("momentum: momentum density failed", "z0=0.01", "q_max=1e+300")),
+        # cancellation in the far tail leaves a negative density (from
+        # q ~ 3e4 on at z0 = 1e-3)
+        (("momentum", "--z0", "1e-3", "--q-max", "1e6"),
+         ("momentum: momentum density failed", "z0=0.001", "q_max=1000000.0")),
         # the fringe period, 2e307 a_B, leaves the envelope between two
         # samples, so no visibility can be read off the scan
         (("twoslit", "--separation-ab", "1e-300", "--points", "5"),

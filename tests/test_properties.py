@@ -18,7 +18,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from atomdecoh.cli import SCHEMAS, main
 from atomdecoh.density import purity
 from atomdecoh.momentum import electron_limit, gaussian_limit, momentum_density
-from atomdecoh.quadrature import damped_moments
+from atomdecoh.quadrature import _backward, _miller_start, _seed, damped_moments
 from atomdecoh.scattering import _tau_damped, tau_transform
 from oracles import normalization_integral
 from test_moments import KERNEL_SQ, max_rel_err, ref_moments
@@ -32,28 +32,52 @@ _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HOME.name)
 
 
-@settings(REPRODUCIBLE, max_examples=200)
-@given(
-    st.sampled_from([3, 4, 6, 12]),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-    st.booleans(),
-    st.floats(-3.0, 2.0),
-)
-def test_miller_branch_moments_match_mpmath(n_max, re_frac, sq_frac, upper, log_a):
-    # Miller's branch: Re mu in [0.5, 30] and 6 < |mu|^2 < 170 + 14 n_max,
-    # drawn as fractions of the range each coordinate has left
+def _miller_mu(n_max, re_frac, sq_frac, upper):
+    """mu in the Miller region, Re mu in [0.5, 30] and
+    6 < |mu|^2 < 170 + 14 n_max, drawn as fractions of the range each
+    coordinate has left; None where rounding puts it outside."""
     top = 170.0 + 14.0 * n_max
     re_mu = 0.5 + re_frac * (min(30.0, math.sqrt(top)) - 0.5)
     low = max(6.0, re_mu * re_mu)
     mu_sq = low + sq_frac * (top - low)
     im_mu = math.sqrt(max(mu_sq - re_mu * re_mu, 0.0))
     mu = complex(re_mu, im_mu if upper else -im_mu)
-    if not 6.0 < abs(mu) ** 2 < top:
+    return mu if 6.0 < abs(mu) ** 2 < top else None
+
+
+_MILLER_DRAWS = (
+    st.sampled_from([3, 4, 6, 12]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+)
+
+
+@settings(REPRODUCIBLE, max_examples=200)
+@given(*_MILLER_DRAWS, st.floats(-3.0, 2.0))
+def test_miller_branch_moments_match_mpmath(n_max, re_frac, sq_frac, upper, log_a):
+    mu = _miller_mu(n_max, re_frac, sq_frac, upper)
+    if mu is None:
         return
     a = 10.0**log_a
     b = mu * math.sqrt(a)
     assert max_rel_err(damped_moments(b, a, n_max), ref_moments(b, a, n_max)) <= 1e-13
+
+
+@settings(REPRODUCIBLE, max_examples=200)
+@given(*_MILLER_DRAWS)
+def test_miller_normalisation_matches_the_faddeeva_value(n_max, re_frac, sq_frac, upper):
+    # the backward run's own J_0 = 1 / (mu + g_0) against
+    # J_0 = (sqrt(pi)/2) w(i mu/2) = (sqrt(pi)/2) exp(mu^2/4) erfc(mu/2)
+    mu = _miller_mu(n_max, re_frac, sq_frac, upper)
+    if mu is None:
+        return
+    start = _miller_start(mu, n_max)
+    j0 = _backward(mu, n_max, start, _seed(mu, start))[0]
+    with mp.workdps(30):
+        z = mp.mpc(mu) / 2
+        ref = complex(mp.sqrt(mp.pi) / 2 * mp.exp(z * z) * mp.erfc(z))
+    assert abs(j0 - ref) <= 2e-15 * abs(ref)
 
 
 def _examples(cases):
@@ -64,29 +88,45 @@ def _examples(cases):
     return apply
 
 
-#: log2 |mu|^2 on both sides of the octave edges 2^k, k = 8..17, at which the
-#: series branch of damped_moments changes its band
-_OCTAVE_EDGES = [k + side for k in range(8, 18) for side in (0.0, math.log2(1.0 - 1e-12))]
+#: |mu|^2 on both sides of the powers of two 2^k, k = 8..17, where the
+#: binary exponents of the closed-form start of the backward recurrence step
+_OCTAVE_EDGES = [2.0 ** (k + side) for k in range(8, 18) for side in (0.0, math.log2(1.0 - 1e-12))]
+
+
+def _cutoff_sides(n_max):
+    """|mu|^2 of the real mu one ulp either side of the a -> 0 cutoff
+    2^54 (n_max + 1)(n_max + 2) of damped_moments, below it first. A real
+    mu is the square root of its correctly rounded square, so the test's
+    mu = sqrt(|mu|^2) gives back these squares exactly."""
+    cut = 2.0**54 * ((n_max + 1) * (n_max + 2))
+    mu = math.sqrt(cut)
+    while mu * mu >= cut:
+        mu = math.nextafter(mu, 0.0)
+    while math.nextafter(mu, math.inf) ** 2 < cut:
+        mu = math.nextafter(mu, math.inf)
+    return mu * mu, math.nextafter(mu, math.inf) ** 2
 
 
 @settings(REPRODUCIBLE, max_examples=300)
 @given(
     st.sampled_from([1, 3, 4, 6, 7, 12]),
-    st.floats(7.0, math.log2(1e12)),
+    st.floats(7.0, math.log2(1e24)).map(lambda x: 2.0**x),
     st.floats(-1.55, 1.55),
     st.floats(-3.0, 2.0),
 )
-@_examples([(n_max, 0.0, arg, 0.0) for n_max in (1, 3, 4, 6, 7, 12) for arg in (0.0, 1.51)])
-@_examples([(6, edge, arg, 0.0) for edge in _OCTAVE_EDGES for arg in (0.0, -1.5)])
-def test_series_branch_moments_match_mpmath(n_max, log2_mu_sq, arg, log_a):
-    # the series branch: |mu|^2 from 170 + 14 n_max, to which a smaller
-    # 2^log2_mu_sq is raised, up to 1e12. Each octave of |mu|^2 is summed
-    # with the terms its lower edge needs, or the threshold if that is higher
+@_examples([(n_max, 1.0, arg, 0.0) for n_max in (1, 3, 4, 6, 7, 12) for arg in (0.0, 1.51)])
+@_examples([(n_max, edge, arg, 0.0) for n_max in (3, 6, 7) for edge in _OCTAVE_EDGES
+            for arg in (0.0, -1.5)])
+@_examples([(n_max, side, 0.0, 0.0) for n_max in (1, 6, 12) for side in _cutoff_sides(n_max)])
+def test_large_mu_moments_match_mpmath(n_max, mu_sq, arg, log_a):
+    # |mu|^2 from 170 + 14 n_max, to which a smaller mu_sq is raised, up to
+    # 1e24: the backward recurrence from its closed-form start, and from
+    # 2^54 (n_max + 1)(n_max + 2) on the a -> 0 limit
     top = 170.0 + 14.0 * n_max
-    mu = cmath.rect(math.sqrt(max(2.0**log2_mu_sq, top)), arg)
+    mu = cmath.rect(math.sqrt(max(mu_sq, top)), arg)
     a = 10.0**log_a
     b = mu * math.sqrt(a)
-    # rounding can leave |mu|^2 an ulp below the threshold, off the branch
+    # rounding can leave |mu|^2 an ulp below the threshold
     while abs(b / math.sqrt(a)) ** 2 < top:
         b *= 1.0 + 2.0**-52
     assert max_rel_err(damped_moments(b, a, n_max), ref_moments(b, a, n_max)) <= 1e-14

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -71,6 +72,20 @@ def test_tau_transform_raises_where_the_weight_overflows(kappa, z0):
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match=f"kappa_val={kappa!r}"):
             tau_transform(kappa, 0.0, z0)
+
+
+@pytest.mark.parametrize("kappa,omega", [(1e-300, 1e-240), (1e-300, 2e-150)])
+def test_tau_transform_at_tiny_kappa_divides_before_it_underflows(kappa, omega):
+    # u = omega / (2 kappa) ~ 5e59: t = 1/(1 + u^2) cubed underflows, but
+    # F = (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5) is 1.07e-59; at u = 1e150
+    # F is 1.7e-601 and stays 0.0
+    with mp.workdps(30):
+        k, u = mp.mpf(kappa), mp.mpf(omega) / (2 * mp.mpf(kappa))
+        ref = float((u**4 + 6 * u**2 + 21) / (6 * k * (1 + u**2) ** 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = tau_transform(kappa, omega, 0.0)
+    assert abs(value - ref) <= 1e-15 * ref
 
 
 @pytest.mark.parametrize(

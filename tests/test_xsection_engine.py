@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import atomdecoh
-from atomdecoh import scattering
+from atomdecoh import quadrature, scattering
 from atomdecoh.density import Z_EFF_HELIUM
 from atomdecoh.quadrature import (
     QuadratureError,
+    _closed_start,
     _miller_start,
     _miller_starts,
     damped_moments,
@@ -206,12 +207,14 @@ def test_node_sums_equal_the_piece_by_piece_loop_bit_for_bit(energy, z0):
 
 
 def _branch_points():
-    """(b, a) in every branch of damped_moments at n_max = 6: a = 0; the
-    asymptotic series (|mu|^2 >= 254); the upward recurrence (|mu|^2 <= 6);
-    Miller's recurrence (Re mu >= 0.5); and past the cap (Re mu < 0.5),
-    both where the capped recurrence wins and where the upward one does;
-    and, at a = 1, the octave edges 2^k and 2^k (1 - 1e-12), k = 8..17, at
-    which the series branch changes its band (2^16 exactly: mu = 256)."""
+    """(b, a) in every branch of damped_moments at n_max = 6: a = 0, and
+    the a -> 0 limit from |mu|^2 = 2^54 * 56 on; the upward recurrence
+    (|mu|^2 <= 6); Miller's recurrence from the Newton-searched start
+    (Re mu >= 0.5, |mu|^2 < 254) and from the closed-form one
+    (|mu|^2 >= 254); and past the cap (Re mu < 0.5), both where the capped
+    recurrence wins and where the upward one does; and, at a = 1, the
+    powers of two 2^k and 2^k (1 - 1e-12), k = 8..17, where the binary
+    exponents of the closed-form start step."""
     mus = [cmath.rect(r, phi) for r in (0.3, 1.5, 2.4)
            for phi in np.linspace(-math.pi / 2 + 0.2, math.pi / 2 - 0.2, 5)]
     mus += [complex(x, y) for x in (0.5, 1.0, 3.0, 8.0) for y in (-12.0, -4.0, 0.0, 5.0)]
@@ -222,6 +225,8 @@ def _branch_points():
     points += [(complex(2.0, -5.0), 0.0), (complex(0.1, 3.0), 0.0)]
     points += [(cmath.rect(math.sqrt(2.0**k * side), phi), 1.0) for k in range(8, 18)
                for side in (1.0, 1.0 - 1e-12) for phi in (0.0, 1.0, -1.5)]
+    points += [(cmath.rect(math.sqrt(mu_sq), phi), 1.0) for mu_sq in (1e18, 1.1e18, 1e30)
+               for phi in (0.0, 1.0, -1.5)]
     return points
 
 
@@ -244,18 +249,49 @@ def test_array_damped_moments_equal_scalar_calls():
 def test_scalar_and_array_moments_share_one_start_rule(n_max):
     # the start of the backward recurrence, the cap, or 0 for the upward
     # recurrence, on every branch point and a seeded grid of Re mu in
-    # [0.01, 30] reaching past the cap and into the series branch
+    # [0.01, 30] reaching past the cap and past |mu|^2 = 170 + 14 n_max
     rng = np.random.default_rng(20261018)
     re = np.exp(rng.uniform(math.log(0.01), math.log(30.0), 600))
     mus = [b / math.sqrt(a) for b, a in _branch_points() if a > 0.0]
     mus += [complex(mu) for mu in re + 1j * rng.uniform(-20.0, 20.0, re.size)]
     scalar = [_miller_start(mu, n_max) or 0 for mu in mus]
     assert scalar == _miller_starts(np.array(mus), n_max).tolist()
+    # from there on up to the a -> 0 limit, the closed-form start: the same
+    # in both forms, and never below the Newton-searched one
+    top, limit = 170.0 + 14.0 * n_max, 2.0**54 * ((n_max + 1) * (n_max + 2))
+    far = [mu for mu in mus if top <= abs(mu) * abs(mu) < limit]
+    far += [cmath.rect(math.exp(0.5 * x), phi) for x, phi in
+            zip(rng.uniform(math.log(top), math.log(limit), 600),
+                rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, 600))]
+    closed = [_closed_start(abs(mu) * abs(mu), n_max) for mu in far]
+    assert closed == _closed_start(np.abs(np.array(far)) ** 2, n_max).tolist()
+    assert all(start >= _miller_start(mu, n_max) for start, mu in zip(closed, far))
+
+
+def test_backward_runs_evaluate_no_faddeeva_value(monkeypatch):
+    # a backward run normalises itself by J_0 = 1 / (mu + g_0); only the
+    # upward recurrence takes J_0 from w
+    calls = []
+    for name in ("_faddeeva", "_erfcx"):
+        def counted(z, name=name, evaluate=getattr(quadrature, name)):
+            calls.append(name)
+            return evaluate(z)
+        monkeypatch.setattr(quadrature, name, counted)
+    # Newton-searched and closed-form starts, real and complex mu, a = 1
+    backward = [4.0, complex(3.0, -5.0), 20.0, complex(60.0, 300.0)]
+    for b in backward:
+        damped_moments(b, 1.0, 6)
+    damped_moments(np.array(backward, dtype=complex), 1.0, 6)
+    assert calls == []
+    damped_moments(1.0, 1.0, 6)
+    damped_moments(complex(1.0, 1.0), 1.0, 6)
+    damped_moments(np.array([1.0 + 1.0j]), 1.0, 6)
+    assert calls == ["_erfcx", "_faddeeva", "_faddeeva"]
 
 
 def test_damped_moments_where_mu_squared_overflows():
     # |mu| = 2 / sqrt(1e-320) ~ 2e160, so |mu|^2 is past the largest double;
-    # the series branch returns the a -> 0 limit n!/b^(n+1) exactly
+    # both forms return the a -> 0 limit n!/b^(n+1) exactly
     exact = [math.factorial(n) / 2.0 ** (n + 1) for n in range(7)]
     assert damped_moments(2.0, 1e-320, 6) == exact
     assert list(damped_moments(np.array([2.0]), 1e-320, 6)[:, 0]) == exact
