@@ -62,7 +62,6 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "points": (int, 19, "number of angular grid points"),
         "method": (str, "both", "numeric, asymptotic or both"),
         "z0": (float, 0.0, "packet-width ratio a_B/delta of the target"),
-        "scatt_length_fm": (float, 3.26, "neutron-helium scattering length (fm)"),
     },
     "conditions": {
         "energy_ev": (float, 1.0, "neutron bombarding energy (eV)"),
@@ -73,7 +72,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
 
 _POSITIVE = {
     "z_min", "z_max", "points", "q_min", "q_max", "separation_ab",
-    "delta_ab", "energy_ev", "scatt_length_fm",
+    "delta_ab", "energy_ev",
 }
 _NONNEGATIVE = {"d_over_a_b"}
 #: (lower, upper) parameter pairs that bound a grid
@@ -310,11 +309,7 @@ def _json_safe(obj):
 def run_xsection(params: dict) -> tuple[str, str]:
     """The CSV table and the JSON summary."""
     method = params["method"]
-    config = ScatteringConfig(
-        E_n_ev=params["energy_ev"],
-        scatt_length=params["scatt_length_fm"] * 1e-15,
-        z0=params["z0"],
-    )
+    config = ScatteringConfig(E_n_ev=params["energy_ev"], z0=params["z0"])
     with warnings.catch_warnings(record=True) as caught, \
             _stage("xsection", "cross-section scan", params):
         warnings.simplefilter("always")
@@ -324,7 +319,7 @@ def run_xsection(params: dict) -> tuple[str, str]:
     _require_finite("xsection", "cross-section scan", params, *computed)
     q_sq = table.q**2
     with _stage("xsection", "anomalous fraction and condition margins", params):
-        anomalous = [h_theta(theta) / q_sq for theta in table.theta_grid]
+        anomalous = h_theta(table.theta_grid) / q_sq
         margins = check_conditions(config)
     summary = {
         "q": table.q,

@@ -14,9 +14,9 @@ on a nested ladder of tanh-sinh rules (Takahasi & Mori, Publ. RIMS 9, 721
 angles x nodes: each rung adds only the nodes the rule below it lacks, for
 the angles not yet trusted.
 
-The target is He-4: the mass ratio MASS_RATIO = 4 and the effective
-charge Z* = 27/16 of its electrons are constants. The large-q limit gives
-the lab-frame angular factor
+The target is He-4: the mass ratio MASS_RATIO = 4, the effective charge
+Z* = 27/16 of its electrons and the scattering length SCATT_LENGTH are
+constants. The large-q limit gives the lab-frame angular factor
 f(theta) = (cos t + sqrt(15 + cos^2 t))^2 / sqrt(15 + cos^2 t)
 (isotropic scattering in the center-of-mass frame for a mass-4 target)
 plus a positive anomalous term h(theta)/q^2 inversely proportional to the
@@ -71,14 +71,24 @@ OBSERVABILITY_SPEED = 4.0e3
 #: are the closed forms for this value
 MASS_RATIO = 4.0
 
+#: bound coherent scattering length of He-4 (m), Sears, Neutron News 3, 26 (1992)
+SCATT_LENGTH = 3.26e-15
+
+#: m_n^2 g^2 / hbar^4 = (2 pi a)^2 (1 + m_n/m_alpha)^2 (m^2)
+_COUPLING = (2.0 * math.pi * SCATT_LENGTH) ** 2 * (1.0 + 1.0 / MASS_RATIO) ** 2
+#: m_n^2 g^2 / (8 pi^3 hbar^4): the cross-section per unit reduced integral
+_PER_INTEGRAL = _COUPLING / (8.0 * math.pi**3)
+#: packet velocity uncertainty per unit z0, hbar / (2 m_alpha a_B) (m/s)
+_SPEED_PER_Z0 = CODATA.hbar / (2.0 * MASS_RATIO * CODATA.m_n * CODATA.a_B)
+
 
 @dataclass(frozen=True)
 class ScatteringConfig:
-    """Neutron beam, target packet and interaction parameters."""
+    """Neutron beam and target packet parameters."""
 
     E_n_ev: float = 1.0
-    scatt_length: float = 3.26e-15      # m; bound coherent value for He-4
     z0: float = 0.0
+    scatt_length = SCATT_LENGTH  # a constant, not a field
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -86,20 +96,15 @@ class ScatteringConfig:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.E_n_ev <= 0.0:
             raise ValueError("E_n_ev must be positive")
-        if self.scatt_length == 0.0:
-            raise ValueError("scatt_length must be nonzero")
         if self.z0 < 0.0:
             raise ValueError("z0 must be nonnegative")
 
     @property
-    def k(self) -> float:
-        """Incident wavenumber (1/m)."""
-        return neutron_wavenumber(self.E_n_ev * CODATA.eV)
-
-    @property
     def q(self) -> float:
-        """Dimensionless incident wavenumber k * a_B."""
-        return self.k * CODATA.a_B
+        """Dimensionless incident wavenumber k * a_B; 0.0 from about
+        1e-279 eV down, where 2 m_n E underflows."""
+        energy = self.E_n_ev * CODATA.eV
+        return neutron_wavenumber(energy) * CODATA.a_B if energy > 0.0 else 0.0
 
 
 @dataclass
@@ -191,41 +196,49 @@ def _tau_damped(kappa_val, omega, z0: float):
     return 2.0 * total / kappa_val
 
 
-def f_theta(theta: float) -> float:
-    """Leading-order lab-frame angular factor for a mass-4 target."""
-    _check_theta(theta)
-    c = math.cos(theta)
-    root = math.sqrt(15.0 + c * c)
-    return (c + root) ** 2 / root
+def f_theta(theta):
+    """Leading-order lab-frame angular factor for a mass-4 target,
+    elementwise for an array theta; a float for a scalar one."""
+    c = np.cos(_check_theta(theta))
+    root = np.sqrt(15.0 + c * c)
+    f = (c + root) ** 2 / root
+    return f if f.ndim else float(f)
 
 
-def h_theta(theta: float) -> float:
-    """Angular factor of the anomalous (decoherence) contribution."""
-    _check_theta(theta)
-    c = math.cos(theta)
-    root = math.sqrt(15.0 + c * c)
-    return (6075.0 / 64.0) * (3.0 + 5.0 * c * c) / ((15.0 + c * c) ** 2 * (c + root) ** 2)
+def h_theta(theta):
+    """Angular factor of the anomalous (decoherence) contribution,
+    elementwise for an array theta; a float for a scalar one."""
+    c = np.cos(_check_theta(theta))
+    s15 = 15.0 + c * c
+    h = (6075.0 / 64.0) * (3.0 + 5.0 * c * c) / (s15**2 * (c + np.sqrt(s15)) ** 2)
+    return h if h.ndim else float(h)
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 <= theta <= math.pi:
+def _check_theta(theta) -> np.ndarray:
+    """theta as an array, none of whose elements is NaN or outside [0, pi]."""
+    theta = np.asarray(theta, dtype=float)
+    if not ((theta >= 0.0) & (theta <= math.pi)).all():
         raise ValueError("theta must lie in [0, pi]")
+    return theta
 
 
-def _coupling_prefactor(config: ScatteringConfig) -> float:
-    """m_n^2 g^2 / hbar^4 = (2 pi a)^2 (1 + m_n/m_alpha)^2 (m^2)."""
-    return (2.0 * math.pi * config.scatt_length) ** 2 * (1.0 + 1.0 / MASS_RATIO) ** 2
-
-
-def diff_cross_section_asymptotic(config: ScatteringConfig, theta: float) -> float:
-    """Large-q cross-section (m^2/sr):
-    (m_n^2 g^2 / (25 pi^2 hbar^4)) f(theta) (1 + h(theta)/q^2)."""
-    _check_theta(theta)
+def _wavenumber(config: ScatteringConfig) -> float:
+    """q of the config; an ArithmeticError where q^2 is 0, as no cross-section is finite."""
     q = config.q
+    if q**2 == 0.0:
+        raise ArithmeticError(f"incident wavenumber q = {q!r}, q^2 = 0 at E_n_ev = "
+                              f"{config.E_n_ev!r}")
+    return q
+
+
+def diff_cross_section_asymptotic(config: ScatteringConfig, theta):
+    """Large-q cross-section (m^2/sr):
+    (m_n^2 g^2 / (25 pi^2 hbar^4)) f(theta) (1 + h(theta)/q^2), elementwise
+    for an array theta. Below q = 5 it warns, once per call."""
+    f, h, q = f_theta(theta), h_theta(theta), _wavenumber(config)
     if q < 5.0:
         warnings.warn(f"asymptotic formula dubious at q = {q:.2f} < 5", stacklevel=2)
-    pref = _coupling_prefactor(config) / (25.0 * math.pi**2)
-    return pref * f_theta(theta) * (1.0 + h_theta(theta) / q**2)
+    return _COUPLING / (25.0 * math.pi**2) * f * (1.0 + h / q**2)
 
 
 @lru_cache(maxsize=None)
@@ -373,11 +386,6 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     return sums
 
 
-def _prefactor(config: ScatteringConfig) -> float:
-    """m_n^2 g^2 / (8 pi^3 hbar^4): the cross-section per unit reduced integral."""
-    return _coupling_prefactor(config) / (8.0 * math.pi**3)
-
-
 def diff_cross_section_numeric(config: ScatteringConfig, theta: float) -> float:
     """Differential cross-section (m^2/sr) from the full reduced integral
     over the scattered wavenumber and the spectral function.
@@ -389,8 +397,8 @@ def diff_cross_section_numeric(config: ScatteringConfig, theta: float) -> float:
     it raises QuadratureError.
     """
     _check_theta(theta)
-    (integral,), _ = _reduced_integrals(theta, config.q, config.z0)
-    return _prefactor(config) * float(integral)
+    (integral,), _ = _reduced_integrals(theta, _wavenumber(config), config.z0)
+    return _PER_INTEGRAL * float(integral)
 
 
 def total_cross_section_numeric(config: ScatteringConfig) -> float:
@@ -398,8 +406,8 @@ def total_cross_section_numeric(config: ScatteringConfig) -> float:
     Gauss-Legendre quadrature in cos(theta) on _TOTAL_NODES nodes, all
     angles in one evaluation."""
     nodes, wts = np.polynomial.legendre.leggauss(_TOTAL_NODES)
-    values, _ = _reduced_integrals(np.arccos(nodes), config.q, config.z0)
-    return 2.0 * math.pi * _prefactor(config) * float(wts @ values)
+    values, _ = _reduced_integrals(np.arccos(nodes), _wavenumber(config), config.z0)
+    return 2.0 * math.pi * _PER_INTEGRAL * float(wts @ values)
 
 
 def angular_scan(config: ScatteringConfig, n_points: int, method: str = "both") -> AngularTable:
@@ -411,16 +419,16 @@ def angular_scan(config: ScatteringConfig, n_points: int, method: str = "both") 
         raise ValueError("n_points must be >= 2")
     if method not in ("numeric", "asymptotic", "both"):
         raise ValueError("method must be numeric, asymptotic or both")
+    q = _wavenumber(config)
     grid = np.linspace(0.0, math.pi, n_points)
     grid[0] = FORWARD_EPSILON
     numeric = np.full(n_points, np.nan)
     asymptotic = np.full(n_points, np.nan)
     if method in ("asymptotic", "both"):
-        for i, theta in enumerate(grid):
-            asymptotic[i] = diff_cross_section_asymptotic(config, theta)
+        asymptotic = diff_cross_section_asymptotic(config, grid)
     if method in ("numeric", "both"):
-        numeric = _prefactor(config) * _reduced_integrals(grid, config.q, config.z0)[0]
-    return AngularTable(grid, numeric, asymptotic, config.q)
+        numeric = _PER_INTEGRAL * _reduced_integrals(grid, q, config.z0)[0]
+    return AngularTable(grid, numeric, asymptotic, q)
 
 
 def check_conditions(config: ScatteringConfig, d_over_a_b: float | None = None) -> dict:
@@ -436,11 +444,7 @@ def check_conditions(config: ScatteringConfig, d_over_a_b: float | None = None) 
     c = CODATA
     v_e = electron_velocity_scale()
     v_p = proton_velocity_scale()
-    if config.z0 > 0.0:
-        delta_m = c.a_B / config.z0
-        delta_v = c.hbar / (2.0 * MASS_RATIO * c.m_n * delta_m)
-    else:
-        delta_v = 0.0
+    delta_v = _SPEED_PER_Z0 * config.z0
     v_neutron = math.sqrt(2.0 * config.E_n_ev * c.eV / c.m_n)
     v_threshold = (
         math.sqrt(d_over_a_b) * v_e if d_over_a_b is not None else OBSERVABILITY_SPEED

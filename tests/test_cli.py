@@ -219,7 +219,7 @@ def test_untrusted_cross_section_angle_is_one_exact_line(monkeypatch, capsys):
     assert out == ""
     assert err == (
         "numeric failure: xsection: cross-section scan failed for energy_ev=1e-05, "
-        "method=both, points=5, scatt_length_fm=3.26, z0=12.0: cross-section integral "
+        "method=both, points=5, z0=12.0: cross-section integral "
         "failed at theta=1e-06: value 4.490095e+02, error estimate 2.236e-07 above "
         "1e-10 relative\n"
     )
@@ -373,8 +373,8 @@ def test_xsection_summary_headline_number(tmp_path, capsys):
 
 
 def test_xsection_summary_is_strict_json_below_q_5(capsys):
-    # at 0.1 eV (q = 3.7) the asymptotic form warns once per angle; the
-    # warnings go into the summary, not onto the stream that carries it
+    # at 0.1 eV (q = 3.7) the asymptotic form warns; the warning goes into
+    # the summary, not onto the stream that carries it
     code, _, err = _run(capsys, "xsection", "--energy-ev", "0.1", "--points", "3")
     assert code == 0
     summary = json.loads(err)
@@ -484,3 +484,60 @@ def test_schema_defaults_documented():
         for _key, (typ, default, helptext) in schema.items():
             assert isinstance(default, typ)
             assert helptext
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("xsection", "--energy-ev", "1e-280"),
+        ("xsection", "--energy-ev", "1e-300", "--method", "numeric"),
+        ("xsection", "--energy-ev", "1e-300", "--method", "asymptotic"),
+        ("xsection", "--energy-ev", "1e-320"),
+    ],
+)
+def test_cross_section_at_a_zero_wavenumber_is_one_numeric_line(capsys, argv):
+    # q, and from about 1e-289 eV down the energy in joules, underflow to 0
+    code, out, err = _run(capsys, *argv, "--points", "3")
+    assert code == NUMERIC_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("numeric failure: xsection: cross-section scan failed for ")
+    assert f"incident wavenumber q = 0.0, q^2 = 0 at E_n_ev = {float(argv[2])!r}" in err
+    assert "division by zero" not in err
+    assert "must be positive" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, q",
+    [
+        (("conditions", "--energy-ev", "1e-300"), 0.0),
+        (("conditions", "--energy-ev", "1e-320"), 0.0),
+        (("conditions", "--z0", "1e300"), None),
+    ],
+)
+def test_conditions_at_extreme_energies_and_widths(capsys, argv, q):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    if q is not None:
+        assert report["q"] == q
+        assert 0.0 <= report["observability"]["margin"] < 1e-140
+    else:
+        assert report["born_oppenheimer"]["value"] == pytest.approx(1.4872672957379527e302,
+                                                                    rel=1e-15)
+        assert not report["born_oppenheimer"]["satisfied"]
+
+
+def test_scattering_length_is_not_a_parameter(tmp_path, capsys):
+    code, out, err = _run(capsys, "xsection", "--scatt-length-fm", "3.26")
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert err == "usage error: unrecognized arguments: --scatt-length-fm 3.26\n"
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("scatt_length_fm=3.26\n")
+    code, out, err = _run(capsys, "xsection", "--config", str(cfg), "--points", "3")
+    assert code == USAGE_EXIT
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "unknown key 'scatt_length_fm'" in err

@@ -7,6 +7,8 @@ import pytest
 
 from atomdecoh.constants import CODATA
 from atomdecoh.scattering import (
+    FORWARD_EPSILON,
+    SCATT_LENGTH,
     AngularTable,
     ScatteringConfig,
     _reduced_integrals,
@@ -124,11 +126,105 @@ def test_h_theta_extreme_values():
 
 
 def test_angular_factors_reject_out_of_range():
-    for bad in (-0.1, math.pi + 0.1):
+    for bad in (-0.1, math.pi + 0.1, math.nan):
         with pytest.raises(ValueError):
             f_theta(bad)
         with pytest.raises(ValueError):
             h_theta(bad)
+
+
+def _factor_grid():
+    grid = np.linspace(0.0, math.pi, 181)
+    grid[0] = FORWARD_EPSILON
+    return np.concatenate((grid, [0.0, math.pi]))
+
+
+def test_angular_factors_on_an_array_equal_the_scalar_calls_bit_for_bit():
+    grid = _factor_grid()
+    config = ScatteringConfig(E_n_ev=1.0)
+    for call in (f_theta, h_theta, lambda th: diff_cross_section_asymptotic(config, th)):
+        values = call(grid)
+        assert values.shape == grid.shape
+        scalars = [call(float(theta)) for theta in grid]
+        assert all(type(value) is float for value in scalars)
+        assert values.tolist() == scalars
+
+
+def test_angular_factors_match_the_scalar_math_formulas():
+    # the formulas in math on Python floats; numpy squares where Python's
+    # ** 2 calls pow, so the two may differ in the last bit
+    def f_ref(theta):
+        c = math.cos(theta)
+        root = math.sqrt(15.0 + c * c)
+        return (c + root) ** 2 / root
+
+    def h_ref(theta):
+        c = math.cos(theta)
+        root = math.sqrt(15.0 + c * c)
+        return (6075.0 / 64.0) * (3.0 + 5.0 * c * c) / ((15.0 + c * c) ** 2 * (c + root) ** 2)
+
+    grid = np.concatenate((_factor_grid(), np.random.default_rng(17).uniform(0.0, math.pi, 2000)))
+    for call, ref in ((f_theta, f_ref), (h_theta, h_ref)):
+        expected = np.array([ref(theta) for theta in grid.tolist()])
+        np.testing.assert_allclose(call(grid), expected, rtol=4.5e-16, atol=0.0)
+
+
+def test_asymptotic_column_of_a_scan_is_the_pointwise_formula():
+    config = ScatteringConfig(E_n_ev=4.0, z0=0.5)
+    table = angular_scan(config, 19, method="asymptotic")
+    expected = [diff_cross_section_asymptotic(config, float(t)) for t in table.theta_grid]
+    assert table.dsigma_asymptotic.tolist() == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-300, math.pi + 1e-15, -math.inf, math.inf])
+def test_angular_factors_reject_one_bad_angle_in_an_array(bad):
+    grid = _factor_grid()
+    grid[90] = bad
+    config = ScatteringConfig(E_n_ev=1.0)
+    for call in (f_theta, h_theta, lambda th: diff_cross_section_asymptotic(config, th)):
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+            call(grid)
+
+
+def test_asymptotic_warns_once_per_call_on_a_grid():
+    config = ScatteringConfig(E_n_ev=0.01)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        diff_cross_section_asymptotic(config, np.linspace(0.0, math.pi, 19))
+    assert [str(w.message) for w in caught] == ["asymptotic formula dubious at q = 1.16 < 5"]
+
+
+# from about 1e-279 eV down q underflows to 0; from about 1e-289 eV down so
+# does the energy in joules
+@pytest.mark.parametrize("energy", [1e-280, 1e-300, 1e-320, 5e-324])
+def test_cross_sections_at_a_zero_wavenumber_raise_one_arithmetic_error(energy):
+    config = ScatteringConfig(E_n_ev=energy)
+    assert config.q == 0.0
+    calls = (
+        lambda: diff_cross_section_asymptotic(config, 1.0),
+        lambda: diff_cross_section_asymptotic(config, np.array([0.5, 1.0])),
+        lambda: diff_cross_section_numeric(config, 1.0),
+        lambda: total_cross_section_numeric(config),
+        lambda: angular_scan(config, 3, "asymptotic"),
+        lambda: angular_scan(config, 3, "numeric"),
+    )
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError) as info:
+                call()
+        assert type(info.value) is ArithmeticError
+        assert str(info.value) == (
+            f"incident wavenumber q = 0.0, q^2 = 0 at E_n_ev = {energy!r}"
+        )
+
+
+def test_scattering_length_is_a_constant_not_a_field():
+    assert SCATT_LENGTH == 3.26e-15
+    assert ScatteringConfig().scatt_length == SCATT_LENGTH
+    assert ScatteringConfig(E_n_ev=1.0).scatt_length == SCATT_LENGTH
+    with pytest.raises(TypeError):
+        ScatteringConfig(scatt_length=1e-15)
 
 
 REDUCED_INTEGRAL_REFS = [
@@ -226,8 +322,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("E_n_ev", math.nan), ("E_n_ev", math.inf), ("scatt_length", -math.inf),
-     ("z0", math.inf), ("z0", math.nan)],
+    [("E_n_ev", math.nan), ("E_n_ev", math.inf), ("z0", math.inf), ("z0", math.nan)],
 )
 def test_config_rejects_non_finite_fields(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -272,3 +367,16 @@ def test_finite_z0_cross_section_close_to_wide_packet_limit():
     v_narrow = diff_cross_section_numeric(narrow, 2.0)
     v_wide = diff_cross_section_numeric(wide, 2.0)
     assert v_narrow == pytest.approx(v_wide, rel=1e-3)
+
+
+@pytest.mark.parametrize("z0", [1e-300, 1.0, 1e200, 1e300])
+def test_packet_speed_is_the_formula_at_any_width(z0):
+    # Delta v = hbar z0 / (2 m_alpha a_B), m_alpha = 4 m_n, at 40 digits
+    c = CODATA
+    with mp.workdps(40):
+        exact = mp.mpf(c.hbar) * mp.mpf(z0) / (8 * mp.mpf(c.m_n) * mp.mpf(c.a_B))
+        report = check_conditions(ScatteringConfig(E_n_ev=1.0, z0=z0))
+        for key in ("born_oppenheimer", "almost_diagonal"):
+            value = report[key]["value"]
+            assert abs(mp.mpf(value) / exact - 1) <= 1e-15
+            assert report[key]["margin"] == report[key]["threshold"] / value
