@@ -254,8 +254,8 @@ def run_momentum(params: dict) -> str:
         dist = momentum_distribution(params["z0"], grid)
     delta = 1.0 / params["z0"]
     with _stage("momentum", "Gaussian and electron limits", params):
-        gaussian = [gaussian_limit(q, delta) for q in dist.q_grid]
-        electron = [electron_limit(q) for q in dist.q_grid]
+        gaussian = gaussian_limit(dist.q_grid, delta)
+        electron = electron_limit(dist.q_grid)
     _require_finite("momentum", "momentum density and its limits", params,
                     dist.values, gaussian, electron)
     return _csv(

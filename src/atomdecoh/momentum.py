@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import damped_moments
+from .quadrature import _complex_moments, damped_moments
 
 #: below this q, where Im(...)/q of the closed form cancels, sin(qs)/(qs)
 #: is expanded in q^2 instead
@@ -33,26 +33,40 @@ _TWO_PI_SQ = 2.0 * math.pi**2
 class MomentumDistribution:
     """Radial momentum density sampled on a grid of dimensionless q: two
     1-D float arrays of one length, finite and nonnegative, and the width
-    ratio z0 > 0. A field that breaks this raises ValueError naming it."""
+    ratio z0 > 0. A field that breaks this raises ValueError naming it,
+    q_grid before values."""
 
     q_grid: np.ndarray
     values: np.ndarray
     z0: float
 
     def __post_init__(self) -> None:
-        # checked on Python floats: for the few points of a typical grid
+        # one pass over Python floats: for the few points of a typical grid
         # that takes a fraction of a numpy comparison and reduction
         if self.q_grid.ndim != 1 or self.values.shape != self.q_grid.shape:
             raise ValueError(
                 f"values must hold one density per q_grid point, got shapes "
                 f"{self.values.shape} and {self.q_grid.shape}"
             )
-        if not all(0.0 <= q < math.inf for q in self.q_grid.tolist()):
-            raise ValueError("q_grid must be finite and nonnegative")
-        if not all(0.0 <= v < math.inf for v in self.values.tolist()):
-            raise ValueError("values must be finite and nonnegative densities")
+        q_list = self.q_grid.tolist()
+        for q, value in zip(q_list, self.values.tolist()):
+            if not (0.0 <= q < math.inf and 0.0 <= value < math.inf):
+                if all(0.0 <= q < math.inf for q in q_list):
+                    raise ValueError("values must be finite and nonnegative densities")
+                raise ValueError("q_grid must be finite and nonnegative")
         if not 0.0 < self.z0 < math.inf:
             raise ValueError(f"z0 must be positive and finite, got {self.z0!r}")
+
+    @classmethod
+    def _checked(cls, q_grid: np.ndarray, values: np.ndarray, z0: float) -> "MomentumDistribution":
+        """The distribution of fields momentum_distribution has checked in
+        its one pass over the grid, built without a second pass: on a
+        one-point grid the checks of __post_init__ cost as much as the
+        rest of the wrapper."""
+        dist = object.__new__(cls)
+        # the instance dict, as the frozen class's own __setattr__ refuses
+        dist.__dict__.update(q_grid=q_grid, values=values, z0=z0)
+        return dist
 
 
 def momentum_density(q: float, z0: float) -> float:
@@ -79,21 +93,31 @@ def momentum_density(q: float, z0: float) -> float:
         raise ValueError(f"q and z0 must be finite, got q={q!r}, z0={z0!r}")
     if q < 0.0:
         raise ValueError("q must be nonnegative")
-    if z0 <= 0.0:
-        raise ValueError("z0 must be positive")
+    return _density(q, z0, _damping(z0))
+
+
+def _damping(z0: float) -> float:
+    """The packet damping z0^2/8 of a valid z0."""
+    if not 0.0 < z0 < math.inf:
+        raise ValueError(f"z0 must be positive and finite, got {z0!r}")
     a = z0 * z0 / 8.0
     if a == math.inf:
         raise OverflowError(f"the packet damping z0^2/8 overflows for z0={z0!r}")
+    return a
+
+
+def _density(q: float, z0: float, a: float) -> float:
+    """momentum_density for a checked q and z0, a = _damping(z0)."""
     if q < _Q_TAYLOR:
         moments = _taylor_moments(a)
         total = 0.0
         coeff = 1.0
         for k in range(_TAYLOR_TERMS):
             i = 2 * k + 2
-            total += coeff * (moments[i] + moments[i + 1] + moments[i + 2] / 3.0).real
+            total += coeff * (moments[i] + moments[i + 1] + moments[i + 2] / 3.0)
             coeff *= -q * q / ((2 * k + 2) * (2 * k + 3))
         return total / _TWO_PI_SQ
-    moments = damped_moments(complex(1.0, -q), a, 3)
+    moments = _complex_moments(complex(1.0, -q), a, 3)
     value = (moments[1] + moments[2] + moments[3] / 3.0).imag / (_TWO_PI_SQ * q)
     if value < 0.0:
         raise ArithmeticError(
@@ -104,36 +128,60 @@ def momentum_density(q: float, z0: float) -> float:
 
 @lru_cache(maxsize=1)
 def _taylor_moments(a: float) -> tuple:
-    """The moments I_n(1, a) of the Taylor branch, kept for the last a: the
-    points of a grid below _Q_TAYLOR share them."""
+    """The real moments I_n(1, a) of the Taylor branch, kept for the last a:
+    the points of a grid below _Q_TAYLOR share them."""
     return tuple(damped_moments(1.0, a, 2 * _TAYLOR_TERMS + 2))
 
 
-def gaussian_limit(p_offset: float, delta: float) -> float:
+def gaussian_limit(p_offset, delta: float):
     """Momentum distribution of the bare packet:
-    (2/pi)^{3/2} delta^3 exp(-2 (p - P0)^2 delta^2) in (a_B, hbar) units."""
+    (2/pi)^{3/2} delta^3 exp(-2 (p - P0)^2 delta^2) in (a_B, hbar) units,
+    elementwise for an array p_offset; a float for a scalar one."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     # exp(-2 x^2) is 0 from |x| = 19.31 on; the value is 0 there, though
     # x**2 overflows past 1.3e154 and delta**3 past 5.6e102
-    x = p_offset * delta
-    decay = math.exp(-2.0 * x**2) if abs(x) < 20.0 else 0.0
-    if decay == 0.0:
-        return 0.0
-    return (2.0 / math.pi) ** 1.5 * delta**3 * decay
+    with np.errstate(over="ignore"):
+        x = np.abs(np.asarray(p_offset, dtype=float) * delta)
+    near = x < 20.0
+    x = np.where(near, x, 0.0)
+    decay = np.where(near, np.exp(-2.0 * x**2), 0.0)
+    # delta^3 is only formed where some value is nonzero
+    peak = (2.0 / math.pi) ** 1.5 * delta**3 if decay.any() else 0.0
+    value = peak * decay
+    return value if value.ndim else float(value)
 
 
-def electron_limit(q: float) -> float:
+def electron_limit(q):
     """Momentum distribution of the bound 1s electron:
-    (8/pi^2) (1 + q^2)^-4 in (a_B, hbar) units."""
-    if q < 0.0:
+    (8/pi^2) (1 + q^2)^-4 in (a_B, hbar) units, elementwise for an array q;
+    a float for a scalar one."""
+    q = np.asarray(q, dtype=float)
+    if (q < 0.0).any():
         raise ValueError("q must be nonnegative")
-    return 8.0 / math.pi**2 / (1.0 + q * q) ** 4
+    # squared twice by products: numpy's ** rounds an array and a 0-d array
+    # apart
+    square = (1.0 + q * q) * (1.0 + q * q)
+    value = 8.0 / math.pi**2 / (square * square)
+    return value if value.ndim else float(value)
 
 
 def momentum_distribution(z0: float, q_grid) -> MomentumDistribution:
     """momentum_density(q, z0) at every q of q_grid, with the accuracy
-    stated there; raises as momentum_density does."""
+    stated there; raises as momentum_density does, and ValueError naming
+    q_grid for a grid that is not 1-D. One pass over the grid checks each
+    q and each density as MomentumDistribution would, and z0 is checked
+    once."""
     q_grid = np.asarray(q_grid, dtype=float)
-    values = np.array([momentum_density(q, z0) for q in q_grid.tolist()])
-    return MomentumDistribution(q_grid, values, z0)
+    if q_grid.ndim != 1:
+        raise ValueError(f"q_grid must be a 1-D grid of momenta, got shape {q_grid.shape}")
+    a = _damping(z0)
+    values = []
+    for q in q_grid.tolist():
+        if not 0.0 <= q < math.inf:
+            raise ValueError(f"q_grid must be finite and nonnegative, got q={q!r}")
+        value = _density(q, z0, a)
+        if not 0.0 <= value < math.inf:
+            raise ValueError("values must be finite and nonnegative densities")
+        values.append(value)
+    return MomentumDistribution._checked(q_grid, np.array(values), z0)

@@ -83,6 +83,27 @@ _FADDEEVA_COEFFS = (
 #: largest y for which w(iy) is exp(y^2) erfc(y): erfc(y) is a normal
 #: double up to y = 26.5, and exp(y^2) finite up to 26.6
 _ERFCX_MAX = 26.0
+#: the Liouville-Green coefficients c_k(mu) = mu^((k+1) mod 2) (p + q mu^2)
+#: of the long seed g_n = W/2 - mu/2 + sum_k c_k W^-k, as (p, q) for
+#: k = 1..10: c_1..c_8 make up _seed_long, and c_9, c_10 give its error;
+#: written by tests/make_seed_coeffs.py
+_SEED_COEFFS = (
+    (-1, 0), (1, 0), (1, 0), (4, 0), (10, -5),
+    (-20, 0), (-21, -50), (-368, 60), (-798, 534), (1696, 960),
+)
+(
+    (_C1, _), (_C2, _), (_C3, _), (_C4, _), (_C5, _C5_MU2),
+    (_C6, _), (_C7, _C7_MU2), (_C8, _C8_MU2), (_C9, _C9_MU2), (_C10, _C10_MU2),
+) = _SEED_COEFFS
+#: the long seed's gain at a typical Newton-region start, in nats: the
+#: start search begins where Re(mu) sqrt(2N) makes up the rest of ln 2^53
+_LONG_GAIN_GUESS = 20.0
+#: sqrt(2 * _MILLER_CAP): Re(mu) sqrt(2N) at the cap
+_SQRT_2CAP = math.sqrt(2.0 * _MILLER_CAP)
+#: the largest Newton step of the start search after which it stops: an
+#: iteration costs as much as about ten backward steps, and the step after
+#: one of 4 is at most about 2.6 (0.16 step^2 measured)
+_NEWTON_LAST_STEP = 4.0
 
 
 def _faddeeva(z):
@@ -139,6 +160,17 @@ def _unscale(js, root) -> list:
     return moments
 
 
+def _sqrt(z):
+    """The square root in z's own arithmetic: a Python complex, a float or
+    a complex array. cmath.sqrt of a real positive complex rounds as
+    math.sqrt does, so the float path rounds as the complex one would."""
+    if type(z) is complex:
+        return cmath.sqrt(z)
+    if type(z) is float:
+        return math.sqrt(z)
+    return np.sqrt(z)
+
+
 def _dominance(mu, n: float):
     """ln|L_n / J_n| up to a constant, L a dominant solution of the moment
     recurrence: the Liouville-Green sum of ln|(w_k + mu)/(w_k - mu)|,
@@ -146,67 +178,159 @@ def _dominance(mu, n: float):
     Elementwise for an array mu."""
     if n == 0:
         return (mu * mu).real / 4.0
+    w = _sqrt(mu * mu + 8.0 * n)
     if type(mu) is _ARRAY:
-        w = np.sqrt(mu * mu + 8.0 * n)
         return n * (2.0 * np.log(np.abs(w + mu)) - math.log(8.0 * n)) + (mu * w).real / 4.0
-    w = cmath.sqrt(mu * mu + 8.0 * n)
     return n * (2.0 * math.log(abs(w + mu)) - math.log(8.0 * n)) + (mu * w).real / 4.0
 
 
 def _seed(mu, n):
-    """g_n = 2 J_(n+1) / J_n by two Liouville-Green terms: with
-    w = sqrt(mu^2 + 8(n+1)), g_n (mu + g_(n+1)) = 2(n + 1) gives
-    g_n = (w - mu)/2 (1 - 2/w^2 + ...), summed as 4(n + 1)/(w + mu)
-    (1 - 2/w^2): Re w >= 0 and Re mu > 0, so w + mu does not cancel, where
-    w - mu cancels to 0 once |mu|^2 >> 8n. Elementwise for arrays mu, n."""
-    if type(mu) is _ARRAY:
-        w = np.sqrt(mu * mu + 8.0 * (n + 1))
-    else:
-        w = cmath.sqrt(mu * mu + 8.0 * (n + 1))
+    """g_n = 2 J_(n+1) / J_n by two Liouville-Green terms, the short seed of
+    the closed-form starts and of a real mu: with w = sqrt(mu^2 + 8(n+1)),
+    g_n (mu + g_(n+1)) = 2(n + 1) gives g_n = (w - mu)/2 - 1/w + mu/w^2 + ...
+    (c_1 and c_2 of _SEED_COEFFS), summed as 4(n + 1)/(w + mu) (1 - 2/w^2):
+    Re w >= 0 and Re mu > 0, so w + mu does not cancel, where w - mu cancels
+    to 0 once |mu|^2 >> 8n. Off by |2w + 10 mu| / |w|^5 relative
+    (_seed_gain). Elementwise for arrays mu, n."""
+    w = _sqrt(mu * mu + 8.0 * (n + 1))
     return 4.0 * (n + 1) / (w + mu) * (1.0 - 2.0 / (w * w))
 
 
 def _seed_gain(mu, w):
     """-ln of _seed's relative error at w = sqrt(mu^2 + 8n). The next
-    Liouville-Green term is g_n (2w + 10 mu) / w^5, so the error is
-    |2w + 10 mu| / |w|^5, about 1/(32 n^2) for large n; measured against
-    the converged ratio it holds within a few percent from n = 50 on.
-    Elementwise for arrays."""
+    Liouville-Green terms, c_3 and c_4, are g_n (2w + 10 mu) / w^5, so the
+    error is |2w + 10 mu| / |w|^5, about 1/(32 n^2) for large n; measured
+    against the converged ratio it holds within a few percent from n = 50
+    on. Elementwise for arrays."""
     if type(mu) is _ARRAY:
         return np.log(np.abs(w) ** 5 / np.abs(2.0 * w + 10.0 * mu))
     return math.log(abs(w) ** 5 / abs(2.0 * w + 10.0 * mu))
 
 
+def _seed_long(mu, n):
+    """g_n = 2 J_(n+1) / J_n by eight Liouville-Green terms, the seed of the
+    Newton-searched starts of a complex mu and of the cap: with
+    W = sqrt(mu^2 + 8(n+1)), g_n = 4(n+1)/(W + mu) + sum_(k=1..8) c_k W^-k,
+    the c_k of _SEED_COEFFS, summed by Horner's rule in 1/W^2, the terms
+    odd and even in mu apart. Off by about the first terms left out,
+    |c_9 + c_10 / W| / |W|^9 relative to g_n (_long_gain): 5e-9 at n = 40
+    and 5e-12 at n = 150 for mu = 1 - 3i, where _seed is off by 3e-5 and
+    2e-6 (tests/test_moments.py). Elementwise for arrays mu, n."""
+    mu_mu = mu * mu
+    w = _sqrt(mu_mu + 8.0 * (n + 1))
+    x = 1.0 / w
+    y = x * x
+    odd = (((_C7 + _C7_MU2 * mu_mu) * y + _C5 + _C5_MU2 * mu_mu) * y + _C3) * y + _C1
+    even = (((_C8 + _C8_MU2 * mu_mu) * y + _C6) * y + _C4) * y + _C2
+    return 4.0 * (n + 1) / (w + mu) + x * (odd + mu * x * even)
+
+
+def _long_gain(mu, w, x):
+    """-ln of _seed_long's relative error at start x, w = sqrt(mu^2 + 8x):
+    ln(4x |w|^10 / (|c_9 w + c_10| |w + mu|)), the first terms it leaves
+    out against g = 4x / (w + mu). About 5 ln x far out. Elementwise for
+    arrays."""
+    mu_mu = mu * mu
+    tail = (_C9 + _C9_MU2 * mu_mu) * w + mu * (_C10 + _C10_MU2 * mu_mu)
+    if type(mu) is _ARRAY:
+        return np.log(4.0 * x * np.abs(w) ** 10 / (np.abs(tail) * np.abs(w + mu)))
+    return math.log(4.0 * x * abs(w) ** 10 / (abs(tail) * abs(w + mu)))
+
+
+def _newton_guess(mu, target, floor: float):
+    """Where the start search of a complex mu begins: the x at which
+    Re(mu) sqrt(2x), the dominance far out, reaches target less the long
+    seed's typical gain, within [floor, _MILLER_CAP], floor = max(n_max, 1).
+    The same operations in both forms, so a scalar and an array element
+    begin alike; a Re(mu) that underflows to 0 begins at the cap."""
+    if type(mu) is _ARRAY:
+        reach = np.maximum(target - _LONG_GAIN_GUESS, 0.0)
+        root2x = np.minimum(reach / np.maximum(mu.real, 1e-300), _SQRT_2CAP)
+        return np.maximum(np.minimum(0.5 * root2x * root2x, _MILLER_CAP), floor)
+    reach = max(target - _LONG_GAIN_GUESS, 0.0)
+    root2x = min(reach / max(mu.real, 1e-300), _SQRT_2CAP)
+    return max(min(0.5 * root2x * root2x, _MILLER_CAP), floor)
+
+
 def _miller_start(mu: complex, n_max: int) -> int | None:
-    """Start N of the backward recurrence, or None for the upward one.
+    """Start N of the backward recurrence of a complex mu from _seed_long,
+    or None for the upward one.
 
     N is the smallest index with _dominance(N) - _dominance(n_max) >=
-    ln 2^53 minus _seed_gain(N): the backward recurrence from _seed(N) is
-    then within roundoff at n_max. Newton's method finds N stepping in
+    ln 2^53 minus _long_gain(N): the backward recurrence from _seed_long(N)
+    is then within roundoff at n_max. Newton's method finds N stepping in
     sqrt(n), along which the dominance grows about linearly far out (like
     Re(mu) sqrt(2n), which makes N grow like 1/Re(mu)^2), and takes the
-    gain's slope as 2/n, its large-n form. Both terms are concave in sqrt(n)
-    far out, so the iterates approach N from below; near the turning point
+    gain's slope as 5/n, its large-n form. It begins at _newton_guess.
+    Both terms are concave in sqrt(n) far out, so from above the guess one
+    Newton step, the only one taken downwards, lands below N, and from
+    below the iterates approach N from below; near the turning point
     n = -Re(mu^2)/8 one can overshoot N, and the rule keeps it rather than
-    step back. Past _MILLER_CAP the choice is _cap_wins'."""
+    step back again. Once a step is at most _NEWTON_LAST_STEP the search
+    stops a step early, at the next iterate plus that step again. On the
+    168 complex searches of the seed-7 momentum_purity block it takes 1.9
+    iterations, where the two-term rule from n_max took 3.1, and the runs
+    from the long seed are 35 steps long, where they were 68. Past
+    _MILLER_CAP the choice is _cap_wins'."""
+    target = _dominance(mu, n_max) + _LN_EPS
+    floor = float(max(n_max, 1))
+    x = _newton_guess(mu, target, floor)
+    mu_mu = mu * mu
+    tail_w = _C9 + _C9_MU2 * mu_mu
+    tail_1 = mu * (_C10 + _C10_MU2 * mu_mu)
+    first = True
+    while x <= _MILLER_CAP:
+        eight_x = 8.0 * x
+        w = cmath.sqrt(mu_mu + eight_x)
+        reach = abs(w + mu)
+        slope = math.log(reach * reach / eight_x)
+        if slope <= 0.0:
+            break
+        # x * slope + Re(mu w) / 4 is _dominance(mu, x), and slope its
+        # derivative, 2 ln|w + mu| - ln 8x; the last term is
+        # _long_gain(mu, w, x), inlined
+        gain = (x * slope + (mu * w).real / 4.0
+                + math.log(4.0 * x * abs(w) ** 10 / (abs(tail_w * w + tail_1) * reach)))
+        step = (target - gain) / (slope + 5.0 / x)
+        if first and step < -0.5 and x > floor:
+            x = max(x + step, floor)
+        elif step <= _NEWTON_LAST_STEP:
+            # the next step is well below this one: N is the next iterate
+            # plus this step again
+            step = max(step, 0.0)
+            return math.ceil(x + 2.0 * step + step * step / (4.0 * x)) + 1
+        else:
+            # the same Newton step taken in sqrt(x)
+            x += step + step * step / (4.0 * x)
+        first = False
+    w_cap = cmath.sqrt(mu_mu + 8.0 * _MILLER_CAP)
+    return _MILLER_CAP if _cap_wins(mu, n_max, _long_gain(mu, w_cap, _MILLER_CAP)) else None
+
+
+def _short_start(mu: float, n_max: int) -> int | None:
+    """Start N of the backward recurrence of a real mu from _seed, or None
+    for the upward one: the Newton search of _miller_start with _seed_gain
+    for the gain (slope 2/n), from n_max, stopping once a step is at most
+    0.5. A real mu keeps this two-term rule so that its moments, and with
+    them the purity and the Taylor branch, are bit for bit those of the
+    two-term rule in complex arithmetic (tests/oracles.py). Past the cap, which a real mu >= sqrt(6) reaches only for n_max in the
+    thousands, the choice is _cap_wins'."""
     target = _dominance(mu, n_max) + _LN_EPS
     mu_mu, ten_mu = mu * mu, 10.0 * mu
     x = float(max(n_max, 1))
     while x <= _MILLER_CAP:
         eight_x = 8.0 * x
-        w = cmath.sqrt(mu_mu + eight_x)
-        slope = 2.0 * math.log(abs(w + mu)) - math.log(eight_x)
+        w = math.sqrt(mu_mu + eight_x)
+        slope = 2.0 * math.log(w + mu) - math.log(eight_x)
         if slope <= 0.0:
             break
-        # x * slope + Re(mu w) / 4 is _dominance(mu, x), and slope its
-        # derivative; the last term is _seed_gain(mu, w), inlined
-        gain = x * slope + (mu * w).real / 4.0 + math.log(abs(w) ** 5 / abs(2.0 * w + ten_mu))
+        gain = x * slope + mu * w / 4.0 + math.log(w**5 / (2.0 * w + ten_mu))
         step = (target - gain) / (slope + 2.0 / x)
         if step <= 0.5:
             return math.ceil(x + max(step, 0.0)) + 1
-        # the same Newton step taken in sqrt(x)
         x += step + step * step / (4.0 * x)
-    return _MILLER_CAP if _cap_wins(mu, n_max) else None
+    w_cap = math.sqrt(mu_mu + 8.0 * _MILLER_CAP)
+    return _MILLER_CAP if _cap_wins(mu, n_max, _seed_gain(mu, w_cap)) else None
 
 
 def _closed_start(mu_sq, n_max: int):
@@ -224,9 +348,10 @@ def _closed_start(mu_sq, n_max: int):
     |mu|^2: there the converged ratios damp an error of 1 in g_N only by
     e^-34, 2.7 nats short of 2^-53, and _seed's own error is below 1.
     On 126,000 draws (n_max in {1, 3, 4, 6, 7, 12}, |mu|^2 up to 1e20, any
-    arg(mu)) N was never below _miller_start's, 2.3 steps above it on
-    average and 18 at most; the Newton search costs more than the steps it
-    saves."""
+    arg(mu)) N was never below the Newton-searched start from _seed (as
+    _short_start picks it), 2.3 steps above it on average and 18 at most;
+    these runs are about 9 steps long, so neither the search nor the long
+    seed would pay for itself."""
     frexp = np.frexp if type(mu_sq) is _ARRAY else math.frexp
     first = _LN_EPS / ((frexp(mu_sq / (2.0 * (n_max + 1)))[1] - 1) * _LN_2)
     steps = _LN_EPS / ((frexp(mu_sq / (2.0 * (n_max + 1 + first)))[1] - 1) * _LN_2)
@@ -235,40 +360,49 @@ def _closed_start(mu_sq, n_max: int):
     return n_max + 1 + math.ceil(steps)
 
 
-def _cap_wins(mu, n_max: int):
-    """Past the cap: whether the backward recurrence from _seed at the cap
-    has a smaller predicted ln(error / roundoff) than the upward one.
-    Elementwise for arrays."""
-    sqrt = np.sqrt if type(mu) is _ARRAY else cmath.sqrt
-    gain = _seed_gain(mu, sqrt(mu * mu + 8.0 * _MILLER_CAP))
-    capped_loss = _LN_EPS - gain - (_dominance(mu, _MILLER_CAP) - _dominance(mu, n_max))
+def _cap_wins(mu, n_max: int, seed_gain):
+    """Past the cap: whether the backward recurrence from the seed at the
+    cap, whose gain (-ln of its relative error) there is seed_gain, has a
+    smaller predicted ln(error / roundoff) than the upward one. Elementwise
+    for arrays."""
+    capped_loss = _LN_EPS - seed_gain - (_dominance(mu, _MILLER_CAP) - _dominance(mu, n_max))
     return capped_loss < _dominance(mu, n_max) - _dominance(mu, 0)
 
 
 def _miller_starts(mu: np.ndarray, n_max: int) -> np.ndarray:
     """_miller_start elementwise, with 0 for the upward recurrence."""
-    x = np.full(mu.shape, float(max(n_max, 1)))
-    starts = np.zeros(mu.shape, dtype=int)
-    past_cap = np.zeros(mu.shape, dtype=bool)
+    floor = float(max(n_max, 1))
     target = _dominance(mu, n_max) + _LN_EPS
-    live = np.flatnonzero(x <= _MILLER_CAP)
+    x = _newton_guess(mu, target, floor)
+    starts = np.zeros(mu.shape, dtype=int)
+    past_cap = x > _MILLER_CAP
+    live = np.flatnonzero(~past_cap)
+    first = True
     while live.size:
         m, xl = mu[live], x[live]
         w = np.sqrt(m * m + 8.0 * xl)
-        slope = 2.0 * np.log(np.abs(w + m)) - np.log(8.0 * xl)
+        reach = np.abs(w + m)
+        slope = np.log(reach * reach / (8.0 * xl))
         rising = slope > 0.0
         past_cap[live[~rising]] = True
         live, m, w, xl, slope = live[rising], m[rising], w[rising], xl[rising], slope[rising]
-        gain = xl * slope + (m * w).real / 4.0 + _seed_gain(m, w)
-        step = (target[live] - gain) / (slope + 2.0 / xl)
-        done = step <= 0.5
-        starts[live[done]] = np.ceil(xl[done] + np.maximum(step[done], 0.0)).astype(int) + 1
-        x[live] = xl + step + step * step / (4.0 * xl)
+        gain = xl * slope + (m * w).real / 4.0 + _long_gain(m, w, xl)
+        step = (target[live] - gain) / (slope + 5.0 / xl)
+        down = (step < -0.5) & (xl > floor) if first else np.zeros(step.shape, dtype=bool)
+        done = (step <= _NEWTON_LAST_STEP) & ~down
+        last, x_last = np.maximum(step[done], 0.0), xl[done]
+        stop = np.ceil(x_last + 2.0 * last + last * last / (4.0 * x_last))
+        starts[live[done]] = stop.astype(int) + 1
+        up = xl + step + step * step / (4.0 * xl)
+        x[live] = np.where(down, np.maximum(xl + step, floor), up)
         live = live[~done]
         beyond = x[live] > _MILLER_CAP
         past_cap[live[beyond]] = True
         live = live[~beyond]
-    starts[past_cap] = np.where(_cap_wins(mu[past_cap], n_max), _MILLER_CAP, 0)
+        first = False
+    capped = mu[past_cap]
+    gain = _long_gain(capped, np.sqrt(capped * capped + 8.0 * _MILLER_CAP), _MILLER_CAP)
+    starts[past_cap] = np.where(_cap_wins(capped, n_max, gain), _MILLER_CAP, 0)
     return starts
 
 
@@ -304,14 +438,14 @@ def _backward(mu, n_max: int, start: int, g) -> list:
     return js
 
 
-def _backward_array(mu: np.ndarray, n_max: int, starts: np.ndarray) -> list:
-    """_backward elementwise, each element from _seed at its own start:
+def _backward_array(mu: np.ndarray, n_max: int, starts: np.ndarray, seeds: np.ndarray) -> list:
+    """_backward elementwise, each element from its seed at its own start:
     sorted by start, the elements still running at index n are a prefix of
     the arrays, so every step updates one slice."""
     order = np.argsort(-starts, kind="stable")
     running = np.searchsorted(-starts[order], -np.arange(starts.max() + 1), side="right")
     mu_sorted = mu[order]
-    g = _seed(mu_sorted, starts[order])
+    g = seeds[order]
     for n in range(int(starts.max()), n_max, -1):
         k = running[n]
         g[:k] = 2.0 * n / (mu_sorted[:k] + g[:k])
@@ -325,19 +459,44 @@ def _exact(b, n_max: int) -> list:
     return [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)]
 
 
+def _power(x: float, n: int) -> float:
+    """x^n for a float x and n >= 1 as Python raises complex(x) to the int
+    power n: by binary powering up to n = 100 and by pow beyond, so the
+    real a -> 0 limit rounds as the complex one does."""
+    if n > 100:
+        return x**n
+    power = 1.0
+    while n:
+        if n & 1:
+            power *= x
+        x *= x
+        n >>= 1
+    return power
+
+
 def damped_moments(b, a: float, n_max: int):
     """I_n = int_0^inf s^n exp(-b s - a s^2) ds for n = 0..n_max;
     Re b > 0, a >= 0, both finite.
 
-    a is one float: an array a raises TypeError. A scalar b gives a list of
-    n_max + 1 complex numbers, and a 1-D numpy.ndarray b (not a subclass)
-    an array of shape (n_max + 1, b.size). Each element of an array takes
-    the branch and the backward-recurrence start its scalar call takes, and
-    the elements of a branch are evaluated together. The two forms agree to
-    a few units in the last place, and past the cap to what the recurrence
-    makes of that, because numpy rounds complex products differently from
-    Python (tests/test_xsection_engine.py). Scalars pick their branch by
-    plain comparisons, since the array masks cost more than a whole call.
+    a is one float: an array a raises TypeError. A real scalar b (a float,
+    an int, or a complex whose imaginary part is 0, as for the purity and
+    the Taylor branch of the momentum density) runs in float arithmetic and
+    gives a list of n_max + 1 floats, each equal to the real part the
+    complex arithmetic would give (tests/test_moments.py); any other
+    scalar b gives a list of complex numbers. A 1-D numpy.ndarray b (not a
+    subclass) gives an array of shape (n_max + 1, b.size). Each element of
+    an array takes the branch and the backward-recurrence start its scalar
+    call takes, except that an element whose imaginary part is 0 takes the
+    complex start and seed, not the real ones; the elements of a branch are
+    evaluated together. The
+    two forms agree to a few units in the last place, and past the cap to
+    what the recurrence makes of that, because numpy rounds complex
+    products differently from Python (tests/test_xsection_engine.py).
+    Scalars pick their branch by plain comparisons, since the array masks
+    cost more than a whole call. The purity and the momentum density away
+    from its Taylor branch, whose b and a are valid by construction, call
+    the scalar kernels behind the checks, _real_moments and
+    _complex_moments, directly.
 
     With mu = b / sqrt(a), J_n = a^((n+1)/2) I_n obeys
     mu J_n + 2 J_{n+1} = n J_{n-1} + [n = 0]. The branch follows |mu|:
@@ -347,27 +506,33 @@ def damped_moments(b, a: float, n_max: int):
       the exact n! / b^(n+1) (``_exact``), which no J_n underflows;
     * |mu|^2 <= 6: the upward recurrence (``_upward``) from
       J_0 = (sqrt(pi)/2) w(i mu/2), w the Faddeeva function, computed in
-      this module. For a real mu (real b, as for the purity and the Taylor
-      branch of the momentum density) w(i mu/2) is
+      this module. For a real b w(i mu/2) is
       erfcx(mu/2) = exp(mu^2/4) erfc(mu/2), within 1e-15 relative
       (``_erfcx``); otherwise, and for every element of an array, it is
       Weideman's N = 40 rational approximation, within 2e-15 relative
       (``_faddeeva``; both in tests/test_faddeeva.py);
     * otherwise Miller's backward recurrence for g_n = 2 J_(n+1) / J_n,
       normalised by J_0 = 1 / (mu + g_0) (``_backward``; Gautschi, SIAM
-      Rev. 9, 24 (1967)). It starts at an index N from two Liouville-Green
-      terms of the ratio (Gil, Segura & Temme, Numerical Methods for
-      Special Functions, SIAM 2007, ch. 4): g_N = 4(N+1)/(w + mu) (1 - 2/w^2)
-      with w = sqrt(mu^2 + 8(N+1)) (``_seed``). Below
-      |mu|^2 = 170 + 14 n_max the seed is off by the next term,
-      |2w + 10 mu| / |w|^5 relative, about 1/(32 N^2), and N is where the
-      dominant solution has outgrown J past n_max by 2^53 times that error
-      (``_miller_start``); N grows like 1/Re(mu)^2 and is capped at 4000.
-      From there on N is a closed form in |mu|^2 that damps an error of 1
-      in the seed below roundoff (``_closed_start``);
-    * past the cap, which only Re(mu) < 0.5 reaches: the upward recurrence
-      or the backward one from the seed at the cap, whichever has the
-      smaller predicted loss.
+      Rev. 9, 24 (1967)), from a Liouville-Green seed g_N at a start N
+      (Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM
+      2007, ch. 4). Below |mu|^2 = 170 + 14 n_max N is where the dominant
+      solution has outgrown J past n_max by 2^53 times the seed's own
+      error, the first Liouville-Green terms it leaves out, and is capped at
+      4000; N grows like 1/Re(mu)^2. There a complex b takes eight terms
+      of the ratio, g_N = 4(N+1)/(W + mu) + sum_(k=1..8) c_k W^-k with
+      W = sqrt(mu^2 + 8(N+1)) (``_seed_long``), off by about
+      |c_9 + c_10/W| / |W|^9 relative, and a Newton search from a
+      closed-form estimate finds N (``_miller_start``); a real b takes the
+      first two terms, g_N = 4(N+1)/(W + mu) (1 - 2/W^2) (``_seed``), off
+      by |2W + 10 mu| / |W|^5, about 1/(32 N^2), and the search from
+      n_max (``_short_start``), so that its moments are bit for bit
+      those of that rule in complex arithmetic.
+      From |mu|^2 = 170 + 14 n_max on, where runs are about 9 steps, N is
+      a closed form in |mu|^2 that damps an error of 1 in the two-term
+      seed below roundoff (``_closed_start``);
+    * past the cap, which only Re(mu) < 0.5 reaches for n_max below the
+      thousands: the upward recurrence or the backward one from the seed at
+      the cap, whichever has the smaller predicted loss.
 
     Accuracy against mpmath (tests/test_moments.py, and over the whole
     backward branch tests/test_properties.py): at most 1e-13 relative for
@@ -375,30 +540,37 @@ def damped_moments(b, a: float, n_max: int):
     |mu|^2 = 170 + 14 n_max), and at most 1e-14 for n <= 12 from there on
     at any arg(mu) (1.8e-15 measured over 900 draws up to |mu|^2 = 1e40).
     Past the cap the error stays within about twice the predicted loss.
-    Measured for Re(mu) in [0.01, 0.5), it stays below 2e-14 for
-    |mu|^2 <= 16 and peaks near Re(mu) = 0.015, |mu|^2 = 60 at 3e-12 for
-    n <= 3 and 1.5e-10 for n = 6.
+    Measured on 288 points with Re(mu) in [0.01, 0.49] and |mu|^2 in
+    [6.5, 250], it is at most 2.8e-15 for n <= 3 and 3.9e-15 for n = 6
+    (from the two-term seed at the cap it peaked near Re(mu) = 0.014,
+    |mu|^2 = 60, at 2e-12 and 9.2e-11; tests/test_moments.py gates 3e-12
+    and 1.5e-10).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if type(a) is _ARRAY:
         raise TypeError("damped moments take one float a; only b may be an array")
-    array = type(b) is _ARRAY
-    if array:
-        b = np.asarray(b, dtype=complex)
-        if b.ndim != 1:
-            raise ValueError(f"damped moments take a 1-D array b, got shape {b.shape}")
-        valid_b = np.isfinite(b).all() and (b.real > 0.0).all()
-    else:
+    if type(b) is _ARRAY:
+        return _damped_moments_array(b, float(a), n_max)
+    if type(b) is not float:
         b = complex(b)
-        valid_b = cmath.isfinite(b) and b.real > 0.0
+        if b.imag == 0.0:
+            b = b.real
     a = float(a)
-    if not (valid_b and 0.0 <= a < math.inf):
-        raise ValueError(f"damped moments need finite b, Re b > 0 and finite a >= 0, got a={a!r}")
+    if type(b) is float:
+        if 0.0 < b < math.inf and 0.0 <= a < math.inf:
+            return _real_moments(b, a, n_max)
+    elif cmath.isfinite(b) and b.real > 0.0 and 0.0 <= a < math.inf:
+        return _complex_moments(b, a, n_max)
+    raise ValueError(f"damped moments need finite b, Re b > 0 and finite a >= 0, got a={a!r}")
+
+
+def _complex_moments(b: complex, a: float, n_max: int) -> list:
+    """damped_moments for a complex b with Re b > 0 and a finite a >= 0,
+    unchecked: the momentum density calls it at b = 1 - iq, valid by
+    construction, and skips damped_moments' checks."""
     if a > 0.0:
         root = math.sqrt(a)
-        if array:
-            return _damped_moments_array(b, root, n_max)
         mu = b / root
         # a product, not ** 2, which raises OverflowError past |mu| ~ 1.3e154
         mu_abs = abs(mu)
@@ -408,22 +580,60 @@ def damped_moments(b, a: float, n_max: int):
                 start = None
             elif mu_sq >= 170.0 + 14.0 * n_max:
                 start = _closed_start(mu_sq, n_max)
+                g = _seed(mu, start)
             else:
                 start = _miller_start(mu, n_max)
+                g = _seed_long(mu, start) if start is not None else None
+            if start is not None:
+                return _unscale(_backward(mu, n_max, start, g), root)
+            return _unscale(_upward(mu, _HALF_SQRT_PI * _faddeeva(0.5j * mu), n_max), root)
+    return _exact(b, n_max)
+
+
+def _real_moments(b: float, a: float, n_max: int) -> list:
+    """damped_moments for a real b > 0 and a finite a >= 0, unchecked (the
+    purity calls it at b = 2, valid by construction), in float arithmetic.
+    Each operation is the one the complex form runs with imaginary parts
+    0, and cmath.sqrt, abs and a complex integer power of a real positive
+    number round as math.sqrt, the float itself and _power do, so each
+    moment is the real part of the complex form's, bit for bit.
+    mu = b / sqrt(a) >= sqrt(6) in the backward branch, so it never
+    reaches the cap for the n_max the library uses."""
+    if a > 0.0:
+        root = math.sqrt(a)
+        mu = b / root
+        mu_sq = mu * mu
+        if mu_sq < 2.0**54 * ((n_max + 1) * (n_max + 2)):
+            if mu_sq <= _UPWARD_MU_SQ:
+                start = None
+            elif mu_sq >= 170.0 + 14.0 * n_max:
+                start = _closed_start(mu_sq, n_max)
+            else:
+                start = _short_start(mu, n_max)
             if start is not None:
                 return _unscale(_backward(mu, n_max, start, _seed(mu, start)), root)
-            if mu.imag == 0.0 and mu.real <= 2.0 * _ERFCX_MAX:
-                # real b: w(i mu/2) in closed form, over ten times cheaper than _faddeeva
-                j0 = complex(_HALF_SQRT_PI * _erfcx(0.5 * mu.real))
+            if mu <= 2.0 * _ERFCX_MAX:
+                # w(i mu/2) in closed form, over ten times cheaper than _faddeeva
+                j0 = _HALF_SQRT_PI * _erfcx(0.5 * mu)
             else:
-                j0 = _HALF_SQRT_PI * _faddeeva(0.5j * mu)
+                # only past the cap; w of an imaginary argument is real
+                j0 = _HALF_SQRT_PI * _faddeeva(0.5j * mu).real
             return _unscale(_upward(mu, j0, n_max), root)
-    moments = _exact(b, n_max)
-    return np.array(moments) if array else moments
+    inv_b = 1.0 / b
+    return [math.factorial(n) * _power(inv_b, n + 1) for n in range(n_max + 1)]
 
 
-def _damped_moments_array(b: np.ndarray, root: float, n_max: int) -> np.ndarray:
-    """damped_moments for a validated 1-D b and a > 0, root = sqrt(a)."""
+def _damped_moments_array(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
+    """damped_moments for a 1-D array b."""
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 1:
+        raise ValueError(f"damped moments take a 1-D array b, got shape {b.shape}")
+    if not (np.isfinite(b).all() and (b.real > 0.0).all() and 0.0 <= a < math.inf):
+        raise ValueError(
+            f"damped moments need finite b, Re b > 0 and finite a >= 0, got a={a!r}")
+    if a == 0.0:
+        return np.array(_exact(b, n_max))
+    root = math.sqrt(a)
     out = np.empty((n_max + 1, b.size), dtype=complex)
 
     def put(idx, moments):
@@ -450,5 +660,8 @@ def _damped_moments_array(b: np.ndarray, root: float, n_max: int) -> np.ndarray:
         put(up, _unscale(_upward(mu[up], j0, n_max), root))
     back = np.flatnonzero(starts)
     if back.size:
-        put(back, _unscale(_backward_array(mu[back], n_max, starts[back]), root))
+        mu_back, starts_back = mu[back], starts[back]
+        # the two-term seed at the closed-form starts, the long one elsewhere
+        seeds = np.where(far[back], _seed(mu_back, starts_back), _seed_long(mu_back, starts_back))
+        put(back, _unscale(_backward_array(mu_back, n_max, starts_back, seeds), root))
     return out

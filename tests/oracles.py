@@ -20,11 +20,14 @@ can compare the two:
 * the reduced cross-section integral by adaptive quadrature on the
   sinh-stretched peak, the flanks and the tail, and the library's
   tanh-sinh node sums evaluated piece by piece;
-* a sampled check of the off-diagonal bound of the reduced density matrix.
+* a sampled check of the off-diagonal bound of the reduced density matrix;
+* the damped moments of a real b run in complex arithmetic, the route the
+  library's float kernel must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,6 +39,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from atomdecoh.density import reduced_density
 from atomdecoh.momentum import momentum_density
+from atomdecoh import quadrature
 from atomdecoh.quadrature import QuadratureError
 from atomdecoh.density import Z_EFF_HELIUM
 from atomdecoh.scattering import _TAIL_T_MIN, MASS_RATIO, _tau_damped
@@ -490,3 +494,56 @@ def verify_offdiagonal_bound(
         if abs(rho) > bound * (1.0 + 1e-12):
             return False
     return True
+
+
+def _short_start_complex(mu: complex, n_max: int):
+    """The Newton start search of a real mu from the two-term seed, in
+    complex arithmetic: cmath.sqrt, abs and real parts where the float
+    kernel takes math.sqrt and the floats themselves."""
+    target = quadrature._dominance(mu, n_max) + quadrature._LN_EPS
+    mu_mu, ten_mu = mu * mu, 10.0 * mu
+    x = float(max(n_max, 1))
+    while x <= quadrature._MILLER_CAP:
+        eight_x = 8.0 * x
+        w = cmath.sqrt(mu_mu + eight_x)
+        slope = 2.0 * math.log(abs(w + mu)) - math.log(eight_x)
+        if slope <= 0.0:
+            break
+        gain = x * slope + (mu * w).real / 4.0 + math.log(abs(w) ** 5 / abs(2.0 * w + ten_mu))
+        step = (target - gain) / (slope + 2.0 / x)
+        if step <= 0.5:
+            return math.ceil(x + max(step, 0.0)) + 1
+        x += step + step * step / (4.0 * x)
+    w_cap = cmath.sqrt(mu_mu + 8.0 * quadrature._MILLER_CAP)
+    capped = quadrature._cap_wins(mu, n_max, quadrature._seed_gain(mu, w_cap))
+    return quadrature._MILLER_CAP if capped else None
+
+
+def real_moments_in_complex(b: float, a: float, n_max: int) -> list:
+    """damped_moments(b, a, n_max) for a real b > 0, every branch run on
+    Python complex numbers with imaginary part 0: the a -> 0 limit by a
+    complex integer power, the upward recurrence from erfcx (or the
+    Faddeeva function past 2 _ERFCX_MAX), and Miller's recurrence from the
+    two-term seed at the closed-form or the Newton-searched start."""
+    b = complex(b)
+    if a > 0.0:
+        root = math.sqrt(a)
+        mu = b / root
+        mu_abs = abs(mu)
+        mu_sq = mu_abs * mu_abs
+        if mu_sq < 2.0**54 * ((n_max + 1) * (n_max + 2)):
+            if mu_sq <= quadrature._UPWARD_MU_SQ:
+                start = None
+            elif mu_sq >= 170.0 + 14.0 * n_max:
+                start = quadrature._closed_start(mu_sq, n_max)
+            else:
+                start = _short_start_complex(mu, n_max)
+            if start is not None:
+                js = quadrature._backward(mu, n_max, start, quadrature._seed(mu, start))
+                return quadrature._unscale(js, root)
+            if mu.real <= 2.0 * quadrature._ERFCX_MAX:
+                j0 = complex(quadrature._HALF_SQRT_PI * quadrature._erfcx(0.5 * mu.real))
+            else:
+                j0 = quadrature._HALF_SQRT_PI * quadrature._faddeeva(0.5j * mu)
+            return quadrature._unscale(quadrature._upward(mu, j0, n_max), root)
+    return quadrature._exact(b, n_max)

@@ -541,3 +541,27 @@ def test_scattering_length_is_not_a_parameter(tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert "unknown key 'scatt_length_fm'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("purity", "--z-min", "1e-3", "--z-max", "1e2", "--points", "50"),
+    ("momentum", "--z0", "0.1", "--points", "100"),
+])
+def test_readme_purity_and_momentum_runs_are_byte_identical(capsys, argv):
+    # tests/readme_<subcommand>.csv hold these runs' stdout as written
+    # before the float kernel of a real b and the array limits
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == (Path(__file__).parent / f"readme_{argv[0]}.csv").read_text(encoding="utf-8")
+
+
+def test_momentum_run_evaluates_each_limit_once(capsys, monkeypatch):
+    calls = []
+    for name in ("gaussian_limit", "electron_limit"):
+        def counted(*args, name=name, original=getattr(cli, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(cli, name, counted)
+    code, _, _ = _run(capsys, "momentum", "--z0", "0.1", "--points", "100")
+    assert code == 0
+    assert sorted(calls) == ["electron_limit", "gaussian_limit"]

@@ -8,9 +8,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from atomdecoh import quadrature
 from atomdecoh.density import purity
 from atomdecoh.momentum import momentum_density
 from atomdecoh.quadrature import damped_moments
+from make_seed_coeffs import as_ints, seed_coeffs
+from oracles import real_moments_in_complex
 
 DPS = 40
 
@@ -173,3 +176,111 @@ def test_non_finite_inputs_raise(bad):
         momentum_density(bad, 1.0)
     with pytest.raises(ValueError):
         momentum_density(1.0, bad)
+
+
+def _real_branch_points(n_max):
+    """(b, a, branch) of a real b in each branch damped_moments has at
+    n_max: a = 0 and the a -> 0 limit, the upward recurrence from erfcx,
+    Miller's recurrence from the Newton-searched and from the closed-form
+    start, each at three dampings a and one ulp either side of every
+    switch. Past the cap is out of reach: mu >= sqrt(6) there, and its
+    start stays below 4000 for n_max in the hundreds."""
+    top, limit = 170.0 + 14.0 * n_max, 2.0**54 * ((n_max + 1) * (n_max + 2))
+    mu_sqs = [0.01, 1.0, 6.0, math.nextafter(6.0, 7.0)]
+    mu_sqs += np.geomspace(6.5, top, 7, endpoint=False).tolist()
+    mu_sqs += [math.nextafter(top, 0.0), top, math.nextafter(top, math.inf)]
+    mu_sqs += np.geomspace(top * 1.5, limit, 7, endpoint=False).tolist()
+    mu_sqs += [math.nextafter(limit, 0.0), limit, 1e40]
+    points = [(math.sqrt(mu_sq) * math.sqrt(a), a) for mu_sq in mu_sqs for a in (1e-3, 0.7, 40.0)]
+    points += [(b, 0.0) for b in (0.3, 2.0, 7.5)] + [(1.0, 1e-320), (2.0, 5e-324)]
+    out = []
+    for b, a in points:
+        mu = b / math.sqrt(a) if a > 0.0 else math.inf
+        mu_sq = mu * mu
+        if mu_sq >= limit:
+            branch = "exact"
+        elif mu_sq <= 6.0:
+            branch = "upward"
+        elif mu_sq < top:
+            branch = "newton"
+        else:
+            branch = "closed"
+        out.append((b, a, branch))
+    return out
+
+
+@pytest.mark.parametrize("n_max", [3, 6, 12])
+def test_real_moments_are_the_complex_arithmetic_bit_for_bit(n_max):
+    points = _real_branch_points(n_max)
+    assert {branch for _, _, branch in points} == {"exact", "upward", "newton", "closed"}
+    for b, a, branch in points:
+        got = damped_moments(b, a, n_max)
+        ref = real_moments_in_complex(b, a, n_max)
+        assert all(type(m) is float for m in got), (b, a)
+        assert all(m.imag == 0.0 for m in ref), (b, a)
+        assert got == [m.real for m in ref], (b, a, branch)
+
+
+@pytest.mark.parametrize("n_max", [3, 6, 12])
+def test_real_moments_match_mpmath(n_max):
+    for b, a, branch in _real_branch_points(n_max):
+        if a > 0.0 and b / math.sqrt(a) < 0.5:
+            continue  # the stated bounds hold from Re mu = 0.5 on
+        got = damped_moments(b, a, n_max)
+        if branch == "exact":
+            with mp.workdps(DPS):
+                ref = [float(mp.factorial(n) / mp.mpf(b) ** (n + 1)) for n in range(n_max + 1)]
+            bound = 1e-15
+        else:
+            ref = ref_moments(b, a, n_max)
+            bound = 1e-14 if branch == "closed" else 1e-13
+        if branch in ("exact", "upward"):
+            # the stated bounds there cover n <= 6: above, the powers of
+            # 1/b round a little more and the upward recurrence loses more
+            # (1.7e-12 at n = 12, mu^2 = 6)
+            got, ref = got[:7], ref[:7]
+        assert max_rel_err(got, ref) <= bound, (b, a, branch)
+
+
+@pytest.mark.parametrize("n_max", [3, 6, 12])
+def test_real_b_of_any_type_takes_the_float_kernel(n_max):
+    for b, a, _ in _real_branch_points(n_max):
+        moments = damped_moments(b, a, n_max)
+        for same in (complex(b, 0.0), complex(b, -0.0), np.float64(b), np.complex128(b)):
+            assert damped_moments(same, a, n_max) == moments, (b, a)
+    assert damped_moments(2, 1.0, 3) == damped_moments(2.0, 1.0, 3)
+
+
+def test_seed_coefficients_are_the_derived_ones():
+    # c_k = mu^((k+1) mod 2) (p + q mu^2): quadrature keeps (p, q)
+    pairs = []
+    for k, poly in enumerate(seed_coeffs(10), start=1):
+        coeffs = as_ints(poly)
+        parity = (k + 1) % 2
+        assert all(c == 0 for i, c in enumerate(coeffs) if i not in (parity, parity + 2)), k
+        pairs.append(tuple(coeffs[i] if i < len(coeffs) else 0 for i in (parity, parity + 2)))
+    assert quadrature._SEED_COEFFS == tuple(pairs)
+    assert pairs[:2] == [(-1, 0), (1, 0)]  # the two terms of _seed
+
+
+def _converged_ratio(mu, n):
+    """g_n = 2 J_(n+1) / J_n by the backward recurrence from 4000 steps out."""
+    with mp.workdps(50):
+        mu, g = mp.mpc(mu), mp.mpf(0)
+        for k in range(n + 4000, n, -1):
+            g = 2 * k / (mu + g)
+        return complex(g)
+
+
+@pytest.mark.parametrize("mu", [2.0 + 0.0j, 1.0 - 3.0j, 0.7 - 8.0j])
+@pytest.mark.parametrize("n", [10, 40, 150])
+def test_seed_errors_are_as_stated(mu, n):
+    # each seed is off by about its first omitted terms, the error its gain
+    # states, within a factor 2; the long seed is the closer one
+    g = _converged_ratio(mu, n)
+    w = cmath.sqrt(mu * mu + 8.0 * (n + 1))
+    long_err = abs(quadrature._seed_long(mu, n) / g - 1.0)
+    short_err = abs(quadrature._seed(mu, n) / g - 1.0)
+    assert long_err <= 2.0 * math.exp(-quadrature._long_gain(mu, w, n + 1.0))
+    assert short_err <= 2.0 * math.exp(-quadrature._seed_gain(mu, w))
+    assert long_err < short_err

@@ -102,6 +102,33 @@ def test_distribution_container_names_the_bad_field(q_grid, values, z0, field):
         MomentumDistribution(q_grid, values, z0)
 
 
+@pytest.mark.parametrize("q_grid", [[[1.0, 2.0]], 5.0, np.zeros((2, 2)), np.float64(0.5)])
+def test_distribution_rejects_a_grid_that_is_not_1d(q_grid):
+    with pytest.raises(ValueError, match="^q_grid "):
+        momentum_distribution(0.1, q_grid)
+
+
+def test_limits_take_arrays_elementwise():
+    q = np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 2001)))
+    for delta in (0.01, 1.0, 10.0, 1e160):
+        grid = q[1:] if delta > 1e102 else q  # at q = 0, delta^3 would overflow
+        array = gaussian_limit(grid, delta)
+        assert array.tolist() == [gaussian_limit(x, delta) for x in grid.tolist()]
+        # the former math formula: np.exp and math.exp differ by an ulp, and
+        # exp(-2 x^2) turns the ulp of x^2 into up to 2 x^2 = 800 ulps
+        for x, value in zip(grid.tolist()[::40], array.tolist()[::40]):
+            former = (2.0 / math.pi) ** 1.5 * delta**3 * math.exp(-2.0 * (x * delta) ** 2) \
+                if abs(x * delta) < 20.0 else 0.0
+            assert abs(value - former) <= 2e-13 * former, (x, delta)
+    array = electron_limit(q)
+    assert array.tolist() == [electron_limit(x) for x in q.tolist()]
+    former = np.array([8.0 / math.pi**2 / (1.0 + x * x) ** 4 for x in q.tolist()])
+    assert np.max(np.abs(array - former) / former) <= 6e-16
+    assert type(gaussian_limit(0.3, 2.0)) is float and type(electron_limit(0.3)) is float
+    with pytest.raises(ValueError):
+        electron_limit(np.array([0.5, -1e-300]))
+
+
 def test_momentum_distribution_matches_pointwise():
     # both sides of the Taylor branch's edge at q = 1e-2, and far out; each
     # point of the reference computes its Taylor moments afresh

@@ -18,7 +18,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from atomdecoh.cli import SCHEMAS, main
 from atomdecoh.density import purity
 from atomdecoh.momentum import electron_limit, gaussian_limit, momentum_density
-from atomdecoh.quadrature import _backward, _miller_start, _seed, damped_moments
+from atomdecoh.quadrature import _backward, _miller_start, _seed_long, damped_moments
 from atomdecoh.scattering import _tau_damped, tau_transform
 from oracles import normalization_integral
 from test_moments import KERNEL_SQ, max_rel_err, ref_moments
@@ -67,13 +67,14 @@ def test_miller_branch_moments_match_mpmath(n_max, re_frac, sq_frac, upper, log_
 @settings(REPRODUCIBLE, max_examples=200)
 @given(*_MILLER_DRAWS)
 def test_miller_normalisation_matches_the_faddeeva_value(n_max, re_frac, sq_frac, upper):
-    # the backward run's own J_0 = 1 / (mu + g_0) against
+    # the backward run's own J_0 = 1 / (mu + g_0), from the long seed at the
+    # Newton-searched start, against
     # J_0 = (sqrt(pi)/2) w(i mu/2) = (sqrt(pi)/2) exp(mu^2/4) erfc(mu/2)
     mu = _miller_mu(n_max, re_frac, sq_frac, upper)
     if mu is None:
         return
     start = _miller_start(mu, n_max)
-    j0 = _backward(mu, n_max, start, _seed(mu, start))[0]
+    j0 = _backward(mu, n_max, start, _seed_long(mu, start))[0]
     with mp.workdps(30):
         z = mp.mpc(mu) / 2
         ref = complex(mp.sqrt(mp.pi) / 2 * mp.exp(z * z) * mp.erfc(z))
