@@ -19,7 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import _complex_moments, damped_moments
+from .quadrature import (
+    _closed_from,
+    _closed_start,
+    _complex_scaled,
+    _exact,
+    _exact_from,
+    _seed,
+    damped_moments,
+)
 
 #: below this q, where Im(...)/q of the closed form cancels, sin(qs)/(qs)
 #: is expanded in q^2 instead
@@ -27,6 +35,10 @@ _Q_TAYLOR = 1e-2
 #: terms of that expansion; the first one dropped is below 1e-18 relative
 _TAYLOR_TERMS = 5
 _TWO_PI_SQ = 2.0 * math.pi**2
+#: the |mu|^2 range, for the moments up to I_3, in which damped_moments
+#: starts Miller's recurrence in closed form
+_CLOSED_FROM = _closed_from(3)
+_EXACT_FROM = _exact_from(3)
 
 
 @dataclass(frozen=True)
@@ -34,7 +46,10 @@ class MomentumDistribution:
     """Radial momentum density sampled on a grid of dimensionless q: two
     1-D float arrays of one length, finite and nonnegative, and the width
     ratio z0 > 0. A field that breaks this raises ValueError naming it,
-    q_grid before values."""
+    q_grid before values. momentum_distribution checks the same in its own
+    pass over the grid and builds the instance without a second one
+    (_checked); its values are momentum_density's, bit for bit those of
+    the list-based moment recurrences (tests/test_properties.py)."""
 
     q_grid: np.ndarray
     values: np.ndarray
@@ -64,8 +79,12 @@ class MomentumDistribution:
         one-point grid the checks of __post_init__ cost as much as the
         rest of the wrapper."""
         dist = object.__new__(cls)
-        # the instance dict, as the frozen class's own __setattr__ refuses
-        dist.__dict__.update(q_grid=q_grid, values=values, z0=z0)
+        # into the instance dict, as the frozen class's own __setattr__
+        # refuses; item by item, where a keyword update first builds a dict
+        fields = dist.__dict__
+        fields["q_grid"] = q_grid
+        fields["values"] = values
+        fields["z0"] = z0
         return dist
 
 
@@ -107,7 +126,15 @@ def _damping(z0: float) -> float:
 
 
 def _density(q: float, z0: float, a: float) -> float:
-    """momentum_density for a checked q and z0, a = _damping(z0)."""
+    """momentum_density for a checked q and z0, a = _damping(z0).
+
+    Away from the Taylor branch mu = (1 - iq) / sqrt(z0^2/8) and |mu|^2 are
+    computed once. Where damped_moments would start Miller's recurrence in
+    closed form, the start, the seed, the recurrence and the sum
+    (I_1 + I_2) + I_3/3 run here in one pass, with the operations of
+    quadrature._backward at n_max = 3 in its order, so the value is bit for
+    bit the one the list of moments gives (tests/test_properties.py); the
+    other branches take the moments from quadrature._complex_scaled."""
     if q < _Q_TAYLOR:
         moments = _taylor_moments(a)
         total = 0.0
@@ -117,8 +144,37 @@ def _density(q: float, z0: float, a: float) -> float:
             total += coeff * (moments[i] + moments[i + 1] + moments[i + 2] / 3.0)
             coeff *= -q * q / ((2 * k + 2) * (2 * k + 3))
         return total / _TWO_PI_SQ
-    moments = _complex_moments(complex(1.0, -q), a, 3)
-    value = (moments[1] + moments[2] + moments[3] / 3.0).imag / (_TWO_PI_SQ * q)
+    b = complex(1.0, -q)
+    if a > 0.0:
+        root = math.sqrt(a)
+        mu = b / root
+        mu_abs = abs(mu)
+        mu_sq = mu_abs * mu_abs
+        if _CLOSED_FROM <= mu_sq < _EXACT_FROM:
+            start = _closed_start(mu_sq, 3)
+            g = _seed(mu, start)
+            for n in range(2 * start, 6, -2):
+                g = n / (mu + g)
+            g_2 = 6 / (mu + g)
+            g_1 = 4 / (mu + g_2)
+            g_0 = 2 / (mu + g_1)
+            j = 1.0 / (mu + g_0)
+            scale = 1.0 / root / root
+            j = j * g_0 * 0.5
+            i_1 = j * scale
+            scale = scale / root
+            j = j * g_1 * 0.5
+            i_2 = j * scale
+            scale = scale / root
+            j = j * g_2 * 0.5
+            total = (i_1 + i_2) + j * scale / 3.0
+        else:
+            moments = _complex_scaled(b, root, mu, mu_sq, 3)
+            total = moments[1] + moments[2] + moments[3] / 3.0
+    else:
+        moments = _exact(b, 3)
+        total = moments[1] + moments[2] + moments[3] / 3.0
+    value = total.imag / (_TWO_PI_SQ * q)
     if value < 0.0:
         raise ArithmeticError(
             f"momentum density at q={q!r}, z0={z0!r} is lost to cancellation: got {value!r}"

@@ -150,16 +150,6 @@ def _erfcx(y: float) -> float:
     return math.exp(hi * hi) * math.exp((y - hi) * (y + hi)) * math.erfc(y)
 
 
-def _unscale(js, root) -> list:
-    """I_n = J_n / root^(n+1) for n = 0..len(js)-1; elementwise for arrays."""
-    scale = 1.0 / root
-    moments = []
-    for j in js:
-        moments.append(j * scale)
-        scale = scale / root
-    return moments
-
-
 def _sqrt(z):
     """The square root in z's own arithmetic: a Python complex, a float or
     a complex array. cmath.sqrt of a real positive complex rounds as
@@ -360,6 +350,18 @@ def _closed_start(mu_sq, n_max: int):
     return n_max + 1 + math.ceil(steps)
 
 
+def _exact_from(n_max: int) -> float:
+    """|mu|^2 from which the moments are the exact a = 0 limit: there the
+    first correction a (n+1)(n+2) / b^2 is below half an ulp."""
+    return 2.0**54 * ((n_max + 1) * (n_max + 2))
+
+
+def _closed_from(n_max: int) -> float:
+    """|mu|^2 from which Miller's recurrence starts at _closed_start, from
+    the two-term _seed."""
+    return 170.0 + 14.0 * n_max
+
+
 def _cap_wins(mu, n_max: int, seed_gain):
     """Past the cap: whether the backward recurrence from the seed at the
     cap, whose gain (-ln of its relative error) there is seed_gain, has a
@@ -406,39 +408,56 @@ def _miller_starts(mu: np.ndarray, n_max: int) -> np.ndarray:
     return starts
 
 
-def _upward(mu, j0, n_max: int) -> list:
-    """J_0..J_n_max by mu J_n + 2 J_{n+1} = n J_{n-1} + [n = 0]; elementwise
-    for arrays, as is _backward."""
-    js = [j0]
+def _upward(mu, j0, n_max: int, root) -> list:
+    """I_0..I_n_max, I_n = J_n / root^(n+1), from J_0 by the upward
+    recurrence mu J_n + 2 J_{n+1} = n J_{n-1} + [n = 0]; elementwise for
+    arrays, as is _backward. Each moment is J_n times the scale s_n, with
+    s_0 = 1/root and s_n = s_(n-1)/root, as it comes: the same operations in
+    the same order as a list of J_n rescaled afterwards (tests/oracles.py),
+    so the moments are bit for bit those."""
+    scale = 1.0 / root
+    moments = [j0 * scale]
     if n_max >= 1:
-        js.append(0.5 * (1.0 - mu * j0))
-    for n in range(1, n_max):
-        js.append(0.5 * (n * js[n - 1] - mu * js[n]))
-    return js
+        j_prev, j = j0, 0.5 * (1.0 - mu * j0)
+        scale = scale / root
+        moments.append(j * scale)
+        for n in range(1, n_max):
+            j_prev, j = j, 0.5 * (n * j_prev - mu * j)
+            scale = scale / root
+            moments.append(j * scale)
+    return moments
 
 
-def _backward(mu, n_max: int, start: int, g) -> list:
-    """J_0..J_n_max from the ratios g_n = 2 J_{n+1} / J_n of Miller's
-    backward recurrence g_{n-1} = 2n / (mu + g_n) from g_start = g, and
-    J_0 = 1 / (mu + g_0), the n = 0 relation mu J_0 + 2 J_1 = 1 (Gautschi,
-    SIAM Rev. 9, 24 (1967)). The normalisation has condition number
-    |g_0 J_0| = 2|J_1|, at most 2 int_0^inf s exp(-s^2) ds = 1 for
-    Re mu >= 0, so nothing cancels. Scaling by 2 is exact, so this rounds as
-    the recurrence for the ratios themselves does, one multiplication per
-    step fewer."""
+def _backward(mu, n_max: int, start: int, g, root) -> list:
+    """I_0..I_n_max, I_n = J_n / root^(n+1), from the ratios
+    g_n = 2 J_{n+1} / J_n of Miller's backward recurrence
+    g_{n-1} = 2n / (mu + g_n) from g_start = g, and J_0 = 1 / (mu + g_0),
+    the n = 0 relation mu J_0 + 2 J_1 = 1 (Gautschi, SIAM Rev. 9, 24
+    (1967)). The normalisation has condition number |g_0 J_0| = 2|J_1|, at
+    most 2 int_0^inf s exp(-s^2) ds = 1 for Re mu >= 0, so nothing cancels.
+    Scaling by 2 is exact, so this rounds as the recurrence for the ratios
+    themselves does, one multiplication per step fewer. On the way up
+    J_n = J_(n-1) g_(n-1) / 2 is scaled as _upward scales it, so the
+    moments are bit for bit those of a list of J_n rescaled afterwards
+    (tests/oracles.py). Elementwise for arrays."""
     for n in range(2 * start, 2 * n_max, -2):
         g = n / (mu + g)
     gs = []
     for n in range(2 * n_max, 0, -2):
         g = n / (mu + g)
         gs.append(g)
-    js = [1.0 / (mu + g)]
+    j = 1.0 / (mu + g)
+    scale = 1.0 / root
+    moments = [j * scale]
     for g in reversed(gs):
-        js.append(js[-1] * g * 0.5)
-    return js
+        j = j * g * 0.5
+        scale = scale / root
+        moments.append(j * scale)
+    return moments
 
 
-def _backward_array(mu: np.ndarray, n_max: int, starts: np.ndarray, seeds: np.ndarray) -> list:
+def _backward_array(mu: np.ndarray, n_max: int, starts: np.ndarray, seeds: np.ndarray,
+                    root: float) -> list:
     """_backward elementwise, each element from its seed at its own start:
     sorted by start, the elements still running at index n are a prefix of
     the arrays, so every step updates one slice."""
@@ -450,7 +469,7 @@ def _backward_array(mu: np.ndarray, n_max: int, starts: np.ndarray, seeds: np.nd
         k = running[n]
         g[:k] = 2.0 * n / (mu_sorted[:k] + g[:k])
     g[order] = g.copy()
-    return _backward(mu, n_max, n_max, g)
+    return _backward(mu, n_max, n_max, g, root)
 
 
 def _exact(b, n_max: int) -> list:
@@ -495,8 +514,15 @@ def damped_moments(b, a: float, n_max: int):
     Scalars pick their branch by plain comparisons, since the array masks
     cost more than a whole call. The purity and the momentum density away
     from its Taylor branch, whose b and a are valid by construction, call
-    the scalar kernels behind the checks, _real_moments and
-    _complex_moments, directly.
+    the scalar kernels behind the checks directly: _real_moments, and
+    _complex_scaled with the density's own mu and |mu|^2; where the start
+    is in closed form the density runs the backward recurrence itself, in
+    one pass (momentum._density).
+
+    Both recurrences scale each J_n to I_n as they go, with the operations
+    of a list of J_n rescaled afterwards in the same order, so every form
+    gives the moments of those list-based recurrences bit for bit
+    (tests/oracles.py, tests/test_properties.py).
 
     With mu = b / sqrt(a), J_n = a^((n+1)/2) I_n obeys
     mu J_n + 2 J_{n+1} = n J_{n-1} + [n = 0]. The branch follows |mu|:
@@ -530,21 +556,30 @@ def damped_moments(b, a: float, n_max: int):
       From |mu|^2 = 170 + 14 n_max on, where runs are about 9 steps, N is
       a closed form in |mu|^2 that damps an error of 1 in the two-term
       seed below roundoff (``_closed_start``);
-    * past the cap, which only Re(mu) < 0.5 reaches for n_max below the
-      thousands: the upward recurrence or the backward one from the seed at
-      the cap, whichever has the smaller predicted loss.
+    * past the cap, which a complex b reaches only for n_max in the
+      thousands (below n_max = 100 the start stayed below 2300 for any
+      Re(mu) down to 1e-8) and a real b only from about n_max = 3500 on:
+      the upward recurrence or the backward one from the seed at the cap,
+      whichever has the smaller predicted loss.
 
     Accuracy against mpmath (tests/test_moments.py, and over the whole
-    backward branch tests/test_properties.py): at most 1e-13 relative for
-    n <= 6 wherever Re(mu) >= 0.5 (1.0e-15 measured over 340 draws below
-    |mu|^2 = 170 + 14 n_max), and at most 1e-14 for n <= 12 from there on
-    at any arg(mu) (1.8e-15 measured over 900 draws up to |mu|^2 = 1e40).
-    Past the cap the error stays within about twice the predicted loss.
-    Measured on 288 points with Re(mu) in [0.01, 0.49] and |mu|^2 in
-    [6.5, 250], it is at most 2.8e-15 for n <= 3 and 3.9e-15 for n = 6
-    (from the two-term seed at the cap it peaked near Re(mu) = 0.014,
-    |mu|^2 = 60, at 2e-12 and 9.2e-11; tests/test_moments.py gates 3e-12
-    and 1.5e-10).
+    backward branch tests/test_properties.py): in Miller's branch at most
+    1e-13 relative for n <= 6 wherever Re(mu) >= 0.5 (1.0e-15 measured over
+    340 draws below |mu|^2 = 170 + 14 n_max), and at most 1e-14 for
+    n <= 12 from there on at any arg(mu) (1.8e-15 measured over 900 draws
+    up to |mu|^2 = 1e40). Below Re(mu) = 0.5, on 288 points with Re(mu) in
+    [0.01, 0.49] and |mu|^2 in [6.5, 250] (starts up to about 1500), it is
+    at most 2.8e-15 for n <= 3 and 3.9e-15 for n = 6;
+    tests/test_moments.py gates 1e-14 there. The upward recurrence grows
+    the error of J_0 with n: at most 5e-13 for n <= 6 and 2e-11 for
+    7 <= n <= 12. On some 7,400 draws at n_max = 12 the worst were 1.6e-13
+    and 4.3e-12 for a real b (1.67e-12 at mu^2 = 6, which the Taylor
+    branch of the momentum density reaches at z0 = 1.155) and 2.8e-13 and
+    7.6e-12 for a complex one, all near |mu|^2 = 6 with Re(mu) about 2.4
+    (tests/test_moments.py). Past the cap the error stays within about
+    twice the predicted loss, but there J_n = a^((n+1)/2) I_n overflows
+    from n of a few hundred on (355 at mu^2 = 6, 941 at mu = 157), and
+    those moments come out 0, inf or nan.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -567,26 +602,33 @@ def damped_moments(b, a: float, n_max: int):
 
 def _complex_moments(b: complex, a: float, n_max: int) -> list:
     """damped_moments for a complex b with Re b > 0 and a finite a >= 0,
-    unchecked: the momentum density calls it at b = 1 - iq, valid by
-    construction, and skips damped_moments' checks."""
+    without damped_moments' checks."""
     if a > 0.0:
         root = math.sqrt(a)
         mu = b / root
         # a product, not ** 2, which raises OverflowError past |mu| ~ 1.3e154
         mu_abs = abs(mu)
-        mu_sq = mu_abs * mu_abs
-        if mu_sq < 2.0**54 * ((n_max + 1) * (n_max + 2)):
-            if mu_sq <= _UPWARD_MU_SQ:
-                start = None
-            elif mu_sq >= 170.0 + 14.0 * n_max:
-                start = _closed_start(mu_sq, n_max)
-                g = _seed(mu, start)
-            else:
-                start = _miller_start(mu, n_max)
-                g = _seed_long(mu, start) if start is not None else None
-            if start is not None:
-                return _unscale(_backward(mu, n_max, start, g), root)
-            return _unscale(_upward(mu, _HALF_SQRT_PI * _faddeeva(0.5j * mu), n_max), root)
+        return _complex_scaled(b, root, mu, mu_abs * mu_abs, n_max)
+    return _exact(b, n_max)
+
+
+def _complex_scaled(b: complex, root: float, mu: complex, mu_sq: float, n_max: int) -> list:
+    """_complex_moments at a = root^2 > 0, given mu = b / root and
+    mu_sq = |mu|^2 as _complex_moments computes them: the momentum density,
+    whose b = 1 - iq is valid by construction, computes them once for its
+    own closed-start pass and calls this in the other branches."""
+    if mu_sq < _exact_from(n_max):
+        if mu_sq <= _UPWARD_MU_SQ:
+            start = None
+        elif mu_sq >= _closed_from(n_max):
+            start = _closed_start(mu_sq, n_max)
+            g = _seed(mu, start)
+        else:
+            start = _miller_start(mu, n_max)
+            g = _seed_long(mu, start) if start is not None else None
+        if start is not None:
+            return _backward(mu, n_max, start, g, root)
+        return _upward(mu, _HALF_SQRT_PI * _faddeeva(0.5j * mu), n_max, root)
     return _exact(b, n_max)
 
 
@@ -603,22 +645,22 @@ def _real_moments(b: float, a: float, n_max: int) -> list:
         root = math.sqrt(a)
         mu = b / root
         mu_sq = mu * mu
-        if mu_sq < 2.0**54 * ((n_max + 1) * (n_max + 2)):
+        if mu_sq < _exact_from(n_max):
             if mu_sq <= _UPWARD_MU_SQ:
                 start = None
-            elif mu_sq >= 170.0 + 14.0 * n_max:
+            elif mu_sq >= _closed_from(n_max):
                 start = _closed_start(mu_sq, n_max)
             else:
                 start = _short_start(mu, n_max)
             if start is not None:
-                return _unscale(_backward(mu, n_max, start, _seed(mu, start)), root)
+                return _backward(mu, n_max, start, _seed(mu, start), root)
             if mu <= 2.0 * _ERFCX_MAX:
                 # w(i mu/2) in closed form, over ten times cheaper than _faddeeva
                 j0 = _HALF_SQRT_PI * _erfcx(0.5 * mu)
             else:
                 # only past the cap; w of an imaginary argument is real
                 j0 = _HALF_SQRT_PI * _faddeeva(0.5j * mu).real
-            return _unscale(_upward(mu, j0, n_max), root)
+            return _upward(mu, j0, n_max, root)
     inv_b = 1.0 / b
     return [math.factorial(n) * _power(inv_b, n + 1) for n in range(n_max + 1)]
 
@@ -646,22 +688,23 @@ def _damped_moments_array(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
     mu.imag /= root
     with np.errstate(over="ignore"):
         mu_sq = np.abs(mu) ** 2
-    exact = mu_sq >= 2.0**54 * ((n_max + 1) * (n_max + 2))
+    exact = mu_sq >= _exact_from(n_max)
     if exact.any():
         put(np.flatnonzero(exact), _exact(b[exact], n_max))
-    far = (mu_sq >= 170.0 + 14.0 * n_max) & ~exact
+    closed_from = _closed_from(n_max)
+    far = (mu_sq >= closed_from) & ~exact
     starts = np.zeros(b.shape, dtype=int)
     starts[far] = _closed_start(mu_sq[far], n_max)
-    miller = (mu_sq > _UPWARD_MU_SQ) & (mu_sq < 170.0 + 14.0 * n_max)
+    miller = (mu_sq > _UPWARD_MU_SQ) & (mu_sq < closed_from)
     starts[miller] = _miller_starts(mu[miller], n_max)
     up = np.flatnonzero((starts == 0) & ~exact)
     if up.size:
         j0 = _HALF_SQRT_PI * _faddeeva(0.5j * mu[up])
-        put(up, _unscale(_upward(mu[up], j0, n_max), root))
+        put(up, _upward(mu[up], j0, n_max, root))
     back = np.flatnonzero(starts)
     if back.size:
         mu_back, starts_back = mu[back], starts[back]
         # the two-term seed at the closed-form starts, the long one elsewhere
         seeds = np.where(far[back], _seed(mu_back, starts_back), _seed_long(mu_back, starts_back))
-        put(back, _unscale(_backward_array(mu_back, n_max, starts_back, seeds), root))
+        put(back, _backward_array(mu_back, n_max, starts_back, seeds, root))
     return out

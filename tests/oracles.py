@@ -22,7 +22,11 @@ can compare the two:
   tanh-sinh node sums evaluated piece by piece;
 * a sampled check of the off-diagonal bound of the reduced density matrix;
 * the damped moments of a real b run in complex arithmetic, the route the
-  library's float kernel must reproduce bit for bit.
+  library's float kernel must reproduce bit for bit;
+* the list-based moment recurrences (J_n first, rescaled to I_n
+  afterwards) and the scalar, array and momentum-density routes built on
+  them, which the library's one-pass recurrences must reproduce bit for
+  bit.
 """
 
 from __future__ import annotations
@@ -519,6 +523,42 @@ def _short_start_complex(mu: complex, n_max: int):
     return quadrature._MILLER_CAP if capped else None
 
 
+def unscale(js, root) -> list:
+    """I_n = J_n / root^(n+1) for n = 0..len(js)-1; elementwise for arrays."""
+    scale = 1.0 / root
+    moments = []
+    for j in js:
+        moments.append(j * scale)
+        scale = scale / root
+    return moments
+
+
+def upward_list(mu, j0, n_max: int) -> list:
+    """J_0..J_n_max by mu J_n + 2 J_{n+1} = n J_{n-1} + [n = 0]."""
+    js = [j0]
+    if n_max >= 1:
+        js.append(0.5 * (1.0 - mu * j0))
+    for n in range(1, n_max):
+        js.append(0.5 * (n * js[n - 1] - mu * js[n]))
+    return js
+
+
+def backward_list(mu, n_max: int, start: int, g) -> list:
+    """J_0..J_n_max by Miller's backward recurrence for the ratios
+    g_n = 2 J_{n+1} / J_n from g_start = g, normalised by
+    J_0 = 1 / (mu + g_0)."""
+    for n in range(2 * start, 2 * n_max, -2):
+        g = n / (mu + g)
+    gs = []
+    for n in range(2 * n_max, 0, -2):
+        g = n / (mu + g)
+        gs.append(g)
+    js = [1.0 / (mu + g)]
+    for g in reversed(gs):
+        js.append(js[-1] * g * 0.5)
+    return js
+
+
 def real_moments_in_complex(b: float, a: float, n_max: int) -> list:
     """damped_moments(b, a, n_max) for a real b > 0, every branch run on
     Python complex numbers with imaginary part 0: the a -> 0 limit by a
@@ -539,11 +579,101 @@ def real_moments_in_complex(b: float, a: float, n_max: int) -> list:
             else:
                 start = _short_start_complex(mu, n_max)
             if start is not None:
-                js = quadrature._backward(mu, n_max, start, quadrature._seed(mu, start))
-                return quadrature._unscale(js, root)
+                return unscale(backward_list(mu, n_max, start, quadrature._seed(mu, start)), root)
             if mu.real <= 2.0 * quadrature._ERFCX_MAX:
                 j0 = complex(quadrature._HALF_SQRT_PI * quadrature._erfcx(0.5 * mu.real))
             else:
                 j0 = quadrature._HALF_SQRT_PI * quadrature._faddeeva(0.5j * mu)
-            return quadrature._unscale(quadrature._upward(mu, j0, n_max), root)
+            return unscale(upward_list(mu, j0, n_max), root)
     return quadrature._exact(b, n_max)
+
+
+def complex_moments_list(b: complex, a: float, n_max: int) -> list:
+    """damped_moments for a complex b with Re b > 0 and a >= 0 by the
+    list-based recurrences: the a -> 0 limit, the upward recurrence from
+    the Faddeeva value, and Miller's recurrence from the two-term seed at
+    the closed-form start or the long seed at the Newton-searched one, or
+    past the cap whichever _miller_start picks."""
+    if a > 0.0:
+        root = math.sqrt(a)
+        mu = b / root
+        mu_abs = abs(mu)
+        mu_sq = mu_abs * mu_abs
+        if mu_sq < 2.0**54 * ((n_max + 1) * (n_max + 2)):
+            if mu_sq <= quadrature._UPWARD_MU_SQ:
+                start = None
+            elif mu_sq >= 170.0 + 14.0 * n_max:
+                start = quadrature._closed_start(mu_sq, n_max)
+                g = quadrature._seed(mu, start)
+            else:
+                start = quadrature._miller_start(mu, n_max)
+                g = quadrature._seed_long(mu, start) if start is not None else None
+            if start is not None:
+                return unscale(backward_list(mu, n_max, start, g), root)
+            j0 = quadrature._HALF_SQRT_PI * quadrature._faddeeva(0.5j * mu)
+            return unscale(upward_list(mu, j0, n_max), root)
+    return quadrature._exact(b, n_max)
+
+
+def array_moments_list(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
+    """damped_moments for a valid 1-D array b by the list-based
+    recurrences, each element in the branch and from the start and seed
+    the library's array form gives it."""
+    b = np.asarray(b, dtype=complex)
+    if a == 0.0:
+        return np.array(quadrature._exact(b, n_max))
+    root = math.sqrt(a)
+    out = np.empty((n_max + 1, b.size), dtype=complex)
+    mu = b.copy()
+    mu.real /= root
+    mu.imag /= root
+    with np.errstate(over="ignore"):
+        mu_sq = np.abs(mu) ** 2
+    exact = mu_sq >= 2.0**54 * ((n_max + 1) * (n_max + 2))
+    if exact.any():
+        out[:, exact] = quadrature._exact(b[exact], n_max)
+    far = (mu_sq >= 170.0 + 14.0 * n_max) & ~exact
+    starts = np.zeros(b.shape, dtype=int)
+    starts[far] = quadrature._closed_start(mu_sq[far], n_max)
+    miller = (mu_sq > quadrature._UPWARD_MU_SQ) & (mu_sq < 170.0 + 14.0 * n_max)
+    starts[miller] = quadrature._miller_starts(mu[miller], n_max)
+    up = (starts == 0) & ~exact
+    if up.any():
+        j0 = quadrature._HALF_SQRT_PI * quadrature._faddeeva(0.5j * mu[up])
+        out[:, up] = unscale(upward_list(mu[up], j0, n_max), root)
+    back = np.flatnonzero(starts)
+    if back.size:
+        mu_back, starts_back = mu[back], starts[back]
+        seeds = np.where(far[back], quadrature._seed(mu_back, starts_back),
+                         quadrature._seed_long(mu_back, starts_back))
+        # each element runs from its own start down to n_max, the elements
+        # sorted by start so that those still running are a prefix
+        order = np.argsort(-starts_back, kind="stable")
+        running = np.searchsorted(-starts_back[order], -np.arange(starts_back.max() + 1),
+                                  side="right")
+        mu_sorted = mu_back[order]
+        g = seeds[order]
+        for n in range(int(starts_back.max()), n_max, -1):
+            k = running[n]
+            g[:k] = 2.0 * n / (mu_sorted[:k] + g[:k])
+        g[order] = g.copy()
+        out[:, back] = unscale(backward_list(mu_back, n_max, n_max, g), root)
+    return out
+
+
+def momentum_density_list(q: float, z0: float) -> float:
+    """momentum_density(q, z0) for a valid q and z0 from the list-based
+    moments: the Taylor series in q^2 over the real moments at b = 1 below
+    q = 1e-2, Im(I_1 + I_2 + I_3/3)(1 - iq, z0^2/8) / (2 pi^2 q) above."""
+    a = z0 * z0 / 8.0
+    if q < 1e-2:
+        moments = [m.real for m in real_moments_in_complex(1.0, a, 12)]
+        total = 0.0
+        coeff = 1.0
+        for k in range(5):
+            i = 2 * k + 2
+            total += coeff * (moments[i] + moments[i + 1] + moments[i + 2] / 3.0)
+            coeff *= -q * q / ((2 * k + 2) * (2 * k + 3))
+        return total / (2.0 * math.pi**2)
+    moments = complex_moments_list(complex(1.0, -q), a, 3)
+    return (moments[1] + moments[2] + moments[3] / 3.0).imag / (2.0 * math.pi**2 * q)

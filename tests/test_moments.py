@@ -121,14 +121,9 @@ def test_damped_moments_past_the_cap_take_the_better_route():
 @pytest.mark.parametrize("re_mu", [0.01, 0.1, 0.3])
 def test_damped_moments_accuracy_below_re_mu_half(re_mu):
     # the fallback branch's accuracy as stated in damped_moments
-    worst3 = worst6 = 0.0
     for mu_sq in np.geomspace(6.5, 250.0, 8):
         mu = complex(re_mu, -math.sqrt(mu_sq - re_mu**2))
-        got, ref = damped_moments(mu, 1.0, 6), ref_moments(mu, 1.0, 6)
-        worst3 = max(worst3, max_rel_err(got[:4], ref[:4]))
-        worst6 = max(worst6, max_rel_err(got, ref))
-    assert worst3 <= 3e-12
-    assert worst6 <= 1.5e-10
+        assert max_rel_err(damped_moments(mu, 1.0, 6), ref_moments(mu, 1.0, 6)) <= 1e-14, mu
 
 
 @pytest.mark.parametrize(
@@ -237,9 +232,24 @@ def test_real_moments_match_mpmath(n_max):
         if branch in ("exact", "upward"):
             # the stated bounds there cover n <= 6: above, the powers of
             # 1/b round a little more and the upward recurrence loses more
-            # (1.7e-12 at n = 12, mu^2 = 6)
+            # (test_upward_branch_accuracy_up_to_n_12)
             got, ref = got[:7], ref[:7]
         assert max_rel_err(got, ref) <= bound, (b, a, branch)
+
+
+@pytest.mark.parametrize("mu,a", [
+    (1.0, 1.0), (2.0, 0.04), (2.3933019054665032, 0.041485417628033774), (math.sqrt(6.0), 1e-3),
+    (complex(2.4115237974802337, -0.29077994116945666), 50.0),
+    (complex(2.4105369777029853, -0.35928760050461134), 0.22132146573749034),
+    (complex(0.3, -2.4), 1.0), (complex(1.0, -2.0), 1e-3),
+])
+def test_upward_branch_accuracy_up_to_n_12(mu, a):
+    # the Taylor branch of the momentum density asks for n_max = 12 at
+    # |mu|^2 <= 6; the worst points of 7,400 draws there are among these
+    b = mu * math.sqrt(a)
+    got, ref = damped_moments(b, a, 12), ref_moments(b, a, 12)
+    assert max_rel_err(got[:7], ref[:7]) <= 5e-13
+    assert max_rel_err(got, ref) <= 2e-11
 
 
 @pytest.mark.parametrize("n_max", [3, 6, 12])

@@ -11,16 +11,24 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath as mp
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from atomdecoh import density
 from atomdecoh.cli import SCHEMAS, main
 from atomdecoh.density import purity
 from atomdecoh.momentum import electron_limit, gaussian_limit, momentum_density
 from atomdecoh.quadrature import _backward, _miller_start, _seed_long, damped_moments
 from atomdecoh.scattering import _tau_damped, tau_transform
-from oracles import normalization_integral
+from oracles import (
+    array_moments_list,
+    complex_moments_list,
+    momentum_density_list,
+    normalization_integral,
+    real_moments_in_complex,
+)
 from test_moments import KERNEL_SQ, max_rel_err, ref_moments
 
 REPRODUCIBLE = settings(derandomize=True, deadline=None, database=None)
@@ -74,7 +82,7 @@ def test_miller_normalisation_matches_the_faddeeva_value(n_max, re_frac, sq_frac
     if mu is None:
         return
     start = _miller_start(mu, n_max)
-    j0 = _backward(mu, n_max, start, _seed_long(mu, start))[0]
+    j0 = _backward(mu, n_max, start, _seed_long(mu, start), 1.0)[0]
     with mp.workdps(30):
         z = mp.mpc(mu) / 2
         ref = complex(mp.sqrt(mp.pi) / 2 * mp.exp(z * z) * mp.erfc(z))
@@ -87,6 +95,116 @@ def _examples(cases):
             test = example(*case)(test)
         return test
     return apply
+
+
+_BRANCHES = ("exact", "upward", "newton", "closed", "cap")
+
+
+def _branch_mu(branch, real, n_max, frac, arg_frac):
+    """A mu in the given branch of damped_moments at n_max, at fractions
+    frac in [0, 1] of |mu|^2 and arg_frac in [-1, 1] of arg(mu) or Re(mu)
+    within that branch; real for arg(mu) = 0. Past the cap needs an n_max
+    in the thousands: from 2500 on for a complex mu with Re(mu) <= 0.05 and
+    |mu|^2 in [0.12, 0.35] (170 + 14 n_max), from 3500 on for a real
+    mu^2 <= 8."""
+    top, limit = 170.0 + 14.0 * n_max, 2.0**54 * ((n_max + 1) * (n_max + 2))
+    side = -1.0 if arg_frac < 0.0 else 1.0
+    size = max(abs(arg_frac), 1e-3)
+    frac = max(frac, 1e-3)
+    if branch == "exact":
+        mu_sq = limit * 10.0 ** (10.0 * frac)
+    elif branch == "upward":
+        mu_sq = 6.0 * frac
+    elif branch == "newton":
+        mu_sq = 6.0 + (top - 6.0) * frac
+    elif branch == "cap":
+        mu_sq = 6.0 + 2.0 * frac if real else top * (0.12 + 0.23 * frac)
+    else:
+        mu_sq = top * (limit / top) ** frac
+    if real:
+        return math.sqrt(mu_sq)
+    if branch == "newton":
+        re_mu = 0.5 + size * (math.sqrt(mu_sq) - 0.5)
+    elif branch == "cap":
+        re_mu = 1e-4 + 0.05 * size
+    else:
+        return cmath.rect(math.sqrt(mu_sq), side * size * 1.5)
+    return complex(re_mu, side * math.sqrt(mu_sq - re_mu * re_mu))
+
+
+_BRANCH_DRAWS = (
+    st.sampled_from(_BRANCHES),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(-4.0, 3.0),
+)
+
+
+@settings(REPRODUCIBLE, max_examples=300)
+@given(st.booleans(), st.sampled_from([0, 1, 3, 4, 6, 12]), *_BRANCH_DRAWS)
+@_examples([(real, 3, branch, 0.5, 0.5, 0.0) for real in (False, True) for branch in _BRANCHES])
+@_examples([(False, 6, "exact", 0.5, 0.5, -400.0), (True, 6, "exact", 0.5, 0.0, -400.0)])
+def test_scalar_moments_are_the_list_based_recurrences_bit_for_bit(
+        real, n_max, branch, frac, arg_frac, log_a):
+    # every scalar branch, the exact limit (a = 10^-400 is 0), the upward
+    # recurrence, the Newton and closed-form Miller starts and past the cap,
+    # against the recurrences that build the list of J_n before rescaling
+    a = 10.0**log_a
+    if branch == "cap":
+        # there J_n = a^((n+1)/2) I_n overflows from n of a few hundred on,
+        # and both routes give nan; at a >= 1 alike (below, the float
+        # kernel gives inf where complex arithmetic gives nan), so a is
+        # n_max / 2e, at which I_n changes by about sqrt(n / n_max) a step
+        n_max += 3500 if real else 2500
+        a = n_max / (2.0 * math.e)
+    mu = _branch_mu(branch, real, n_max, frac, arg_frac)
+    b = mu * math.sqrt(a) if a > 0.0 else mu
+    got = damped_moments(b, a, n_max)
+    if real:
+        ref = [m.real for m in real_moments_in_complex(b, a, n_max)]
+        assert all(type(m) is float for m in got)
+    else:
+        ref = complex_moments_list(b, a, n_max)
+    # by repr, so that a nan matches a nan
+    assert list(map(repr, got)) == list(map(repr, ref))
+
+
+@settings(REPRODUCIBLE, max_examples=100)
+@given(st.sampled_from([0, 1, 3, 6, 12]), st.floats(-4.0, 3.0),
+       st.lists(st.tuples(*_BRANCH_DRAWS[:3], st.booleans()), min_size=1, max_size=12))
+@example(3, 0.0, [(branch, 0.5, 0.5, False) for branch in _BRANCHES])
+def test_array_moments_are_the_list_based_recurrences_bit_for_bit(n_max, log_a, draws):
+    a = 10.0**log_a
+    mus = [_branch_mu(branch, real, n_max, frac, arg_frac)
+           for branch, frac, arg_frac, real in draws]
+    b = np.array(mus, dtype=complex) * math.sqrt(a)
+    assert np.array_equal(damped_moments(b, a, n_max), array_moments_list(b, a, n_max))
+
+
+@settings(REPRODUCIBLE, max_examples=300)
+@given(st.one_of(st.just(0.0), st.floats(-4.0, 2.5).map(lambda x: 10.0**x)),
+       st.floats(-4.0, 2.5).map(lambda x: 10.0**x))
+@example(5.0, 1e-170)  # z0^2/8 underflows to 0: the exact a -> 0 limit
+@example(40.0, 2.0)  # the closed-form start of the one-pass sum
+def test_momentum_density_is_the_list_based_sum_bit_for_bit(q, z0):
+    ref = momentum_density_list(q, z0)
+    try:
+        assert momentum_density(q, z0) == ref
+    except ArithmeticError:
+        assert ref < 0.0
+
+
+def _list_based_real_moments(b, a, n_max):
+    return [m.real for m in real_moments_in_complex(b, a, n_max)]
+
+
+@settings(REPRODUCIBLE, max_examples=200)
+@given(st.floats(-3.0, 5.5).map(lambda x: 10.0**x))
+def test_purity_is_the_list_based_sum_bit_for_bit(z):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_real_moments", _list_based_real_moments)
+        ref = purity(z)
+    assert purity(z) == ref
 
 
 #: |mu|^2 on both sides of the powers of two 2^k, k = 8..17, where the
