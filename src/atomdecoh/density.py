@@ -17,7 +17,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .quadrature import _real_moments
+from .quadrature import _moments
 from .wavepacket import GaussianPacket, evaluate
 
 Z_EFF_HELIUM = 27.0 / 16.0
@@ -83,8 +83,8 @@ def purity(z: float) -> float:
         raise ValueError(f"z must be positive and finite, got {z!r}")
     if z >= _PURITY_SERIES_Z:
         return 1.0 - 2.0 / (z * z)
-    moments = _real_moments(2.0, z * z / 4.0, len(KERNEL_SQ_POLY) + 1)
+    moments = _moments(2.0, z * z / 4.0, len(KERNEL_SQ_POLY) + 1)
     total = 0.0
     for c_n, moment in zip(KERNEL_SQ_POLY, moments[2:]):
-        total += c_n * moment.real
+        total += c_n * moment
     return z**3 / _TWO_SQRT_PI * total

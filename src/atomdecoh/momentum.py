@@ -22,9 +22,9 @@ import numpy as np
 from .quadrature import (
     _closed_from,
     _closed_start,
-    _complex_scaled,
     _exact,
     _exact_from,
+    _scaled,
     _seed,
     damped_moments,
 )
@@ -134,7 +134,7 @@ def _density(q: float, z0: float, a: float) -> float:
     (I_1 + I_2) + I_3/3 run here in one pass, with the operations of
     quadrature._backward at n_max = 3 in its order, so the value is bit for
     bit the one the list of moments gives (tests/test_properties.py); the
-    other branches take the moments from quadrature._complex_scaled."""
+    other branches take the moments from quadrature._scaled."""
     if q < _Q_TAYLOR:
         moments = _taylor_moments(a)
         total = 0.0
@@ -169,7 +169,7 @@ def _density(q: float, z0: float, a: float) -> float:
             j = j * g_2 * 0.5
             total = (i_1 + i_2) + j * scale / 3.0
         else:
-            moments = _complex_scaled(b, root, mu, mu_sq, 3)
+            moments = _scaled(b, root, mu, mu_sq, 3)
             total = moments[1] + moments[2] + moments[3] / 3.0
     else:
         moments = _exact(b, 3)

@@ -80,9 +80,6 @@ _FADDEEVA_COEFFS = (
     2.6160541527618597,
     2.899624509389705,
 )
-#: largest y for which w(iy) is exp(y^2) erfc(y): erfc(y) is a normal
-#: double up to y = 26.5, and exp(y^2) finite up to 26.6
-_ERFCX_MAX = 26.0
 #: the Liouville-Green coefficients c_k(mu) = mu^((k+1) mod 2) (p + q mu^2)
 #: of the long seed g_n = W/2 - mu/2 + sum_k c_k W^-k, as (p, q) for
 #: k = 1..10: c_1..c_8 make up _seed_long, and c_9, c_10 give its error;
@@ -142,7 +139,7 @@ def _faddeeva(z):
 
 
 def _erfcx(y: float) -> float:
-    """w(iy) = exp(y^2) erfc(y) for 0 <= y <= _ERFCX_MAX. y^2 is split into
+    """w(iy) = exp(y^2) erfc(y) for 0 <= y <= 26. y^2 is split into
     hi^2 + (y - hi)(y + hi) with hi on 26 bits, so hi^2 is exact: exp(y * y)
     would carry the rounding of y^2 into the result, up to 3e-14 relative
     at y = 16. Within 1e-15 relative of mpmath on [0, 20]."""
@@ -175,31 +172,20 @@ def _dominance(mu, n: float):
 
 
 def _seed(mu, n):
-    """g_n = 2 J_(n+1) / J_n by two Liouville-Green terms, the short seed of
-    the closed-form starts and of a real mu: with w = sqrt(mu^2 + 8(n+1)),
+    """g_n = 2 J_(n+1) / J_n by two Liouville-Green terms, the seed of the
+    closed-form starts: with w = sqrt(mu^2 + 8(n+1)),
     g_n (mu + g_(n+1)) = 2(n + 1) gives g_n = (w - mu)/2 - 1/w + mu/w^2 + ...
     (c_1 and c_2 of _SEED_COEFFS), summed as 4(n + 1)/(w + mu) (1 - 2/w^2):
     Re w >= 0 and Re mu > 0, so w + mu does not cancel, where w - mu cancels
-    to 0 once |mu|^2 >> 8n. Off by |2w + 10 mu| / |w|^5 relative
-    (_seed_gain). Elementwise for arrays mu, n."""
+    to 0 once |mu|^2 >> 8n. Off by |2w + 10 mu| / |w|^5 relative, c_3 and
+    c_4 (tests/test_moments.py). Elementwise for arrays mu, n."""
     w = _sqrt(mu * mu + 8.0 * (n + 1))
     return 4.0 * (n + 1) / (w + mu) * (1.0 - 2.0 / (w * w))
 
 
-def _seed_gain(mu, w):
-    """-ln of _seed's relative error at w = sqrt(mu^2 + 8n). The next
-    Liouville-Green terms, c_3 and c_4, are g_n (2w + 10 mu) / w^5, so the
-    error is |2w + 10 mu| / |w|^5, about 1/(32 n^2) for large n; measured
-    against the converged ratio it holds within a few percent from n = 50
-    on. Elementwise for arrays."""
-    if type(mu) is _ARRAY:
-        return np.log(np.abs(w) ** 5 / np.abs(2.0 * w + 10.0 * mu))
-    return math.log(abs(w) ** 5 / abs(2.0 * w + 10.0 * mu))
-
-
 def _seed_long(mu, n):
     """g_n = 2 J_(n+1) / J_n by eight Liouville-Green terms, the seed of the
-    Newton-searched starts of a complex mu and of the cap: with
+    Newton-searched starts and of the cap: with
     W = sqrt(mu^2 + 8(n+1)), g_n = 4(n+1)/(W + mu) + sum_(k=1..8) c_k W^-k,
     the c_k of _SEED_COEFFS, summed by Horner's rule in 1/W^2, the terms
     odd and even in mu apart. Off by about the first terms left out,
@@ -242,9 +228,10 @@ def _newton_guess(mu, target, floor: float):
     return max(min(0.5 * root2x * root2x, _MILLER_CAP), floor)
 
 
-def _miller_start(mu: complex, n_max: int) -> int | None:
-    """Start N of the backward recurrence of a complex mu from _seed_long,
-    or None for the upward one.
+def _miller_start(mu, n_max: int) -> int | None:
+    """Start N of the backward recurrence of mu, a float or a complex, from
+    _seed_long, or None for the upward one; a float mu stays in float
+    arithmetic and picks the N its complex form picks.
 
     N is the smallest index with _dominance(N) - _dominance(n_max) >=
     ln 2^53 minus _long_gain(N): the backward recurrence from _seed_long(N)
@@ -257,10 +244,7 @@ def _miller_start(mu: complex, n_max: int) -> int | None:
     below the iterates approach N from below; near the turning point
     n = -Re(mu^2)/8 one can overshoot N, and the rule keeps it rather than
     step back again. Once a step is at most _NEWTON_LAST_STEP the search
-    stops a step early, at the next iterate plus that step again. On the
-    168 complex searches of the seed-7 momentum_purity block it takes 1.9
-    iterations, where the two-term rule from n_max took 3.1, and the runs
-    from the long seed are 35 steps long, where they were 68. Past
+    stops a step early, at the next iterate plus that step again. Past
     _MILLER_CAP the choice is _cap_wins'."""
     target = _dominance(mu, n_max) + _LN_EPS
     floor = float(max(n_max, 1))
@@ -271,7 +255,7 @@ def _miller_start(mu: complex, n_max: int) -> int | None:
     first = True
     while x <= _MILLER_CAP:
         eight_x = 8.0 * x
-        w = cmath.sqrt(mu_mu + eight_x)
+        w = _sqrt(mu_mu + eight_x)
         reach = abs(w + mu)
         slope = math.log(reach * reach / eight_x)
         if slope <= 0.0:
@@ -293,34 +277,7 @@ def _miller_start(mu: complex, n_max: int) -> int | None:
             # the same Newton step taken in sqrt(x)
             x += step + step * step / (4.0 * x)
         first = False
-    w_cap = cmath.sqrt(mu_mu + 8.0 * _MILLER_CAP)
-    return _MILLER_CAP if _cap_wins(mu, n_max, _long_gain(mu, w_cap, _MILLER_CAP)) else None
-
-
-def _short_start(mu: float, n_max: int) -> int | None:
-    """Start N of the backward recurrence of a real mu from _seed, or None
-    for the upward one: the Newton search of _miller_start with _seed_gain
-    for the gain (slope 2/n), from n_max, stopping once a step is at most
-    0.5. A real mu keeps this two-term rule so that its moments, and with
-    them the purity and the Taylor branch, are bit for bit those of the
-    two-term rule in complex arithmetic (tests/oracles.py). Past the cap, which a real mu >= sqrt(6) reaches only for n_max in the
-    thousands, the choice is _cap_wins'."""
-    target = _dominance(mu, n_max) + _LN_EPS
-    mu_mu, ten_mu = mu * mu, 10.0 * mu
-    x = float(max(n_max, 1))
-    while x <= _MILLER_CAP:
-        eight_x = 8.0 * x
-        w = math.sqrt(mu_mu + eight_x)
-        slope = 2.0 * math.log(w + mu) - math.log(eight_x)
-        if slope <= 0.0:
-            break
-        gain = x * slope + mu * w / 4.0 + math.log(w**5 / (2.0 * w + ten_mu))
-        step = (target - gain) / (slope + 2.0 / x)
-        if step <= 0.5:
-            return math.ceil(x + max(step, 0.0)) + 1
-        x += step + step * step / (4.0 * x)
-    w_cap = math.sqrt(mu_mu + 8.0 * _MILLER_CAP)
-    return _MILLER_CAP if _cap_wins(mu, n_max, _seed_gain(mu, w_cap)) else None
+    return _MILLER_CAP if _cap_wins(mu, n_max) else None
 
 
 def _closed_start(mu_sq, n_max: int):
@@ -338,10 +295,10 @@ def _closed_start(mu_sq, n_max: int):
     |mu|^2: there the converged ratios damp an error of 1 in g_N only by
     e^-34, 2.7 nats short of 2^-53, and _seed's own error is below 1.
     On 126,000 draws (n_max in {1, 3, 4, 6, 7, 12}, |mu|^2 up to 1e20, any
-    arg(mu)) N was never below the Newton-searched start from _seed (as
-    _short_start picks it), 2.3 steps above it on average and 18 at most;
-    these runs are about 9 steps long, so neither the search nor the long
-    seed would pay for itself."""
+    arg(mu)) N was never below the smallest start at which _seed's own
+    error, |2w + 10 mu| / |w|^5, is damped below roundoff, 2.3 steps above
+    it on average and 18 at most; these runs are about 9 steps long, so
+    neither a Newton search nor the long seed would pay for itself."""
     frexp = np.frexp if type(mu_sq) is _ARRAY else math.frexp
     first = _LN_EPS / ((frexp(mu_sq / (2.0 * (n_max + 1)))[1] - 1) * _LN_2)
     steps = _LN_EPS / ((frexp(mu_sq / (2.0 * (n_max + 1 + first)))[1] - 1) * _LN_2)
@@ -362,12 +319,12 @@ def _closed_from(n_max: int) -> float:
     return 170.0 + 14.0 * n_max
 
 
-def _cap_wins(mu, n_max: int, seed_gain):
-    """Past the cap: whether the backward recurrence from the seed at the
-    cap, whose gain (-ln of its relative error) there is seed_gain, has a
-    smaller predicted ln(error / roundoff) than the upward one. Elementwise
-    for arrays."""
-    capped_loss = _LN_EPS - seed_gain - (_dominance(mu, _MILLER_CAP) - _dominance(mu, n_max))
+def _cap_wins(mu, n_max: int):
+    """Past the cap: whether the backward recurrence from _seed_long at the
+    cap has a smaller predicted ln(error / roundoff) than the upward one.
+    Elementwise for arrays."""
+    gain = _long_gain(mu, _sqrt(mu * mu + 8.0 * _MILLER_CAP), _MILLER_CAP)
+    capped_loss = _LN_EPS - gain - (_dominance(mu, _MILLER_CAP) - _dominance(mu, n_max))
     return capped_loss < _dominance(mu, n_max) - _dominance(mu, 0)
 
 
@@ -402,9 +359,7 @@ def _miller_starts(mu: np.ndarray, n_max: int) -> np.ndarray:
         past_cap[live[beyond]] = True
         live = live[~beyond]
         first = False
-    capped = mu[past_cap]
-    gain = _long_gain(capped, np.sqrt(capped * capped + 8.0 * _MILLER_CAP), _MILLER_CAP)
-    starts[past_cap] = np.where(_cap_wins(capped, n_max, gain), _MILLER_CAP, 0)
+    starts[past_cap] = np.where(_cap_wins(mu[past_cap], n_max), _MILLER_CAP, 0)
     return starts
 
 
@@ -473,8 +428,12 @@ def _backward_array(mu: np.ndarray, n_max: int, starts: np.ndarray, seeds: np.nd
 
 
 def _exact(b, n_max: int) -> list:
-    """The a = 0 moments n! / b^(n+1), n = 0..n_max; elementwise for arrays."""
+    """The a = 0 moments n! / b^(n+1), n = 0..n_max; elementwise for arrays.
+    A float b takes _power, so these round, and overflow to inf, as the
+    complex ones do."""
     inv_b = 1.0 / b
+    if type(inv_b) is float:
+        return [math.factorial(n) * _power(inv_b, n + 1) for n in range(n_max + 1)]
     return [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)]
 
 
@@ -499,25 +458,23 @@ def damped_moments(b, a: float, n_max: int):
 
     a is one float: an array a raises TypeError. A real scalar b (a float,
     an int, or a complex whose imaginary part is 0, as for the purity and
-    the Taylor branch of the momentum density) runs in float arithmetic and
-    gives a list of n_max + 1 floats, each equal to the real part the
-    complex arithmetic would give (tests/test_moments.py); any other
-    scalar b gives a list of complex numbers. A 1-D numpy.ndarray b (not a
-    subclass) gives an array of shape (n_max + 1, b.size). Each element of
-    an array takes the branch and the backward-recurrence start its scalar
-    call takes, except that an element whose imaginary part is 0 takes the
-    complex start and seed, not the real ones; the elements of a branch are
-    evaluated together. The
-    two forms agree to a few units in the last place, and past the cap to
-    what the recurrence makes of that, because numpy rounds complex
-    products differently from Python (tests/test_xsection_engine.py).
-    Scalars pick their branch by plain comparisons, since the array masks
-    cost more than a whole call. The purity and the momentum density away
-    from its Taylor branch, whose b and a are valid by construction, call
-    the scalar kernels behind the checks directly: _real_moments, and
-    _complex_scaled with the density's own mu and |mu|^2; where the start
-    is in closed form the density runs the backward recurrence itself, in
-    one pass (momentum._density).
+    the Taylor branch of the momentum density) runs the rule of a complex b
+    in float arithmetic and gives a list of n_max + 1 floats, each the real
+    part the complex arithmetic gives with J_0 from erfcx
+    (tests/test_moments.py); any other scalar b gives a list of complex
+    numbers. A 1-D numpy.ndarray b (not a subclass) gives an array of shape
+    (n_max + 1, b.size); each element takes the branch, start and seed of
+    its scalar call (J_0 from the Faddeeva function, a real b too), and
+    the elements of a branch are evaluated together. The two forms agree
+    to a few units in the last place, and past the cap to what the
+    recurrence makes of that, as numpy rounds complex products differently
+    from Python (tests/test_xsection_engine.py). Scalars pick their branch
+    by plain comparisons, since the array masks cost more than a whole
+    call. The purity and the momentum density away from its Taylor branch
+    call the scalar kernel behind the checks directly: _moments, and
+    _scaled with the density's own mu and |mu|^2; where the start is in
+    closed form the density runs the backward recurrence itself, in one
+    pass (momentum._density).
 
     Both recurrences scale each J_n to I_n as they go, with the operations
     of a list of J_n rescaled afterwards in the same order, so every form
@@ -532,8 +489,8 @@ def damped_moments(b, a: float, n_max: int):
       the exact n! / b^(n+1) (``_exact``), which no J_n underflows;
     * |mu|^2 <= 6: the upward recurrence (``_upward``) from
       J_0 = (sqrt(pi)/2) w(i mu/2), w the Faddeeva function, computed in
-      this module. For a real b w(i mu/2) is
-      erfcx(mu/2) = exp(mu^2/4) erfc(mu/2), within 1e-15 relative
+      this module. For a real b it is erfcx(mu/2) = exp(mu^2/4) erfc(mu/2),
+      within 1e-15 relative
       (``_erfcx``); otherwise, and for every element of an array, it is
       Weideman's N = 40 rational approximation, within 2e-15 relative
       (``_faddeeva``; both in tests/test_faddeeva.py);
@@ -544,22 +501,21 @@ def damped_moments(b, a: float, n_max: int):
       2007, ch. 4). Below |mu|^2 = 170 + 14 n_max N is where the dominant
       solution has outgrown J past n_max by 2^53 times the seed's own
       error, the first Liouville-Green terms it leaves out, and is capped at
-      4000; N grows like 1/Re(mu)^2. There a complex b takes eight terms
-      of the ratio, g_N = 4(N+1)/(W + mu) + sum_(k=1..8) c_k W^-k with
+      4000; N grows like 1/Re(mu)^2. There the seed is eight terms of the
+      ratio, g_N = 4(N+1)/(W + mu) + sum_(k=1..8) c_k W^-k with
       W = sqrt(mu^2 + 8(N+1)) (``_seed_long``), off by about
       |c_9 + c_10/W| / |W|^9 relative, and a Newton search from a
-      closed-form estimate finds N (``_miller_start``); a real b takes the
-      first two terms, g_N = 4(N+1)/(W + mu) (1 - 2/W^2) (``_seed``), off
-      by |2W + 10 mu| / |W|^5, about 1/(32 N^2), and the search from
-      n_max (``_short_start``), so that its moments are bit for bit
-      those of that rule in complex arithmetic.
-      From |mu|^2 = 170 + 14 n_max on, where runs are about 9 steps, N is
-      a closed form in |mu|^2 that damps an error of 1 in the two-term
-      seed below roundoff (``_closed_start``);
-    * past the cap, which a complex b reaches only for n_max in the
-      thousands (below n_max = 100 the start stayed below 2300 for any
-      Re(mu) down to 1e-8) and a real b only from about n_max = 3500 on:
-      the upward recurrence or the backward one from the seed at the cap,
+      closed-form estimate finds N (``_miller_start``), for a real b as
+      for a complex one. From |mu|^2 = 170 + 14 n_max on, where runs are
+      about 9 steps, N is a closed form in |mu|^2 that damps an error of 1
+      in the two-term seed, g_N = 4(N+1)/(W + mu) (1 - 2/W^2) (``_seed``),
+      below roundoff (``_closed_start``);
+    * past the cap, which a complex b reaches for n_max in the thousands
+      (below n_max = 100 the start stayed below 2300 for any Re(mu) down
+      to 1e-8) or, at any n_max, once Re(mu) is so small that the
+      dominance's slope rounds to 0 past the turning point n = -Re(mu^2)/8
+      (1e-14 at |mu| = 2.5 and 5), and a real b only for n_max past it: the
+      upward recurrence or the backward one from the seed at the cap,
       whichever has the smaller predicted loss.
 
     Accuracy against mpmath (tests/test_moments.py, and over the whole
@@ -577,9 +533,11 @@ def damped_moments(b, a: float, n_max: int):
     branch of the momentum density reaches at z0 = 1.155) and 2.8e-13 and
     7.6e-12 for a complex one, all near |mu|^2 = 6 with Re(mu) about 2.4
     (tests/test_moments.py). Past the cap the error stays within about
-    twice the predicted loss, but there J_n = a^((n+1)/2) I_n overflows
-    from n of a few hundred on (355 at mu^2 = 6, 941 at mu = 157), and
-    those moments come out 0, inf or nan.
+    twice the predicted loss: at most 7.5e-15 for n_max <= 12 at
+    mu = 1e-17 - 5i, 1e-300 - 9i and 1e-300 - 2.5i (tests/test_moments.py
+    gates 1e-14); but J_n = a^((n+1)/2) I_n overflows from n of a few
+    hundred on (355 at mu^2 = 6, 941 at mu = 157), and those moments come
+    out 0, inf or nan.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -592,31 +550,29 @@ def damped_moments(b, a: float, n_max: int):
         if b.imag == 0.0:
             b = b.real
     a = float(a)
-    if type(b) is float:
-        if 0.0 < b < math.inf and 0.0 <= a < math.inf:
-            return _real_moments(b, a, n_max)
-    elif cmath.isfinite(b) and b.real > 0.0 and 0.0 <= a < math.inf:
-        return _complex_moments(b, a, n_max)
+    if b.real > 0.0 and cmath.isfinite(b) and 0.0 <= a < math.inf:
+        return _moments(b, a, n_max)
     raise ValueError(f"damped moments need finite b, Re b > 0 and finite a >= 0, got a={a!r}")
 
 
-def _complex_moments(b: complex, a: float, n_max: int) -> list:
-    """damped_moments for a complex b with Re b > 0 and a finite a >= 0,
-    without damped_moments' checks."""
+def _moments(b, a: float, n_max: int) -> list:
+    """damped_moments for a float or complex b with Re b > 0 and a finite
+    a >= 0, unchecked: the purity calls it at b = 2."""
     if a > 0.0:
         root = math.sqrt(a)
         mu = b / root
         # a product, not ** 2, which raises OverflowError past |mu| ~ 1.3e154
         mu_abs = abs(mu)
-        return _complex_scaled(b, root, mu, mu_abs * mu_abs, n_max)
+        return _scaled(b, root, mu, mu_abs * mu_abs, n_max)
     return _exact(b, n_max)
 
 
-def _complex_scaled(b: complex, root: float, mu: complex, mu_sq: float, n_max: int) -> list:
-    """_complex_moments at a = root^2 > 0, given mu = b / root and
-    mu_sq = |mu|^2 as _complex_moments computes them: the momentum density,
-    whose b = 1 - iq is valid by construction, computes them once for its
-    own closed-start pass and calls this in the other branches."""
+def _scaled(b, root: float, mu, mu_sq: float, n_max: int) -> list:
+    """_moments at a = root^2 > 0, given mu = b / root and mu_sq = |mu|^2
+    as _moments computes them: the momentum density computes them once for
+    its own closed-start pass and calls this in the other branches. The
+    complex operations on real positive numbers round as their float forms
+    do, so a float mu rounds as complex(mu) would (tests/oracles.py)."""
     if mu_sq < _exact_from(n_max):
         if mu_sq <= _UPWARD_MU_SQ:
             start = None
@@ -628,41 +584,15 @@ def _complex_scaled(b: complex, root: float, mu: complex, mu_sq: float, n_max: i
             g = _seed_long(mu, start) if start is not None else None
         if start is not None:
             return _backward(mu, n_max, start, g, root)
-        return _upward(mu, _HALF_SQRT_PI * _faddeeva(0.5j * mu), n_max, root)
+        if type(mu) is float:
+            # w(i mu/2) in closed form, over ten times cheaper than
+            # _faddeeva: a float mu runs upward only for mu^2 <= 6, since
+            # past the cap the backward run always wins for it
+            w = _erfcx(0.5 * mu)
+        else:
+            w = _faddeeva(0.5j * mu)
+        return _upward(mu, _HALF_SQRT_PI * w, n_max, root)
     return _exact(b, n_max)
-
-
-def _real_moments(b: float, a: float, n_max: int) -> list:
-    """damped_moments for a real b > 0 and a finite a >= 0, unchecked (the
-    purity calls it at b = 2, valid by construction), in float arithmetic.
-    Each operation is the one the complex form runs with imaginary parts
-    0, and cmath.sqrt, abs and a complex integer power of a real positive
-    number round as math.sqrt, the float itself and _power do, so each
-    moment is the real part of the complex form's, bit for bit.
-    mu = b / sqrt(a) >= sqrt(6) in the backward branch, so it never
-    reaches the cap for the n_max the library uses."""
-    if a > 0.0:
-        root = math.sqrt(a)
-        mu = b / root
-        mu_sq = mu * mu
-        if mu_sq < _exact_from(n_max):
-            if mu_sq <= _UPWARD_MU_SQ:
-                start = None
-            elif mu_sq >= _closed_from(n_max):
-                start = _closed_start(mu_sq, n_max)
-            else:
-                start = _short_start(mu, n_max)
-            if start is not None:
-                return _backward(mu, n_max, start, _seed(mu, start), root)
-            if mu <= 2.0 * _ERFCX_MAX:
-                # w(i mu/2) in closed form, over ten times cheaper than _faddeeva
-                j0 = _HALF_SQRT_PI * _erfcx(0.5 * mu)
-            else:
-                # only past the cap; w of an imaginary argument is real
-                j0 = _HALF_SQRT_PI * _faddeeva(0.5j * mu).real
-            return _upward(mu, j0, n_max, root)
-    inv_b = 1.0 / b
-    return [math.factorial(n) * _power(inv_b, n + 1) for n in range(n_max + 1)]
 
 
 def _damped_moments_array(b: np.ndarray, a: float, n_max: int) -> np.ndarray:

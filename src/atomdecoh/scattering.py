@@ -118,11 +118,18 @@ class AngularTable:
 
     def __post_init__(self) -> None:
         th = np.asarray(self.theta_grid)
-        if np.any(np.diff(th) <= 0.0) or th[0] < 0.0 or th[-1] > math.pi:
-            raise ValueError("theta_grid must be strictly increasing within [0, pi]")
+        # a NaN angle fails every comparison
+        if th.ndim != 1 or not (th.size and np.all(np.diff(th) > 0.0)
+                                and th[0] >= 0.0 and th[-1] <= math.pi):
+            raise ValueError("theta_grid must be a nonempty 1-D grid, strictly increasing "
+                             "within [0, pi]")
         for arr in (self.dsigma_numeric, self.dsigma_asymptotic):
             vals = np.asarray(arr, dtype=float)
-            if np.any(vals[np.isfinite(vals)] < 0.0):
+            if vals.shape != th.shape:
+                raise ValueError(f"cross-section columns must hold one value per angle, "
+                                 f"got shape {vals.shape} for {th.size} angles")
+            # NaN, which marks the method not asked for, passes
+            if np.any(vals < 0.0):
                 raise ValueError("cross-section values must be nonnegative")
 
 
@@ -321,10 +328,10 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
 
     A call lays the nodes out as rows: one per (piece, angle) pair whose
     piece is not empty, piece by piece, then one tail row per angle, and
-    evaluates the integrand once over all of them. Each row is summed
-    pairwise and np.bincount adds the row sums of an angle in piece order
-    from 0.0, so every value is the same to the bit as summing each piece
-    on its own and the pieces one after the other
+    evaluates the integrand once over the piece rows and once over the tail
+    rows. Each row is summed pairwise and np.bincount adds the row sums of
+    an angle in piece order from 0.0, so every value is the same to the bit
+    as summing each piece on its own and the pieces one after the other
     (tests/oracles.py::node_sums_by_piece).
     """
     r = MASS_RATIO
@@ -357,6 +364,16 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     hi = np.stack((-v_mid, -third, cut, third, v_mid, v_max, -reach, zero + 2.0), axis=1)
     kept, length = hi > lo, hi - lo
 
+    def row_sums(angle, d, fw):
+        # weight x integrand summed over each row; angle is a column, broadcast
+        # over the row's nodes rather than repeated into a full array
+        u = u_star[angle] + d
+        ksq = (e[angle] - d) ** 2 + 2.0 * u * omc[angle]
+        kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
+        w_hat = -w_slope[angle] * d - gamma * d * d
+        tau = _tau_damped(kappa_hat.ravel(), w_hat.ravel(), z0).reshape(kappa_hat.shape)
+        return (fw * u**2 * tau).sum(axis=1)
+
     def sums(idx, nodes, weights):
         # piece by piece, so the rows of the stretched pieces come first
         piece, row = np.nonzero(kept[idx].T)
@@ -370,18 +387,9 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
         d[:peak] = h * np.sinh(d[:peak])
         tail = nodes >= _TAIL_T_MIN
         t = nodes[tail]
-        angle = np.concatenate((np.repeat(angle, nodes.size), np.repeat(idx, t.size)))
-        d = np.concatenate((d.ravel(), np.tile(2.0 / t, idx.size)))
-        fw = np.concatenate((fw.ravel(), np.tile(2.0 / (t * t) * weights[tail], idx.size)))
-        u = u_star[angle] + d
-        ksq = (e[angle] - d) ** 2 + 2.0 * u * omc[angle]
-        kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
-        w_hat = -w_slope[angle] * d - gamma * d * d
-        f = fw * u**2 * _tau_damped(kappa_hat, w_hat, z0)
-        split = row.size * nodes.size
-        row_sums = np.concatenate((f[:split].reshape(row.size, nodes.size).sum(axis=1),
-                                   f[split:].reshape(idx.size, t.size).sum(axis=1)))
-        return np.bincount(np.concatenate((row, np.arange(idx.size))), row_sums, idx.size)
+        totals = np.concatenate((row_sums(angle[:, None], d, fw),
+                                 row_sums(idx[:, None], 2.0 / t, 2.0 / (t * t) * weights[tail])))
+        return np.bincount(np.concatenate((row, np.arange(idx.size))), totals, idx.size)
 
     return sums
 

@@ -21,8 +21,9 @@ can compare the two:
   sinh-stretched peak, the flanks and the tail, and the library's
   tanh-sinh node sums evaluated piece by piece;
 * a sampled check of the off-diagonal bound of the reduced density matrix;
-* the damped moments of a real b run in complex arithmetic, the route the
-  library's float kernel must reproduce bit for bit;
+* the damped moments of a real b run in complex arithmetic by the rule of
+  a complex b, with J_0 from erfcx, which the library's float arithmetic
+  must reproduce bit for bit;
 * the list-based moment recurrences (J_n first, rescaled to I_n
   afterwards) and the scalar, array and momentum-density routes built on
   them, which the library's one-pass recurrences must reproduce bit for
@@ -31,7 +32,6 @@ can compare the two:
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -500,29 +500,6 @@ def verify_offdiagonal_bound(
     return True
 
 
-def _short_start_complex(mu: complex, n_max: int):
-    """The Newton start search of a real mu from the two-term seed, in
-    complex arithmetic: cmath.sqrt, abs and real parts where the float
-    kernel takes math.sqrt and the floats themselves."""
-    target = quadrature._dominance(mu, n_max) + quadrature._LN_EPS
-    mu_mu, ten_mu = mu * mu, 10.0 * mu
-    x = float(max(n_max, 1))
-    while x <= quadrature._MILLER_CAP:
-        eight_x = 8.0 * x
-        w = cmath.sqrt(mu_mu + eight_x)
-        slope = 2.0 * math.log(abs(w + mu)) - math.log(eight_x)
-        if slope <= 0.0:
-            break
-        gain = x * slope + (mu * w).real / 4.0 + math.log(abs(w) ** 5 / abs(2.0 * w + ten_mu))
-        step = (target - gain) / (slope + 2.0 / x)
-        if step <= 0.5:
-            return math.ceil(x + max(step, 0.0)) + 1
-        x += step + step * step / (4.0 * x)
-    w_cap = cmath.sqrt(mu_mu + 8.0 * quadrature._MILLER_CAP)
-    capped = quadrature._cap_wins(mu, n_max, quadrature._seed_gain(mu, w_cap))
-    return quadrature._MILLER_CAP if capped else None
-
-
 def unscale(js, root) -> list:
     """I_n = J_n / root^(n+1) for n = 0..len(js)-1; elementwise for arrays."""
     scale = 1.0 / root
@@ -559,41 +536,13 @@ def backward_list(mu, n_max: int, start: int, g) -> list:
     return js
 
 
-def real_moments_in_complex(b: float, a: float, n_max: int) -> list:
-    """damped_moments(b, a, n_max) for a real b > 0, every branch run on
-    Python complex numbers with imaginary part 0: the a -> 0 limit by a
-    complex integer power, the upward recurrence from erfcx (or the
-    Faddeeva function past 2 _ERFCX_MAX), and Miller's recurrence from the
-    two-term seed at the closed-form or the Newton-searched start."""
-    b = complex(b)
-    if a > 0.0:
-        root = math.sqrt(a)
-        mu = b / root
-        mu_abs = abs(mu)
-        mu_sq = mu_abs * mu_abs
-        if mu_sq < 2.0**54 * ((n_max + 1) * (n_max + 2)):
-            if mu_sq <= quadrature._UPWARD_MU_SQ:
-                start = None
-            elif mu_sq >= 170.0 + 14.0 * n_max:
-                start = quadrature._closed_start(mu_sq, n_max)
-            else:
-                start = _short_start_complex(mu, n_max)
-            if start is not None:
-                return unscale(backward_list(mu, n_max, start, quadrature._seed(mu, start)), root)
-            if mu.real <= 2.0 * quadrature._ERFCX_MAX:
-                j0 = complex(quadrature._HALF_SQRT_PI * quadrature._erfcx(0.5 * mu.real))
-            else:
-                j0 = quadrature._HALF_SQRT_PI * quadrature._faddeeva(0.5j * mu)
-            return unscale(upward_list(mu, j0, n_max), root)
-    return quadrature._exact(b, n_max)
-
-
-def complex_moments_list(b: complex, a: float, n_max: int) -> list:
+def complex_moments_list(b: complex, a: float, n_max: int, w=quadrature._faddeeva) -> list:
     """damped_moments for a complex b with Re b > 0 and a >= 0 by the
     list-based recurrences: the a -> 0 limit, the upward recurrence from
-    the Faddeeva value, and Miller's recurrence from the two-term seed at
-    the closed-form start or the long seed at the Newton-searched one, or
-    past the cap whichever _miller_start picks."""
+    J_0 = (sqrt(pi)/2) w(i mu/2), w the Faddeeva function, and Miller's
+    recurrence from the two-term seed at the closed-form start or the long
+    seed at the Newton-searched one, or past the cap whichever
+    _miller_start picks."""
     if a > 0.0:
         root = math.sqrt(a)
         mu = b / root
@@ -610,9 +559,22 @@ def complex_moments_list(b: complex, a: float, n_max: int) -> list:
                 g = quadrature._seed_long(mu, start) if start is not None else None
             if start is not None:
                 return unscale(backward_list(mu, n_max, start, g), root)
-            j0 = quadrature._HALF_SQRT_PI * quadrature._faddeeva(0.5j * mu)
+            j0 = quadrature._HALF_SQRT_PI * w(0.5j * mu)
             return unscale(upward_list(mu, j0, n_max), root)
     return quadrature._exact(b, n_max)
+
+
+def _erfcx_w(z: complex) -> complex:
+    """w(z) = erfcx(Im z) for z on the positive imaginary axis."""
+    return complex(quadrature._erfcx(z.imag))
+
+
+def real_moments_in_complex(b: float, a: float, n_max: int) -> list:
+    """damped_moments(b, a, n_max) for a real b > 0, run on Python complex
+    numbers with imaginary part 0: complex_moments_list at complex(b) with
+    what a real b keeps apart, J_0 from erfcx; the a -> 0 limit is the
+    complex integer power that _power reproduces."""
+    return complex_moments_list(complex(b), a, n_max, _erfcx_w)
 
 
 def array_moments_list(b: np.ndarray, a: float, n_max: int) -> np.ndarray:

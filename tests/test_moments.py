@@ -116,6 +116,13 @@ def test_damped_moments_past_the_cap_take_the_better_route():
     # upward recurrence alone would lose 2e-5 here
     mu = complex(0.01, -math.sqrt(230.0 - 1e-4))
     assert max_rel_err(damped_moments(mu, 1.0, 6), ref_moments(mu, 1.0, 6)) <= 1e-12
+    # nearly imaginary mu reach the cap at any n_max: past the turning point
+    # the dominance's slope rounds to 0 (7.5e-15 measured)
+    for mu in (complex(1e-17, -5.0), complex(1e-300, -9.0), complex(1e-300, -2.5)):
+        for n_max in (3, 6, 12):
+            assert quadrature._miller_start(mu, n_max) == quadrature._MILLER_CAP, (mu, n_max)
+            got, ref = damped_moments(mu, 1.0, n_max), ref_moments(mu, 1.0, n_max)
+            assert max_rel_err(got, ref) <= 1e-14, (mu, n_max)
 
 
 @pytest.mark.parametrize("re_mu", [0.01, 0.1, 0.3])
@@ -285,12 +292,13 @@ def _converged_ratio(mu, n):
 @pytest.mark.parametrize("mu", [2.0 + 0.0j, 1.0 - 3.0j, 0.7 - 8.0j])
 @pytest.mark.parametrize("n", [10, 40, 150])
 def test_seed_errors_are_as_stated(mu, n):
-    # each seed is off by about its first omitted terms, the error its gain
-    # states, within a factor 2; the long seed is the closer one
+    # each seed is off by about its first omitted terms, within a factor 2;
+    # the long seed is the closer one
     g = _converged_ratio(mu, n)
     w = cmath.sqrt(mu * mu + 8.0 * (n + 1))
     long_err = abs(quadrature._seed_long(mu, n) / g - 1.0)
     short_err = abs(quadrature._seed(mu, n) / g - 1.0)
     assert long_err <= 2.0 * math.exp(-quadrature._long_gain(mu, w, n + 1.0))
-    assert short_err <= 2.0 * math.exp(-quadrature._seed_gain(mu, w))
+    # _seed leaves out c_3 / w^3 + c_4 / w^4 = g (2w + 10 mu) / w^5
+    assert short_err <= 2.0 * abs(2.0 * w + 10.0 * mu) / abs(w) ** 5
     assert long_err < short_err

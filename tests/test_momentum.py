@@ -157,6 +157,14 @@ def test_taylor_grid_computes_its_moments_once_per_z0(monkeypatch):
     assert dampings == [z0 * z0 / 8.0 for z0 in (1e-3, 0.1, 5.0, 100.0)]
 
 
+@pytest.mark.parametrize("z0", [0.01, 0.5, 2.0, 300.0])
+def test_taylor_branch_keeps_the_peak_at_tiny_q(z0):
+    # why the Taylor branch stays: without it Im(I_1 + I_2 + I_3/3) / q at
+    # b = 1 - iq gives 0.0 at q = 5e-324 and z0 = 2, where n(0) = 0.0443
+    for q in (5e-324, 1e-300, 1e-20):
+        assert momentum_density(q, z0) == momentum_density(0.0, z0), q
+
+
 @pytest.mark.parametrize("q", [0.0, 1.0, 3.0])
 def test_generic_path_matches_dedicated_form(q):
     z0 = 0.5

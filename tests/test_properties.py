@@ -105,8 +105,10 @@ def _branch_mu(branch, real, n_max, frac, arg_frac):
     frac in [0, 1] of |mu|^2 and arg_frac in [-1, 1] of arg(mu) or Re(mu)
     within that branch; real for arg(mu) = 0. Past the cap needs an n_max
     in the thousands: from 2500 on for a complex mu with Re(mu) <= 0.05 and
-    |mu|^2 in [0.12, 0.35] (170 + 14 n_max), from 3500 on for a real
-    mu^2 <= 8."""
+    |mu|^2 in [0.12, 0.35] (170 + 14 n_max), and for a real mu^2 <= 8 only
+    past the cap itself, from 4001 on: the start search of a real mu, whose
+    dominance grows without a turning point, begins no lower than n_max
+    and, from the long seed, ends just above it."""
     top, limit = 170.0 + 14.0 * n_max, 2.0**54 * ((n_max + 1) * (n_max + 2))
     side = -1.0 if arg_frac < 0.0 else 1.0
     size = max(abs(arg_frac), 1e-3)
@@ -155,7 +157,7 @@ def test_scalar_moments_are_the_list_based_recurrences_bit_for_bit(
         # and both routes give nan; at a >= 1 alike (below, the float
         # kernel gives inf where complex arithmetic gives nan), so a is
         # n_max / 2e, at which I_n changes by about sqrt(n / n_max) a step
-        n_max += 3500 if real else 2500
+        n_max += 4001 if real else 2500
         a = n_max / (2.0 * math.e)
     mu = _branch_mu(branch, real, n_max, frac, arg_frac)
     b = mu * math.sqrt(a) if a > 0.0 else mu
@@ -202,7 +204,7 @@ def _list_based_real_moments(b, a, n_max):
 @given(st.floats(-3.0, 5.5).map(lambda x: 10.0**x))
 def test_purity_is_the_list_based_sum_bit_for_bit(z):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(density, "_real_moments", _list_based_real_moments)
+        patch.setattr(density, "_moments", _list_based_real_moments)
         ref = purity(z)
     assert purity(z) == ref
 

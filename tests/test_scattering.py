@@ -302,6 +302,19 @@ def test_angular_table_validation():
     vals = np.array([1.0, 1.0])
     with pytest.raises(ValueError):
         AngularTable(grid, vals, vals, 10.0)
+    grid = np.array([0.2, 0.5])
+    empty = np.array([])
+    for theta, numeric, asymptotic in [
+        (empty, empty, empty),
+        (np.array([0.2, math.nan]), vals, vals),
+        (np.array([math.nan]), vals[:1], vals[:1]),
+        (grid, vals, np.array([1.0, -math.inf])),
+        (grid, np.array([1.0, 1.0, 1.0]), vals),
+    ]:
+        with pytest.raises(ValueError):
+            AngularTable(theta, numeric, asymptotic, 10.0)
+    # NaN marks the method not asked for
+    AngularTable(grid, np.array([math.nan, math.nan]), vals, 10.0)
 
 
 def test_scan_method_selection():

@@ -254,6 +254,8 @@ def test_scalar_and_array_moments_share_one_start_rule(n_max):
     re = np.exp(rng.uniform(math.log(0.01), math.log(30.0), 600))
     mus = [b / math.sqrt(a) for b, a in _branch_points() if a > 0.0]
     mus += [complex(mu) for mu in re + 1j * rng.uniform(-20.0, 20.0, re.size)]
+    # a float mu picks, in float arithmetic, the start of its complex form
+    mus += np.sqrt(np.geomspace(6.01, 170.0 + 14.0 * n_max, 200)).tolist()
     scalar = [_miller_start(mu, n_max) or 0 for mu in mus]
     assert scalar == _miller_starts(np.array(mus), n_max).tolist()
     # from there on up to the a -> 0 limit, the closed-form start: the same
