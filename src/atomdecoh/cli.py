@@ -17,9 +17,8 @@ import sys
 import warnings
 from contextlib import contextmanager
 
-import numpy as np
-
 from . import __version__
+from ._numpy import np
 from .constants import CODATA
 from .density import purity
 from .momentum import electron_limit, gaussian_limit, momentum_distribution
@@ -238,6 +237,21 @@ def _csv(header: list[str], names: list[str], columns, trailer: list[str] = ()) 
     return lines + rows % tuple(values) + "".join(line + "\n" for line in trailer)
 
 
+def _quiet(runner):
+    """The runner with numpy's floating-point warnings off: they would reach
+    stderr, and the runner checks its results for non-finite values
+    instead. Only the runners that compute with numpy take it, so that
+    conditions never imports numpy."""
+
+    @functools.wraps(runner)
+    def quiet(params: dict):
+        with np.errstate(all="ignore"):
+            return runner(params)
+
+    return quiet
+
+
+@_quiet
 def run_purity(params: dict) -> str:
     grid = np.logspace(math.log10(params["z_min"]), math.log10(params["z_max"]),
                        params["points"])
@@ -247,6 +261,7 @@ def run_purity(params: dict) -> str:
     return _csv(_header("purity", params), ["z", "tr_rho_sq"], [grid, values])
 
 
+@_quiet
 def run_momentum(params: dict) -> str:
     grid = np.logspace(math.log10(params["q_min"]), math.log10(params["q_max"]),
                        params["points"])
@@ -265,6 +280,7 @@ def run_momentum(params: dict) -> str:
     )
 
 
+@_quiet
 def run_twoslit(params: dict) -> str:
     if params["t0"] == 0.0:
         raise UsageError(
@@ -306,6 +322,7 @@ def _json_safe(obj):
     return obj
 
 
+@_quiet
 def run_xsection(params: dict) -> tuple[str, str]:
     """The CSV table and the JSON summary."""
     method = params["method"]
@@ -366,10 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         params = resolve_parameters(args)
-        # numpy's floating-point warnings would reach stderr; the runners
-        # check their results for non-finite values instead
-        with np.errstate(all="ignore"):
-            result = RUNNERS[args.subcommand](params)
+        result = RUNNERS[args.subcommand](params)
         if args.subcommand == "xsection":
             csv, summary = result
             _write(args.output, csv, sys.stdout)

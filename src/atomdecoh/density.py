@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-import numpy as np
-
+from ._numpy import np
 from .quadrature import _moments
 from .wavepacket import GaussianPacket, evaluate
 

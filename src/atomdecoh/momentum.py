@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._numpy import np
 from .quadrature import (
     _closed_from,
     _closed_start,

@@ -10,7 +10,12 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
+from ._numpy import bind_if_imported, np
+
+#: the array type damped_moments evaluates elementwise, numpy.ndarray once
+#: numpy is loaded (_numpy); an exact type test keeps the dispatch far below
+#: the cost of a scalar call
+from ._numpy import ndarray as _ARRAY
 
 
 class QuadratureError(ArithmeticError):
@@ -28,9 +33,6 @@ _MILLER_CAP = 4000
 _LN_EPS = 53.0 * math.log(2.0)
 #: ln 2, the step of the binary exponent in _closed_start
 _LN_2 = math.log(2.0)
-#: the array type damped_moments evaluates elementwise; an exact type test
-#: keeps the dispatch far below the cost of a scalar call
-_ARRAY = np.ndarray
 #: sqrt(pi) / 2: J_0 = (sqrt(pi)/2) w(i mu/2)
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -541,6 +543,8 @@ def damped_moments(b, a: float, n_max: int):
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    # so that an array made before the package's first use of numpy is one
+    bind_if_imported()
     if type(a) is _ARRAY:
         raise TypeError("damped moments take one float a; only b may be an array")
     if type(b) is _ARRAY:

@@ -30,8 +30,7 @@ import warnings
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-import numpy as np
-
+from ._numpy import np
 from .constants import (
     CODATA,
     electron_velocity_scale,
@@ -59,6 +58,11 @@ _TAIL_T_MIN = 1e-6
 _ACCURACY = 1e-10
 #: angles evaluated together, which bounds the size of the node arrays
 _ANGLE_BLOCK = 64
+#: nodes over which _node_sums evaluates the integrand at z0 = 0 at once:
+#: its temporaries then stay small enough that glibc does not hand the heap
+#: top back to the kernel after each scan, to fault it in again on the next
+#: (the README scan took 175 minor faults per call at 8192 and 105 at 2560)
+_CHUNK_ELEMENTS = 2048
 #: the smallest normal double; a spectral weight t^3 below it has lost bits
 _SMALLEST_NORMAL = 2.0**-1022
 #: Gauss-Legendre nodes in cos(theta) of the total cross-section
@@ -184,7 +188,7 @@ def _tau_damped(kappa_val, omega, z0: float):
         t = y * y / (x * x + y * y)
         poly = 1.0 + t * (4.0 + 16.0 * t)
         value = t * t * t * poly / 6.0 / kappa_val
-        low = np.min(t, initial=1.0)
+        low = t.min(initial=1.0)
         if low * low * low < _SMALLEST_NORMAL:
             # t^3 underflows before the division by kappa: divide first where
             # it does, and there t / kappa, below 2^-340 / 2^-1074, cannot overflow
@@ -328,10 +332,16 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
 
     A call lays the nodes out as rows: one per (piece, angle) pair whose
     piece is not empty, piece by piece, then one tail row per angle, and
-    evaluates the integrand once over the piece rows and once over the tail
-    rows. Each row is summed pairwise and np.bincount adds the row sums of
-    an angle in piece order from 0.0, so every value is the same to the bit
-    as summing each piece on its own and the pieces one after the other
+    evaluates the integrand over the piece rows and then over the tail
+    rows. At z0 = 0 it does so in chunks of whole rows of at most
+    _CHUNK_ELEMENTS nodes, so that the temporaries of the README scan do
+    not outgrow glibc's trim threshold (128 KiB) and fault in again on
+    every call. For z0 > 0 the rows go in one chunk: the array damped
+    moments cost much per call, and chunks of 2048 nodes made 181-angle
+    scans at z0 = 0.5 and 12 slower by a fifth or more. Each row is summed
+    pairwise and np.bincount adds the row sums of an angle in piece order
+    from 0.0, so every value is the same to the bit as summing each piece
+    on its own and the pieces one after the other
     (tests/oracles.py::node_sums_by_piece).
     """
     r = MASS_RATIO
@@ -365,14 +375,23 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     kept, length = hi > lo, hi - lo
 
     def row_sums(angle, d, fw):
-        # weight x integrand summed over each row; angle is a column, broadcast
-        # over the row's nodes rather than repeated into a full array
-        u = u_star[angle] + d
-        ksq = (e[angle] - d) ** 2 + 2.0 * u * omc[angle]
-        kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
-        w_hat = -w_slope[angle] * d - gamma * d * d
-        tau = _tau_damped(kappa_hat.ravel(), w_hat.ravel(), z0).reshape(kappa_hat.shape)
-        return (fw * u**2 * tau).sum(axis=1)
+        # weight x integrand summed over each row of d and fw, or of the one
+        # row they share; angle is a column, broadcast over the row's nodes
+        # rather than repeated into a full array. At z0 = 0 the rows go in
+        # chunks of whole rows, at most _CHUNK_ELEMENTS nodes each
+        out = np.empty(angle.shape[0])
+        step = max(_CHUNK_ELEMENTS // d.shape[-1] if z0 == 0.0 else angle.shape[0], 1)
+        u_at, e_at, omc_at, slope_at = u_star[angle], e[angle], omc[angle], w_slope[angle]
+        for first in range(0, angle.shape[0], step):
+            rows = slice(first, first + step)
+            x = d[rows] if d.ndim == 2 else d
+            u = u_at[rows] + x
+            ksq = (e_at[rows] - x) ** 2 + 2.0 * u * omc_at[rows]
+            kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
+            w_hat = -slope_at[rows] * x - gamma * x * x
+            tau = _tau_damped(kappa_hat.ravel(), w_hat.ravel(), z0).reshape(kappa_hat.shape)
+            out[rows] = ((fw[rows] if fw.ndim == 2 else fw) * u**2 * tau).sum(axis=1)
+        return out
 
     def sums(idx, nodes, weights):
         # piece by piece, so the rows of the stretched pieces come first

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
+from ._numpy import np
 from .density import hydrogen_kernel
 from .wavepacket import GaussianPacket, evaluate, width
 

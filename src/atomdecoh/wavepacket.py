@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
+from ._numpy import np
 
 
 @dataclass(frozen=True)

@@ -41,21 +41,104 @@ _README_COMMANDS = [
 ]
 
 
-def test_import_loads_no_scipy():
-    """Neither the import nor a run of the README subcommands loads scipy."""
-    code = (
-        "import contextlib, io, sys, atomdecoh, atomdecoh.cli\n"
-        f"for argv in {_README_COMMANDS!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "        assert atomdecoh.cli.main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
+#: defines run(argv), a README subcommand through cli.main with its output
+#: captured, which must exit 0
+_RUN = (
+    "import contextlib, io, sys, atomdecoh, atomdecoh.cli\n"
+    "def run(argv):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()), "
+    "contextlib.redirect_stderr(io.StringIO()):\n"
+    "        assert atomdecoh.cli.main(argv) == 0, argv\n"
+)
+
+
+def _fresh(code):
+    """The stdout of code run by a fresh interpreter that imports this
+    package."""
     src = os.path.dirname(os.path.dirname(atomdecoh.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    """Neither the import nor a run of the README subcommands loads scipy."""
+    code = _RUN + (
+        f"for argv in {_README_COMMANDS!r}:\n"
+        "    run(argv)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert _fresh(code) == "[]"
+
+
+def test_import_and_conditions_load_no_numpy():
+    """import atomdecoh and a README conditions run leave numpy unloaded;
+    the other README subcommands load it at their first array and exit 0."""
+    assert _README_COMMANDS[-1][0] == "conditions"
+    code = _RUN + (
+        "loaded = ['numpy' in sys.modules]\n"
+        f"run({_README_COMMANDS[-1]!r})\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        f"for argv in {_README_COMMANDS[:-1]!r}:\n"
+        "    run(argv)\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)"
+    )
+    assert _fresh(code) == "[False, False, True]"
+
+
+#: array calls whose array may be made before the package first uses numpy
+_ARRAY_CALLS = (
+    "atomdecoh.quadrature.damped_moments("
+    "np.array([2.0 + 1j, 0.5 - 3.0j, 40.0 + 0j, 1e-3 + 2j, 3.0 - 30.0j]), 0.7, 6)",
+    "atomdecoh.f_theta(np.linspace(0.0, math.pi, 7))",
+    "atomdecoh.h_theta(np.linspace(0.0, math.pi, 7))",
+    "atomdecoh.momentum_distribution(0.3, np.array([0.0, 1e-3, 0.5, 4.0, 30.0])).values",
+)
+
+
+@pytest.mark.parametrize("numpy_first", [True, False], ids=["numpy_first", "package_first"])
+@pytest.mark.parametrize("call", _ARRAY_CALLS, ids=lambda call: call.split("(")[0].split(".")[-1])
+def test_an_array_made_before_the_package_uses_numpy_dispatches_as_one(call, numpy_first):
+    # the caller imports numpy, before or after the package, and makes the
+    # array; the call is the package's first use of numpy, and gives the
+    # array that the same call gives here, where numpy is long loaded
+    imports = ("import numpy as np\nimport atomdecoh\n" if numpy_first
+               else "import atomdecoh\nimport numpy as np\n")
+    code = imports + (
+        "import math\n"
+        "assert atomdecoh.quadrature._ARRAY is not np.ndarray\n"
+        f"value = {call}\n"
+        "assert atomdecoh.quadrature._ARRAY is np.ndarray\n"
+        f"again = {call}\n"
+        "assert type(value) is np.ndarray and value.tobytes() == again.tobytes()\n"
+        "print(value.dtype, value.shape, value.tobytes().hex())"
+    )
+    expected = eval(call, {"atomdecoh": atomdecoh, "np": np, "math": math})
+    assert _fresh(code) == f"{expected.dtype} {expected.shape} {expected.tobytes().hex()}"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor page faults are read from Linux getrusage")
+@pytest.mark.parametrize("numpy_first", [True, False], ids=["numpy_first", "package_first"])
+def test_readme_xsection_takes_no_page_faults(numpy_first):
+    # glibc hands a free heap top back to the kernel once it exceeds its trim
+    # threshold; temporaries that reach it fault in again on every call.
+    # Whether they do depends on what the process allocated before, so the
+    # README run is measured with numpy loaded before the package and at its
+    # first array
+    assert _README_COMMANDS[3][0] == "xsection"
+    code = ("import numpy\n" if numpy_first else "") + _RUN + (
+        "import resource\n"
+        f"argv = {_README_COMMANDS[3]!r}\n"
+        "for _ in range(20):\n"
+        "    run(argv)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(100):\n"
+        "    run(argv)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)"
+    )
+    assert float(_fresh(code)) <= 1.0
 
 
 def _draws(seed, n):
@@ -204,6 +287,19 @@ def test_node_sums_equal_the_piece_by_piece_loop_bit_for_bit(energy, z0):
         nodes, weights = scattering._tanh_sinh(level, odd)
         for idx in (np.arange(theta.size), np.arange(0, theta.size, 5), np.array([36])):
             assert rows(idx, nodes, weights).tobytes() == pieces(idx, nodes, weights).tobytes()
+
+
+def test_node_sums_are_bit_for_bit_across_integrand_chunks():
+    # 64 angles at level 7 lay out 328 piece rows of 410 nodes and 64 tail
+    # rows of 345, far past the chunk budget of the integrand at z0 = 0:
+    # four and five rows a chunk, with chunk boundaries inside every piece
+    q = ScatteringConfig(E_n_ev=1.0).q
+    theta = _scan_grid(64)
+    nodes, weights = scattering._tanh_sinh(7, True)
+    assert 4 * nodes.size <= scattering._CHUNK_ELEMENTS < 5 * nodes.size
+    idx = np.arange(theta.size)
+    rows = scattering._node_sums(theta, q, 0.0)(idx, nodes, weights)
+    assert rows.tobytes() == node_sums_by_piece(theta, q, 0.0)(idx, nodes, weights).tobytes()
 
 
 def _branch_points():
