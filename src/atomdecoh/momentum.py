@@ -18,15 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._numpy import np
-from .quadrature import (
-    _closed_from,
-    _closed_start,
-    _exact,
-    _exact_from,
-    _scaled,
-    _seed,
-    damped_moments,
-)
+from .quadrature import _closed_from, _closed_start, _exact_from, _moments, _seed, damped_moments
 
 #: below this q, where Im(...)/q of the closed form cancels, sin(qs)/(qs)
 #: is expanded in q^2 instead
@@ -127,13 +119,13 @@ def _damping(z0: float) -> float:
 def _density(q: float, z0: float, a: float) -> float:
     """momentum_density for a checked q and z0, a = _damping(z0).
 
-    Away from the Taylor branch mu = (1 - iq) / sqrt(z0^2/8) and |mu|^2 are
-    computed once. Where damped_moments would start Miller's recurrence in
-    closed form, the start, the seed, the recurrence and the sum
-    (I_1 + I_2) + I_3/3 run here in one pass, with the operations of
-    quadrature._backward at n_max = 3 in its order, so the value is bit for
-    bit the one the list of moments gives (tests/test_properties.py); the
-    other branches take the moments from quadrature._scaled."""
+    Away from the Taylor branch, where damped_moments would start Miller's
+    recurrence in closed form at mu = (1 - iq) / sqrt(z0^2/8), the start,
+    the seed, the recurrence and the sum (I_1 + I_2) + I_3/3 run here in one
+    pass, with the operations of quadrature._backward at n_max = 3 in its
+    order, so the value is bit for bit the one the list of moments gives
+    (tests/test_properties.py); the other branches, a = 0 included, take
+    the moments from quadrature._moments."""
     if q < _Q_TAYLOR:
         moments = _taylor_moments(a)
         total = 0.0
@@ -144,34 +136,33 @@ def _density(q: float, z0: float, a: float) -> float:
             coeff *= -q * q / ((2 * k + 2) * (2 * k + 3))
         return total / _TWO_PI_SQ
     b = complex(1.0, -q)
+    # a = 0 is the exact limit, where |mu| is infinite
+    mu_sq = math.inf
     if a > 0.0:
         root = math.sqrt(a)
         mu = b / root
         mu_abs = abs(mu)
         mu_sq = mu_abs * mu_abs
-        if _CLOSED_FROM <= mu_sq < _EXACT_FROM:
-            start = _closed_start(mu_sq, 3)
-            g = _seed(mu, start)
-            for n in range(2 * start, 6, -2):
-                g = n / (mu + g)
-            g_2 = 6 / (mu + g)
-            g_1 = 4 / (mu + g_2)
-            g_0 = 2 / (mu + g_1)
-            j = 1.0 / (mu + g_0)
-            scale = 1.0 / root / root
-            j = j * g_0 * 0.5
-            i_1 = j * scale
-            scale = scale / root
-            j = j * g_1 * 0.5
-            i_2 = j * scale
-            scale = scale / root
-            j = j * g_2 * 0.5
-            total = (i_1 + i_2) + j * scale / 3.0
-        else:
-            moments = _scaled(b, root, mu, mu_sq, 3)
-            total = moments[1] + moments[2] + moments[3] / 3.0
+    if _CLOSED_FROM <= mu_sq < _EXACT_FROM:
+        start = _closed_start(mu_sq, 3)
+        g = _seed(mu, start)
+        for n in range(2 * start, 6, -2):
+            g = n / (mu + g)
+        g_2 = 6 / (mu + g)
+        g_1 = 4 / (mu + g_2)
+        g_0 = 2 / (mu + g_1)
+        j = 1.0 / (mu + g_0)
+        scale = 1.0 / root / root
+        j = j * g_0 * 0.5
+        i_1 = j * scale
+        scale = scale / root
+        j = j * g_1 * 0.5
+        i_2 = j * scale
+        scale = scale / root
+        j = j * g_2 * 0.5
+        total = (i_1 + i_2) + j * scale / 3.0
     else:
-        moments = _exact(b, 3)
+        moments = _moments(b, a, 3)
         total = moments[1] + moments[2] + moments[3] / 3.0
     value = total.imag / (_TWO_PI_SQ * q)
     if value < 0.0:

@@ -10,12 +10,12 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._numpy import bind_if_imported, np
+from ._numpy import np
 
-#: the array type damped_moments evaluates elementwise, numpy.ndarray once
-#: numpy is loaded (_numpy); an exact type test keeps the dispatch far below
-#: the cost of a scalar call
-from ._numpy import ndarray as _ARRAY
+#: the Python scalar types of damped_moments: numpy's float64 and
+#: complex128 are subclasses; any other b or a is tested against
+#: numpy.ndarray, which loads numpy
+_SCALARS = (int, float, complex)
 
 
 class QuadratureError(ArithmeticError):
@@ -168,9 +168,9 @@ def _dominance(mu, n: float):
     if n == 0:
         return (mu * mu).real / 4.0
     w = _sqrt(mu * mu + 8.0 * n)
-    if type(mu) is _ARRAY:
-        return n * (2.0 * np.log(np.abs(w + mu)) - math.log(8.0 * n)) + (mu * w).real / 4.0
-    return n * (2.0 * math.log(abs(w + mu)) - math.log(8.0 * n)) + (mu * w).real / 4.0
+    if type(mu) is complex or type(mu) is float:
+        return n * (2.0 * math.log(abs(w + mu)) - math.log(8.0 * n)) + (mu * w).real / 4.0
+    return n * (2.0 * np.log(np.abs(w + mu)) - math.log(8.0 * n)) + (mu * w).real / 4.0
 
 
 def _seed(mu, n):
@@ -210,9 +210,9 @@ def _long_gain(mu, w, x):
     arrays."""
     mu_mu = mu * mu
     tail = (_C9 + _C9_MU2 * mu_mu) * w + mu * (_C10 + _C10_MU2 * mu_mu)
-    if type(mu) is _ARRAY:
-        return np.log(4.0 * x * np.abs(w) ** 10 / (np.abs(tail) * np.abs(w + mu)))
-    return math.log(4.0 * x * abs(w) ** 10 / (abs(tail) * abs(w + mu)))
+    if type(mu) is complex or type(mu) is float:
+        return math.log(4.0 * x * abs(w) ** 10 / (abs(tail) * abs(w + mu)))
+    return np.log(4.0 * x * np.abs(w) ** 10 / (np.abs(tail) * np.abs(w + mu)))
 
 
 def _newton_guess(mu, target, floor: float):
@@ -221,13 +221,13 @@ def _newton_guess(mu, target, floor: float):
     seed's typical gain, within [floor, _MILLER_CAP], floor = max(n_max, 1).
     The same operations in both forms, so a scalar and an array element
     begin alike; a Re(mu) that underflows to 0 begins at the cap."""
-    if type(mu) is _ARRAY:
-        reach = np.maximum(target - _LONG_GAIN_GUESS, 0.0)
-        root2x = np.minimum(reach / np.maximum(mu.real, 1e-300), _SQRT_2CAP)
-        return np.maximum(np.minimum(0.5 * root2x * root2x, _MILLER_CAP), floor)
-    reach = max(target - _LONG_GAIN_GUESS, 0.0)
-    root2x = min(reach / max(mu.real, 1e-300), _SQRT_2CAP)
-    return max(min(0.5 * root2x * root2x, _MILLER_CAP), floor)
+    if type(mu) is complex or type(mu) is float:
+        reach = max(target - _LONG_GAIN_GUESS, 0.0)
+        root2x = min(reach / max(mu.real, 1e-300), _SQRT_2CAP)
+        return max(min(0.5 * root2x * root2x, _MILLER_CAP), floor)
+    reach = np.maximum(target - _LONG_GAIN_GUESS, 0.0)
+    root2x = np.minimum(reach / np.maximum(mu.real, 1e-300), _SQRT_2CAP)
+    return np.maximum(np.minimum(0.5 * root2x * root2x, _MILLER_CAP), floor)
 
 
 def _miller_start(mu, n_max: int) -> int | None:
@@ -301,12 +301,13 @@ def _closed_start(mu_sq, n_max: int):
     error, |2w + 10 mu| / |w|^5, is damped below roundoff, 2.3 steps above
     it on average and 18 at most; these runs are about 9 steps long, so
     neither a Newton search nor the long seed would pay for itself."""
-    frexp = np.frexp if type(mu_sq) is _ARRAY else math.frexp
+    scalar = type(mu_sq) is float
+    frexp = math.frexp if scalar else np.frexp
     first = _LN_EPS / ((frexp(mu_sq / (2.0 * (n_max + 1)))[1] - 1) * _LN_2)
     steps = _LN_EPS / ((frexp(mu_sq / (2.0 * (n_max + 1 + first)))[1] - 1) * _LN_2)
-    if type(mu_sq) is _ARRAY:
-        return n_max + 1 + np.ceil(steps).astype(int)
-    return n_max + 1 + math.ceil(steps)
+    if scalar:
+        return n_max + 1 + math.ceil(steps)
+    return n_max + 1 + np.ceil(steps).astype(int)
 
 
 def _exact_from(n_max: int) -> float:
@@ -464,7 +465,12 @@ def damped_moments(b, a: float, n_max: int):
     in float arithmetic and gives a list of n_max + 1 floats, each the real
     part the complex arithmetic gives with J_0 from erfcx
     (tests/test_moments.py); any other scalar b gives a list of complex
-    numbers. A 1-D numpy.ndarray b (not a subclass) gives an array of shape
+    numbers. A b and an a that are Python ints, floats or complex numbers
+    (numpy's float64 and complex128 among them) are scalars without a
+    look at numpy; any other value is tested against numpy.ndarray, which
+    loads numpy, so an array made before the package first used numpy is
+    an array too, and a numpy scalar such as float32 is still a scalar.
+    A 1-D numpy.ndarray b (not a subclass) gives an array of shape
     (n_max + 1, b.size); each element takes the branch, start and seed of
     its scalar call (J_0 from the Faddeeva function, a real b too), and
     the elements of a branch are evaluated together. The two forms agree
@@ -473,10 +479,9 @@ def damped_moments(b, a: float, n_max: int):
     from Python (tests/test_xsection_engine.py). Scalars pick their branch
     by plain comparisons, since the array masks cost more than a whole
     call. The purity and the momentum density away from its Taylor branch
-    call the scalar kernel behind the checks directly: _moments, and
-    _scaled with the density's own mu and |mu|^2; where the start is in
-    closed form the density runs the backward recurrence itself, in one
-    pass (momentum._density).
+    call the scalar kernel behind the checks directly, _moments; where the
+    start is in closed form the density runs the backward recurrence
+    itself, in one pass (momentum._density).
 
     Both recurrences scale each J_n to I_n as they go, with the operations
     of a list of J_n rescaled afterwards in the same order, so every form
@@ -543,12 +548,13 @@ def damped_moments(b, a: float, n_max: int):
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    # so that an array made before the package's first use of numpy is one
-    bind_if_imported()
-    if type(a) is _ARRAY:
-        raise TypeError("damped moments take one float a; only b may be an array")
-    if type(b) is _ARRAY:
-        return _damped_moments_array(b, float(a), n_max)
+    if not (isinstance(b, _SCALARS) and isinstance(a, _SCALARS)):
+        # np.ndarray loads numpy, which a caller holding an array has
+        # imported already, before the package's first use of it or after
+        if type(a) is np.ndarray:
+            raise TypeError("damped moments take one float a; only b may be an array")
+        if type(b) is np.ndarray:
+            return _damped_moments_array(b, float(a), n_max)
     if type(b) is not float:
         b = complex(b)
         if b.imag == 0.0:
@@ -561,42 +567,36 @@ def damped_moments(b, a: float, n_max: int):
 
 def _moments(b, a: float, n_max: int) -> list:
     """damped_moments for a float or complex b with Re b > 0 and a finite
-    a >= 0, unchecked: the purity calls it at b = 2."""
-    if a > 0.0:
-        root = math.sqrt(a)
-        mu = b / root
-        # a product, not ** 2, which raises OverflowError past |mu| ~ 1.3e154
-        mu_abs = abs(mu)
-        return _scaled(b, root, mu, mu_abs * mu_abs, n_max)
-    return _exact(b, n_max)
-
-
-def _scaled(b, root: float, mu, mu_sq: float, n_max: int) -> list:
-    """_moments at a = root^2 > 0, given mu = b / root and mu_sq = |mu|^2
-    as _moments computes them: the momentum density computes them once for
-    its own closed-start pass and calls this in the other branches. The
+    a >= 0, unchecked: the purity and the momentum density call it. The
     complex operations on real positive numbers round as their float forms
-    do, so a float mu rounds as complex(mu) would (tests/oracles.py)."""
-    if mu_sq < _exact_from(n_max):
-        if mu_sq <= _UPWARD_MU_SQ:
-            start = None
-        elif mu_sq >= _closed_from(n_max):
-            start = _closed_start(mu_sq, n_max)
-            g = _seed(mu, start)
-        else:
-            start = _miller_start(mu, n_max)
-            g = _seed_long(mu, start) if start is not None else None
-        if start is not None:
-            return _backward(mu, n_max, start, g, root)
-        if type(mu) is float:
-            # w(i mu/2) in closed form, over ten times cheaper than
-            # _faddeeva: a float mu runs upward only for mu^2 <= 6, since
-            # past the cap the backward run always wins for it
-            w = _erfcx(0.5 * mu)
-        else:
-            w = _faddeeva(0.5j * mu)
-        return _upward(mu, _HALF_SQRT_PI * w, n_max, root)
-    return _exact(b, n_max)
+    do, so a float b rounds as complex(b) would (tests/oracles.py)."""
+    if a == 0.0:
+        return _exact(b, n_max)
+    root = math.sqrt(a)
+    mu = b / root
+    # a product, not ** 2, which raises OverflowError past |mu| ~ 1.3e154
+    mu_abs = abs(mu)
+    mu_sq = mu_abs * mu_abs
+    if mu_sq >= _exact_from(n_max):
+        return _exact(b, n_max)
+    if mu_sq <= _UPWARD_MU_SQ:
+        start = None
+    elif mu_sq >= _closed_from(n_max):
+        start = _closed_start(mu_sq, n_max)
+        g = _seed(mu, start)
+    else:
+        start = _miller_start(mu, n_max)
+        g = _seed_long(mu, start) if start is not None else None
+    if start is not None:
+        return _backward(mu, n_max, start, g, root)
+    if type(mu) is float:
+        # w(i mu/2) in closed form, over ten times cheaper than _faddeeva: a
+        # float mu runs upward only for mu^2 <= 6, since past the cap the
+        # backward run always wins for it
+        w = _erfcx(0.5 * mu)
+    else:
+        w = _faddeeva(0.5j * mu)
+    return _upward(mu, _HALF_SQRT_PI * w, n_max, root)
 
 
 def _damped_moments_array(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
@@ -638,7 +638,12 @@ def _damped_moments_array(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
     back = np.flatnonzero(starts)
     if back.size:
         mu_back, starts_back = mu[back], starts[back]
-        # the two-term seed at the closed-form starts, the long one elsewhere
-        seeds = np.where(far[back], _seed(mu_back, starts_back), _seed_long(mu_back, starts_back))
+        # the two-term seed at the closed-form starts, the long one elsewhere,
+        # each computed on its own elements only
+        closed = far[back]
+        newton = ~closed
+        seeds = np.empty(back.size, dtype=complex)
+        seeds[closed] = _seed(mu_back[closed], starts_back[closed])
+        seeds[newton] = _seed_long(mu_back[newton], starts_back[newton])
         put(back, _backward_array(mu_back, n_max, starts_back, seeds, root))
     return out

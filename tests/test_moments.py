@@ -265,7 +265,12 @@ def test_real_b_of_any_type_takes_the_float_kernel(n_max):
         moments = damped_moments(b, a, n_max)
         for same in (complex(b, 0.0), complex(b, -0.0), np.float64(b), np.complex128(b)):
             assert damped_moments(same, a, n_max) == moments, (b, a)
+        # numpy scalars that are not Python floats or complex numbers
+        for narrow, wide in ((np.float32(b), float), (np.complex64(b), complex)):
+            assert damped_moments(narrow, a, n_max) == damped_moments(wide(narrow), a, n_max)
     assert damped_moments(2, 1.0, 3) == damped_moments(2.0, 1.0, 3)
+    for k in (2, 7, 40, 10**6):
+        assert damped_moments(np.int64(k), 1.0, n_max) == damped_moments(k, 1.0, n_max)
 
 
 def test_seed_coefficients_are_the_derived_ones():

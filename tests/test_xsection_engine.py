@@ -87,6 +87,33 @@ def test_import_and_conditions_load_no_numpy():
     assert _fresh(code) == "[False, False, True]"
 
 
+def test_scalar_paths_load_no_numpy():
+    """The scalar paths leave numpy unloaded: purity on its upward, Newton
+    and closed branches, momentum_density on and off its Taylor branch,
+    damped_moments for a float, an int and a complex b in every branch,
+    ScatteringConfig and check_conditions."""
+    code = (
+        "import sys\n"
+        "from atomdecoh import ScatteringConfig, check_conditions, momentum_density, purity\n"
+        "from atomdecoh.quadrature import damped_moments\n"
+        "for z in (2.0, 0.5, 0.1):\n"
+        "    purity(z)\n"
+        "for z0 in (0.1, 3.0):\n"
+        "    for q in (0.0, 1e-3, 1.0, 30.0):\n"
+        "        momentum_density(q, z0)\n"
+        # a = 0, and at a = 1 the upward recurrence (b = 1), the exact limit
+        # (1e10), the Newton search (5), the closed-form start (20) and, for
+        # a complex b, the cap
+        "for b in (1.0, 1e10, 5.0, 20.0, 1, 10**10, 5, 20,\n"
+        "          1 + 1j, 1e10 + 1j, 5 - 2j, 20 + 3j, complex(1e-300, -9.0)):\n"
+        "    for a in (0.0, 1.0):\n"
+        "        damped_moments(b, a, 3)\n"
+        "check_conditions(ScatteringConfig(E_n_ev=1.0, z0=0.5))\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert _fresh(code) == "False"
+
+
 #: array calls whose array may be made before the package first uses numpy
 _ARRAY_CALLS = (
     "atomdecoh.quadrature.damped_moments("
@@ -107,9 +134,9 @@ def test_an_array_made_before_the_package_uses_numpy_dispatches_as_one(call, num
                else "import atomdecoh\nimport numpy as np\n")
     code = imports + (
         "import math\n"
-        "assert atomdecoh.quadrature._ARRAY is not np.ndarray\n"
+        "assert atomdecoh.quadrature.np is not np\n"
         f"value = {call}\n"
-        "assert atomdecoh.quadrature._ARRAY is np.ndarray\n"
+        "assert atomdecoh.quadrature.np is np\n"
         f"again = {call}\n"
         "assert type(value) is np.ndarray and value.tobytes() == again.tobytes()\n"
         "print(value.dtype, value.shape, value.tobytes().hex())"
@@ -403,8 +430,12 @@ def test_array_damped_moments_validate():
             damped_moments(bad_b, bad_a, 3)
     # one damping per call: an array a raises, whatever b is
     for bad_b in (b, b[0]):
-        with pytest.raises(TypeError):
-            damped_moments(bad_b, np.array([0.25, 4.0]), 3)
+        for bad_a in (np.array([0.25, 4.0]), np.array(0.25)):
+            with pytest.raises(TypeError):
+                damped_moments(bad_b, bad_a, 3)
+    # a 0-d array b is an array, not a scalar
+    with pytest.raises(ValueError):
+        damped_moments(np.array(1.0 - 2.0j), 0.25, 3)
 
 
 def test_error_estimate_above_accuracy_raises(monkeypatch):
