@@ -17,7 +17,6 @@ from collections.abc import Callable
 
 from ._numpy import np
 from .quadrature import _moments
-from .wavepacket import GaussianPacket, evaluate
 
 Z_EFF_HELIUM = 27.0 / 16.0
 
@@ -57,7 +56,11 @@ def reduced_density(
     t: float,
 ) -> complex:
     """rho(r, r'; t) = psi(r, t) psi*(r', t) D(|r - r'|), with D the kernel
-    function, hydrogen_kernel or helium_kernel."""
+    function, hydrogen_kernel or helium_kernel. ``wavepacket`` (the
+    ``GaussianPacket`` of the annotation) is imported here, on first use,
+    so that purity loads neither it nor dataclasses."""
+    from .wavepacket import evaluate
+
     r = np.asarray(r, dtype=float)
     r_prime = np.asarray(r_prime, dtype=float)
     s = float(np.linalg.norm(r - r_prime))
