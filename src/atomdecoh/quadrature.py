@@ -28,6 +28,9 @@ class QuadratureError(ArithmeticError):
 _UPWARD_MU_SQ = 6.0
 #: largest start index of the backward recurrence
 _MILLER_CAP = 4000
+#: largest n_max of damped_moments: the a -> 0 limit n! / b^(n+1) needs
+#: n! as a double, and 171! is past the largest one
+_MAX_ORDER = 170
 #: ln 2^53: how far the dominant solution must outgrow J for an error of 1
 #: in the backward recurrence's start to fall below double-precision roundoff
 _LN_EPS = 53.0 * math.log(2.0)
@@ -457,7 +460,15 @@ def _power(x: float, n: int) -> float:
 
 def damped_moments(b, a: float, n_max: int):
     """I_n = int_0^inf s^n exp(-b s - a s^2) ds for n = 0..n_max;
-    Re b > 0, a >= 0, both finite.
+    Re b > 0, a >= 0, both finite, and 0 <= n_max <= 170 (_MAX_ORDER),
+    else ValueError. Up to 170 every I_n is finite at a = 1, where
+    I_n = J_n, over mu from 1e-300 to 1e12 on and off the real axis, and at
+    a = 644.3 (tests/test_moments.py); at 171 the a -> 0 limit overflows.
+    Past the range the recurrences break down as well: at mu = 2.5 and
+    a = 644.3 the scale a^(-(n+1)/2) rounds I_n to 0 from n = 230 on, where
+    I_n is 2.3e-149, and J_n overflows to nan from n = 355 on. Within it
+    the scale can still leave the double range on its own at an extreme
+    a: damped_moments(1e-16, 1e-50, 12) gives inf for I_12 = 4.8e216.
 
     a is one float: an array a raises TypeError. A real scalar b (a float,
     an int, or a complex whose imaginary part is 0, as for the purity and
@@ -517,13 +528,13 @@ def damped_moments(b, a: float, n_max: int):
       about 9 steps, N is a closed form in |mu|^2 that damps an error of 1
       in the two-term seed, g_N = 4(N+1)/(W + mu) (1 - 2/W^2) (``_seed``),
       below roundoff (``_closed_start``);
-    * past the cap, which a complex b reaches for n_max in the thousands
-      (below n_max = 100 the start stayed below 2300 for any Re(mu) down
-      to 1e-8) or, at any n_max, once Re(mu) is so small that the
-      dominance's slope rounds to 0 past the turning point n = -Re(mu^2)/8
-      (1e-14 at |mu| = 2.5 and 5), and a real b only for n_max past it: the
-      upward recurrence or the backward one from the seed at the cap,
-      whichever has the smaller predicted loss.
+    * past the cap, which a complex b reaches once Re(mu) is so small that
+      the dominance's slope rounds to 0 past the turning point
+      n = -Re(mu^2)/8 (1e-14 at |mu| = 2.5 and 5; up to n_max = 170 the
+      start stayed below 3500 for any Re(mu) down to 1e-8), and a real b
+      never, as that takes an n_max past the cap itself: the upward
+      recurrence or the backward one from the seed at the cap, whichever
+      has the smaller predicted loss.
 
     Accuracy against mpmath (tests/test_moments.py, and over the whole
     backward branch tests/test_properties.py): in Miller's branch at most
@@ -542,12 +553,10 @@ def damped_moments(b, a: float, n_max: int):
     (tests/test_moments.py). Past the cap the error stays within about
     twice the predicted loss: at most 7.5e-15 for n_max <= 12 at
     mu = 1e-17 - 5i, 1e-300 - 9i and 1e-300 - 2.5i (tests/test_moments.py
-    gates 1e-14); but J_n = a^((n+1)/2) I_n overflows from n of a few
-    hundred on (355 at mu^2 = 6, 941 at mu = 157), and those moments come
-    out 0, inf or nan.
+    gates 1e-14).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    if not 0 <= n_max <= _MAX_ORDER:
+        raise ValueError(f"n_max must lie in [0, {_MAX_ORDER}], got {n_max!r}")
     if not (isinstance(b, _SCALARS) and isinstance(a, _SCALARS)):
         # np.ndarray loads numpy, which a caller holding an array has
         # imported already, before the package's first use of it or after

@@ -333,16 +333,20 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     A call lays the nodes out as rows: one per (piece, angle) pair whose
     piece is not empty, piece by piece, then one tail row per angle, and
     evaluates the integrand over the piece rows and then over the tail
-    rows. At z0 = 0 it does so in chunks of whole rows of at most
-    _CHUNK_ELEMENTS nodes, so that the temporaries of the README scan do
-    not outgrow glibc's trim threshold (128 KiB) and fault in again on
-    every call. For z0 > 0 the rows go in one chunk: the array damped
-    moments cost much per call, and chunks of 2048 nodes made 181-angle
-    scans at z0 = 0.5 and 12 slower by a fifth or more. Each row is summed
-    pairwise and np.bincount adds the row sums of an angle in piece order
-    from 0.0, so every value is the same to the bit as summing each piece
-    on its own and the pieces one after the other
-    (tests/oracles.py::node_sums_by_piece).
+    rows. That layout depends on idx alone, so it is built once per idx
+    object: the ladder's start and its first rung, which pass the same
+    one, share it. At z0 = 0 the spectral weight is _rest_weight, in units
+    of kappa_scale with the per-angle constants folded in, and the sums are
+    divided by 6 kappa_scale at the end; the integrand goes in chunks of
+    whole rows of at most _CHUNK_ELEMENTS nodes, so that the temporaries of
+    the README scan do not outgrow glibc's trim threshold (128 KiB) and
+    fault in again on every call. For z0 > 0 the rows go in one chunk
+    through _tau_damped: the array damped moments cost much per call, and
+    chunks of 2048 nodes made 181-angle scans at z0 = 0.5 and 12 slower by
+    a fifth or more. Each row is summed pairwise and np.bincount adds the
+    row sums of an angle in piece order from 0.0, so every value is the
+    same to the bit as summing each piece on its own and the pieces one
+    after the other (tests/oracles.py::node_sums_by_piece).
     """
     r = MASS_RATIO
     omc = 2.0 * np.sin(0.5 * theta) ** 2            # 1 - cos(theta), stable
@@ -373,44 +377,103 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     lo = np.stack((-v_max, -v_mid, -third, cut, third, v_mid, -u_star, reach), axis=1)
     hi = np.stack((-v_mid, -third, cut, third, v_mid, v_max, -reach, zero + 2.0), axis=1)
     kept, length = hi > lo, hi - lo
+    # what = -slope d - curve d^2; at z0 = 0 both over 2 kappa_scale, which
+    # makes half = -what / (2 kappa_scale) with kappa_scale folded in
+    if z0 == 0.0:
+        slope, curve = w_slope / (2.0 * kappa_scale), gamma / (2.0 * kappa_scale)
+    else:
+        slope, curve = w_slope, gamma
+    # the per-angle constants of the integrand; 2 (1 - cos(theta)) doubles
+    # exactly, so u omc2 is 2.0 * u * omc to the bit
+    per_angle = np.stack((u_star, e, 2.0 * omc, slope))
 
-    def row_sums(angle, d, fw):
+    def row_sums(columns, d, fw):
         # weight x integrand summed over each row of d and fw, or of the one
-        # row they share; angle is a column, broadcast over the row's nodes
-        # rather than repeated into a full array. At z0 = 0 the rows go in
-        # chunks of whole rows, at most _CHUNK_ELEMENTS nodes each
-        out = np.empty(angle.shape[0])
-        step = max(_CHUNK_ELEMENTS // d.shape[-1] if z0 == 0.0 else angle.shape[0], 1)
-        u_at, e_at, omc_at, slope_at = u_star[angle], e[angle], omc[angle], w_slope[angle]
-        for first in range(0, angle.shape[0], step):
-            rows = slice(first, first + step)
-            x = d[rows] if d.ndim == 2 else d
-            u = u_at[rows] + x
-            ksq = (e_at[rows] - x) ** 2 + 2.0 * u * omc_at[rows]
+        # row they share; columns are the per-angle constants of the rows,
+        # broadcast over the row's nodes rather than repeated into a full array
+        u_at, e_at, omc2_at, slope_at = columns
+        if z0 > 0.0:
+            u = u_at + d
+            ksq = (e_at - d) ** 2 + u * omc2_at
             kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
-            w_hat = -slope_at[rows] * x - gamma * x * x
+            w_hat = -slope_at * d - curve * d * d
             tau = _tau_damped(kappa_hat.ravel(), w_hat.ravel(), z0).reshape(kappa_hat.shape)
-            out[rows] = ((fw[rows] if fw.ndim == 2 else fw) * u**2 * tau).sum(axis=1)
+            return (fw * u**2 * tau).sum(axis=1)
+        out = np.empty(u_at.shape[0])
+        step = max(_CHUNK_ELEMENTS // d.shape[-1], 1)
+        # half^2 overflows to inf far out in the tail, where t = 0 is the
+        # limit; each operation that can reuse an operand's array does so
+        with np.errstate(over="ignore"):
+            for first in range(0, out.size, step):
+                rows = slice(first, first + step)
+                x = d[rows] if d.ndim == 2 else d
+                u = u_at[rows] + x
+                m = e_at[rows] - x
+                m *= m
+                m += u * omc2_at[rows]
+                np.maximum(m, 1e-300, out=m)
+                half = slope_at[rows] + curve * x
+                half *= x
+                weight = _rest_weight(m, half)
+                weight *= (fw[rows] if fw.ndim == 2 else fw) * (u * u)
+                out[rows] = weight.sum(axis=1)
         return out
 
-    def sums(idx, nodes, weights):
-        # piece by piece, so the rows of the stretched pieces come first
+    def layout(idx):
+        # the rows of the angles idx: the stretched pieces' rows come first
         piece, row = np.nonzero(kept[idx].T)
         angle = idx[row]
-        size = length[angle, piece, None]
-        d = lo[angle, piece, None] + size * nodes
-        fw = size * weights
         peak = np.searchsorted(piece, 6)
-        h = h_peak[angle[:peak], None]
-        fw[:peak] = size[:peak] * (h * np.cosh(d[:peak])) * weights
-        d[:peak] = h * np.sinh(d[:peak])
+        return (length[angle, piece, None], lo[angle, piece, None], peak,
+                h_peak[angle[:peak], None], per_angle[:, angle, None], per_angle[:, idx, None],
+                np.concatenate((row, np.arange(idx.size))))
+
+    built = None  # the idx of the latest call and its layout
+
+    def sums(idx, nodes, weights):
+        nonlocal built
+        if built is None or built[0] is not idx:
+            built = idx, layout(idx)
+        size, start, peak, h, piece_columns, tail_columns, bins = built[1]
+        # in place where the arithmetic allows: d = lo + size x, and on the
+        # peak rows, fw = size (h cosh v) w, then d = h sinh v
+        d = size * nodes
+        d += start
+        fw = np.empty(d.shape)
+        np.multiply(size[peak:], weights, out=fw[peak:])
+        stretched, peak_v = fw[:peak], d[:peak]
+        np.cosh(peak_v, out=stretched)
+        stretched *= h
+        np.multiply(size[:peak], stretched, out=stretched)
+        stretched *= weights
+        np.sinh(peak_v, out=peak_v)
+        peak_v *= h
         tail = nodes >= _TAIL_T_MIN
         t = nodes[tail]
-        totals = np.concatenate((row_sums(angle[:, None], d, fw),
-                                 row_sums(idx[:, None], 2.0 / t, 2.0 / (t * t) * weights[tail])))
-        return np.bincount(np.concatenate((row, np.arange(idx.size))), totals, idx.size)
+        totals = np.concatenate((row_sums(piece_columns, d, fw),
+                                 row_sums(tail_columns, 2.0 / t, 2.0 / (t * t) * weights[tail])))
+        total = np.bincount(bins, totals, idx.size)
+        return total / 6.0 / kappa_scale if z0 == 0.0 else total
 
     return sums
+
+
+def _rest_weight(m, half):
+    """6 kappa_scale F at z0 = 0, elementwise, in the units of _node_sums:
+    m = (kappahat / kappa_scale)^2 and half = what / (2 kappa_scale), of
+    either sign. It is t^3 (1 + 4t + 16t^2) / sqrt(m) at t = 1/(1 + u^2) =
+    m / (m + half^2), the z0 = 0 form of _tau_damped without its rescaling;
+    where half^2 overflows to inf, t = 0 is the limit the value takes."""
+    t = half * half
+    t += m
+    np.divide(m, t, out=t)
+    value = 16.0 * t
+    value += 4.0
+    value *= t
+    value += 1.0
+    value *= t * t * t
+    value /= np.sqrt(m)
+    return value
 
 
 def diff_cross_section_numeric(config: ScatteringConfig, theta: float) -> float:

@@ -426,7 +426,12 @@ def reduced_integral_quad(theta: float, q: float, mass_ratio: float, z_eff: floa
 def node_sums_by_piece(theta: np.ndarray, q: float, z0: float):
     """scattering._node_sums as a loop over its nine pieces: each piece's
     nodes for its angles in one array, summed pairwise per angle, and the
-    piece sums added per angle one piece after the other."""
+    piece sums added per angle one piece after the other. At z0 = 0 the
+    spectral weight is its own copy of the library's arithmetic: 6 kappa_scale F
+    = t^3 (1 + 4t + 16t^2) / sqrt(m), t = m / (m + half^2), from
+    m = (kappahat / kappa_scale)^2 and half = what / (2 kappa_scale), and the
+    sums are divided by 6 kappa_scale at the end; for z0 > 0 it is
+    _tau_damped."""
     r = MASS_RATIO
     omc = 2.0 * np.sin(0.5 * theta) ** 2
     c = 1.0 - omc
@@ -464,13 +469,21 @@ def node_sums_by_piece(theta: np.ndarray, q: float, z0: float):
             length = (hi - lo)[kept, None]
             d, dd_dx = maps[kind](kept[:, None], lo[kept, None] + length * x_unit)
             angle = kept[:, None]
-            ksq = (e[angle] - d) ** 2 + 2.0 * (u_star[angle] + d) * omc[angle]
-            kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
-            w_hat = -w_slope[angle] * d - gamma * d * d
-            tau = _tau_damped(kappa_hat.ravel(), w_hat.ravel(), z0).reshape(d.shape)
+            if z0 == 0.0:
+                m = np.maximum((e[angle] - d) ** 2 + (u_star[angle] + d) * (2.0 * omc[angle]),
+                               1e-300)
+                half = d * (w_slope[angle] / (2.0 * kappa_scale) + gamma / (2.0 * kappa_scale) * d)
+                with np.errstate(over="ignore"):
+                    t = m / (m + half * half)
+                tau = t * t * t * (1.0 + t * (4.0 + 16.0 * t)) / np.sqrt(m)
+            else:
+                ksq = (e[angle] - d) ** 2 + 2.0 * (u_star[angle] + d) * omc[angle]
+                kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
+                w_hat = -w_slope[angle] * d - gamma * d * d
+                tau = _tau_damped(kappa_hat.ravel(), w_hat.ravel(), z0).reshape(d.shape)
             f = length * dd_dx * w_unit * (u_star[angle] + d) ** 2 * tau
             total[kept] += f.sum(axis=1)
-        return total[idx]
+        return total[idx] / 6.0 / kappa_scale if z0 == 0.0 else total[idx]
 
     return sums
 

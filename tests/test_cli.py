@@ -209,6 +209,21 @@ def test_fast_neutrons_off_a_narrow_packet_scan(capsys):
     assert all(math.isfinite(float(value)) for row in rows for value in row)
 
 
+def test_numeric_scan_limits_in_energy(capsys):
+    # slow neutrons: from about 1e-11 eV down the forward angle is not
+    # trusted at level 7; fast ones: at 1e300 eV q is 1.2e151 and every
+    # angle is trusted
+    code, out, err = _run(capsys, "xsection", "--energy-ev", "1e-11", "--method", "numeric")
+    assert code == NUMERIC_EXIT
+    assert out == ""
+    assert "failed at theta=1e-06: " in err and err.count("\n") == 1
+    code, out, err = _run(capsys, "xsection", "--energy-ev", "1e300")
+    assert code == 0
+    _, rows = _data_rows(out)
+    assert len(rows) == 19
+    assert all(float(row[1]) > 0.0 for row in rows)
+
+
 def test_untrusted_cross_section_angle_is_one_exact_line(monkeypatch, capsys):
     # at z0 = 12 and 1e-5 eV the forward angle is trusted only at level 7;
     # a ladder cut at level 6 leaves its error estimate above 1e-10

@@ -143,6 +143,30 @@ def test_damped_moments_reject_invalid_arguments(b, a):
         damped_moments(b, a, 3)
 
 
+def test_n_max_range_keeps_every_moment_finite():
+    # the sweep behind the bound: at a = 1, where I_n = J_n, real mu from
+    # 1e-300 to 1e12 through every branch, complex mu at every argument and
+    # nearly imaginary mu past the cap; and at a = 644.3, where n_max = 400
+    # gave I_n = 0 from n = 230 on and nan from n = 355 on. At 171 the
+    # a -> 0 limit's 171! is past the largest double
+    n_max = quadrature._MAX_ORDER
+    assert n_max == 170
+    mus = np.geomspace(1e-300, 1e12, 40).tolist()
+    mus += [cmath.rect(r, phi) for r in np.geomspace(1e-8, 1e6, 15)
+            for phi in np.linspace(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, 7)]
+    mus += [complex(1e-300, -9.0), complex(1e-17, -5.0), complex(1e-14, 2.5)]
+    points = [(mu, 1.0) for mu in mus] + [(mu * math.sqrt(644.3), 644.3) for mu in mus[::3]]
+    for b, a in points:
+        assert all(cmath.isfinite(m) for m in damped_moments(b, a, n_max)), (b, a)
+    b, a = 2.5 * math.sqrt(644.3), 644.3
+    assert max_rel_err(damped_moments(b, a, n_max), ref_moments(b, a, n_max)) <= 1e-13
+    for b in (b, complex(b, -1.0), np.array([b, complex(b, -1.0)])):
+        assert len(damped_moments(b, a, n_max)) == n_max + 1
+        for bad in (n_max + 1, 400, -1):
+            with pytest.raises(ValueError, match="n_max"):
+                damped_moments(b, a, bad)
+
+
 MOMENTUM_POINTS = [
     (q, float(z0))
     for z0 in np.geomspace(0.01, 5.0, 6)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from atomdecoh import density
+from atomdecoh import density, quadrature
 from atomdecoh.cli import SCHEMAS, main
 from atomdecoh.density import purity
 from atomdecoh.momentum import electron_limit, gaussian_limit, momentum_density
@@ -103,12 +103,15 @@ _BRANCHES = ("exact", "upward", "newton", "closed", "cap")
 def _branch_mu(branch, real, n_max, frac, arg_frac):
     """A mu in the given branch of damped_moments at n_max, at fractions
     frac in [0, 1] of |mu|^2 and arg_frac in [-1, 1] of arg(mu) or Re(mu)
-    within that branch; real for arg(mu) = 0. Past the cap needs an n_max
-    in the thousands: from 2500 on for a complex mu with Re(mu) <= 0.05 and
-    |mu|^2 in [0.12, 0.35] (170 + 14 n_max), and for a real mu^2 <= 8 only
-    past the cap itself, from 4001 on: the start search of a real mu, whose
-    dominance grows without a turning point, begins no lower than n_max
-    and, from the long seed, ends just above it."""
+    within that branch; real for arg(mu) = 0. Past the cap a complex mu
+    has Re(mu) in [1e-20, 1e-17] and |mu|^2 in [6.25, 25], where the
+    dominance's slope rounds to 0 past its turning point at any n_max
+    (16,760 of 16,800 grid points reach the cap at n_max <= 12). A real mu
+    reaches it only with n_max past the cap itself, which damped_moments
+    rejects: the start search of a real mu, whose dominance grows without a
+    turning point, begins no lower than n_max and, from the long seed, ends
+    just above it. Its "cap" draws are mu^2 in [6, 8], the longest runs
+    of Miller's branch, which the caller runs at the largest n_max."""
     top, limit = 170.0 + 14.0 * n_max, 2.0**54 * ((n_max + 1) * (n_max + 2))
     side = -1.0 if arg_frac < 0.0 else 1.0
     size = max(abs(arg_frac), 1e-3)
@@ -120,7 +123,7 @@ def _branch_mu(branch, real, n_max, frac, arg_frac):
     elif branch == "newton":
         mu_sq = 6.0 + (top - 6.0) * frac
     elif branch == "cap":
-        mu_sq = 6.0 + 2.0 * frac if real else top * (0.12 + 0.23 * frac)
+        mu_sq = 6.0 + 2.0 * frac if real else 6.25 + 18.75 * frac
     else:
         mu_sq = top * (limit / top) ** frac
     if real:
@@ -128,7 +131,7 @@ def _branch_mu(branch, real, n_max, frac, arg_frac):
     if branch == "newton":
         re_mu = 0.5 + size * (math.sqrt(mu_sq) - 0.5)
     elif branch == "cap":
-        re_mu = 1e-4 + 0.05 * size
+        re_mu = 1e-17 * size
     else:
         return cmath.rect(math.sqrt(mu_sq), side * size * 1.5)
     return complex(re_mu, side * math.sqrt(mu_sq - re_mu * re_mu))
@@ -152,12 +155,11 @@ def test_scalar_moments_are_the_list_based_recurrences_bit_for_bit(
     # recurrence, the Newton and closed-form Miller starts and past the cap,
     # against the recurrences that build the list of J_n before rescaling
     a = 10.0**log_a
-    if branch == "cap":
-        # there J_n = a^((n+1)/2) I_n overflows from n of a few hundred on,
-        # and both routes give nan; at a >= 1 alike (below, the float
-        # kernel gives inf where complex arithmetic gives nan), so a is
-        # n_max / 2e, at which I_n changes by about sqrt(n / n_max) a step
-        n_max += 4001 if real else 2500
+    if branch == "cap" and real:
+        # a real mu never passes the cap within the n_max damped_moments
+        # takes: its longest runs, at the largest n_max, and a = n_max / 2e,
+        # at which I_n changes by about sqrt(n / n_max) a step
+        n_max = quadrature._MAX_ORDER
         a = n_max / (2.0 * math.e)
     mu = _branch_mu(branch, real, n_max, frac, arg_frac)
     b = mu * math.sqrt(a) if a > 0.0 else mu

@@ -21,6 +21,7 @@ from atomdecoh.scattering import (
     tau_transform,
     total_cross_section_numeric,
 )
+from atomdecoh.quadrature import QuadratureError
 from oracles import tau_transform_quadrature
 
 
@@ -217,6 +218,16 @@ def test_cross_sections_at_a_zero_wavenumber_raise_one_arithmetic_error(energy):
         assert str(info.value) == (
             f"incident wavenumber q = 0.0, q^2 = 0 at E_n_ev = {energy!r}"
         )
+
+
+def test_numeric_cross_section_limits_at_z0_zero():
+    # where the z0 = 0 ladder stops trusting the forward angle: theta = 0
+    # is trusted at 1 eV, and at 1e-5 eV not even at level 7
+    config = ScatteringConfig(E_n_ev=1.0)
+    assert diff_cross_section_numeric(config, 0.0) == pytest.approx(
+        1.6606858409685584e-29, rel=1e-15, abs=0.0)
+    with pytest.raises(QuadratureError, match="at theta=0.0: "):
+        diff_cross_section_numeric(ScatteringConfig(E_n_ev=1e-5), 0.0)
 
 
 def test_scattering_length_is_a_constant_not_a_field():

@@ -270,17 +270,20 @@ def test_ladder_scans_reach_every_rung():
 
 
 def _evaluations(monkeypatch, call):
-    """The number of integrand values call() asks of the spectral weight."""
+    """The number of integrand values call() asks of the spectral weight:
+    of _rest_weight at z0 = 0 and of _tau_damped for z0 > 0."""
     count = 0
-    tau = scattering._tau_damped
 
-    def counted(kappa_val, omega, z0):
-        nonlocal count
-        count += np.size(kappa_val)
-        return tau(kappa_val, omega, z0)
+    def counted(weight):
+        def evaluate(first, *rest):
+            nonlocal count
+            count += np.size(first)
+            return weight(first, *rest)
+        return evaluate
 
     with monkeypatch.context() as patch:
-        patch.setattr(scattering, "_tau_damped", counted)
+        for name in ("_tau_damped", "_rest_weight"):
+            patch.setattr(scattering, name, counted(getattr(scattering, name)))
         call()
     return count
 
@@ -290,6 +293,7 @@ def test_ladder_evaluates_no_node_twice(monkeypatch):
     # rule's nodes, the level-3 start included
     config = ScatteringConfig(E_n_ev=1.0)
     scan = _evaluations(monkeypatch, lambda: angular_scan(config, 19, "numeric"))
+    assert scan > 0
     assert scan == _evaluations(monkeypatch, lambda: _one_shot(_scan_grid(19), config.q, 0.0, 4))
     # an angle trusted at level 6 costs the level-6 rule's nodes, not those
     # of level 5 on top of them
@@ -299,6 +303,7 @@ def test_ladder_evaluates_no_node_twice(monkeypatch):
     theta = grid[levels == 6][:1]
     assert theta.size == 1
     retried = _evaluations(monkeypatch, lambda: _reduced_integrals(theta, q, 12.0))
+    assert retried > 0
     assert retried == _evaluations(monkeypatch, lambda: _one_shot(theta, q, 12.0, 6))
 
 
@@ -314,6 +319,43 @@ def test_node_sums_equal_the_piece_by_piece_loop_bit_for_bit(energy, z0):
         nodes, weights = scattering._tanh_sinh(level, odd)
         for idx in (np.arange(theta.size), np.arange(0, theta.size, 5), np.array([36])):
             assert rows(idx, nodes, weights).tobytes() == pieces(idx, nodes, weights).tobytes()
+
+
+@pytest.mark.parametrize("energy", [1e-10, 1e-5, 1.0, 1e3, 1e300])
+@pytest.mark.parametrize("points", [19, 181])
+def test_rest_weight_is_tau_transform_on_scan_nodes(monkeypatch, energy, points):
+    # the z0 = 0 weight the scan forms from the squared width, on the nodes
+    # of the level-4 rule at angles from 0 to pi (every fifth node of the
+    # 181-angle grids), against tau_transform at the kappahat and what of
+    # those nodes. Wherever kappahat F is a normal double it is within 16
+    # ulps (13.3 measured over these grids, what rounded once more from
+    # half included); below that it is never larger. At 1e300 eV half of the
+    # nodes lie there, 399 of the 19-angle grid's with half^2 past the
+    # largest double, and kappahat below 1e-300 keeps F up to 3.7e-9
+    seen = []
+    weight = scattering._rest_weight
+
+    def record(m, half):
+        # copies: the scan goes on to work in the arrays it passes and gets
+        value = weight(m, half)
+        seen.append([array.copy() for array in np.broadcast_arrays(m, half, value)])
+        return value
+
+    monkeypatch.setattr(scattering, "_rest_weight", record)
+    q = ScatteringConfig(E_n_ev=energy).q
+    _one_shot(np.linspace(0.0, math.pi, points), q, 0.0, 4)
+    stride = 1 if points < 100 else 5
+    m, half, value = (np.concatenate([arrays[i].ravel() for arrays in seen])[::stride]
+                      for i in range(3))
+    kappa_scale = Z_EFF_HELIUM / (scattering.MASS_RATIO * q)
+    kappa_hat, w_hat = kappa_scale * np.sqrt(m), 2.0 * kappa_scale * half
+    ref = np.array([scattering.tau_transform(kappa, omega, 0.0)
+                    for kappa, omega in zip(kappa_hat.tolist(), w_hat.tolist())])
+    got = value / 6.0 / kappa_scale
+    normal = kappa_hat * ref >= 2.0**-1022
+    assert normal.sum() >= m.size // 2
+    assert np.all(np.abs(got - ref)[normal] <= 16 * 2.0**-52 * ref[normal])
+    assert np.all((got[~normal] >= 0.0) & (got[~normal] <= ref[~normal]))
 
 
 def test_node_sums_are_bit_for_bit_across_integrand_chunks():
