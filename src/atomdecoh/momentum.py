@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._numpy import np
-from .quadrature import _closed_from, _closed_start, _exact_from, _moments, _seed, damped_moments
+from .quadrature import _closed_from, _closed_start, _exact_from, _moments, _seed
 
-#: below this q, where Im(...)/q of the closed form cancels, sin(qs)/(qs)
-#: is expanded in q^2 instead
-_Q_TAYLOR = 1e-2
-#: terms of that expansion; the first one dropped is below 1e-18 relative
-_TAYLOR_TERMS = 5
+#: below this q n(q) is n(0): sin(qs)/(qs) adds -q^2 <s^2>/6 relative, and
+#: <s^2> <= 24 under the integrand's weight (24 at z0 = 0), so below 2^-29
+#: that is under half an ulp; the closed form is 0/0 at q = 0 and 0.0 at 5e-324
+_Q_ZERO = 2.0**-29
 _TWO_PI_SQ = 2.0 * math.pi**2
 #: the |mu|^2 range, for the moments up to I_3, in which damped_moments
 #: starts Miller's recurrence in closed form
@@ -85,10 +83,10 @@ def momentum_density(q: float, z0: float) -> float:
     n(q) = (1/(2 pi^2 q)) int_0^inf s (1 + s + s^2/3) exp(-s - z0^2 s^2/8) sin(qs) ds
          = Im(I_1 + I_2 + I_3/3)(1 - iq, z0^2/8) / (2 pi^2 q)
 
-    in damped moments I_n(b, a). Below q = 1e-2 sin(qs)/(qs) is expanded in
-    q^2 over the real moments at b = 1, which do not depend on q and are
-    computed once for the last z0 (_taylor_moments). Closed form; against mpmath
-    (tests/test_moments.py) it is within 1e-9 relative at q = 0 and on
+    in damped moments I_n(b, a); below q = 2^-29 (_Q_ZERO) it is
+    n(0) = (I_2 + I_3 + I_4/3)(1, z0^2/8) / (2 pi^2). Against mpmath
+    (tests/test_moments.py) it is within 1e-14 relative on q in [1e-9, 1e-2]
+    x z0 in [1e-4, 1e4] (3.4e-15 measured), and within 1e-9 at q = 0 and on
     q in [1e-3, 50] x z0 in [0.01, 5], the worst measured being 4.7e-10 at
     q = 49.6, z0 = 0.52 (9764 points, dense in q over [40, 50]) from
     cancellation inside the imaginary part. That cancellation grows as n(q)
@@ -119,22 +117,16 @@ def _damping(z0: float) -> float:
 def _density(q: float, z0: float, a: float) -> float:
     """momentum_density for a checked q and z0, a = _damping(z0).
 
-    Away from the Taylor branch, where damped_moments would start Miller's
-    recurrence in closed form at mu = (1 - iq) / sqrt(z0^2/8), the start,
-    the seed, the recurrence and the sum (I_1 + I_2) + I_3/3 run here in one
-    pass, with the operations of quadrature._backward at n_max = 3 in its
-    order, so the value is bit for bit the one the list of moments gives
-    (tests/test_properties.py); the other branches, a = 0 included, take
-    the moments from quadrature._moments."""
-    if q < _Q_TAYLOR:
-        moments = _taylor_moments(a)
-        total = 0.0
-        coeff = 1.0
-        for k in range(_TAYLOR_TERMS):
-            i = 2 * k + 2
-            total += coeff * (moments[i] + moments[i + 1] + moments[i + 2] / 3.0)
-            coeff *= -q * q / ((2 * k + 2) * (2 * k + 3))
-        return total / _TWO_PI_SQ
+    Where damped_moments would start Miller's recurrence in closed form at
+    mu = (1 - iq) / sqrt(z0^2/8), the start, the seed, the recurrence and
+    the sum (I_1 + I_2) + I_3/3 run here in one pass, with the operations
+    of quadrature._backward at n_max = 3 in its order, so the value is bit
+    for bit the one the list of moments gives (tests/test_properties.py);
+    n(0) and the other branches, a = 0 included, take the moments from
+    quadrature._moments."""
+    if q < _Q_ZERO:
+        moments = _moments(1.0, a, 4)
+        return (moments[2] + moments[3] + moments[4] / 3.0) / _TWO_PI_SQ
     b = complex(1.0, -q)
     # a = 0 is the exact limit, where |mu| is infinite
     mu_sq = math.inf
@@ -170,13 +162,6 @@ def _density(q: float, z0: float, a: float) -> float:
             f"momentum density at q={q!r}, z0={z0!r} is lost to cancellation: got {value!r}"
         )
     return value
-
-
-@lru_cache(maxsize=1)
-def _taylor_moments(a: float) -> tuple:
-    """The real moments I_n(1, a) of the Taylor branch, kept for the last a:
-    the points of a grid below _Q_TAYLOR share them."""
-    return tuple(damped_moments(1.0, a, 2 * _TAYLOR_TERMS + 2))
 
 
 def gaussian_limit(p_offset, delta: float):

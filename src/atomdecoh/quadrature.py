@@ -472,9 +472,9 @@ def damped_moments(b, a: float, n_max: int):
 
     a is one float: an array a raises TypeError. A real scalar b (a float,
     an int, or a complex whose imaginary part is 0, as for the purity and
-    the Taylor branch of the momentum density) runs the rule of a complex b
-    in float arithmetic and gives a list of n_max + 1 floats, each the real
-    part the complex arithmetic gives with J_0 from erfcx
+    the momentum density at q = 0) runs the rule of a complex b in float
+    arithmetic and gives a list of n_max + 1 floats, each the real part
+    the complex arithmetic gives with J_0 from erfcx
     (tests/test_moments.py); any other scalar b gives a list of complex
     numbers. A b and an a that are Python ints, floats or complex numbers
     (numpy's float64 and complex128 among them) are scalars without a
@@ -489,10 +489,10 @@ def damped_moments(b, a: float, n_max: int):
     recurrence makes of that, as numpy rounds complex products differently
     from Python (tests/test_xsection_engine.py). Scalars pick their branch
     by plain comparisons, since the array masks cost more than a whole
-    call. The purity and the momentum density away from its Taylor branch
-    call the scalar kernel behind the checks directly, _moments; where the
-    start is in closed form the density runs the backward recurrence
-    itself, in one pass (momentum._density).
+    call. The purity and the momentum density call the scalar kernel
+    behind the checks directly, _moments; where the start is in closed
+    form the density runs the backward recurrence itself, in one pass
+    (momentum._density).
 
     Both recurrences scale each J_n to I_n as they go, with the operations
     of a list of J_n rescaled afterwards in the same order, so every form
@@ -547,8 +547,7 @@ def damped_moments(b, a: float, n_max: int):
     tests/test_moments.py gates 1e-14 there. The upward recurrence grows
     the error of J_0 with n: at most 5e-13 for n <= 6 and 2e-11 for
     7 <= n <= 12. On some 7,400 draws at n_max = 12 the worst were 1.6e-13
-    and 4.3e-12 for a real b (1.67e-12 at mu^2 = 6, which the Taylor
-    branch of the momentum density reaches at z0 = 1.155) and 2.8e-13 and
+    and 4.3e-12 for a real b (1.67e-12 at mu^2 = 6) and 2.8e-13 and
     7.6e-12 for a complex one, all near |mu|^2 = 6 with Re(mu) about 2.4
     (tests/test_moments.py). Past the cap the error stays within about
     twice the predicted loss: at most 7.5e-15 for n_max <= 12 at

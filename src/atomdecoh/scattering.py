@@ -147,10 +147,16 @@ def tau_transform(kappa_val: float, omega: float, z0: float) -> float:
     z0 = 0 F is (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5), within 1.5e-15
     relative of a 400-digit reference for kappa in [1e-12, 1e3] and |omega|
     up to 1e8, finite and nonnegative at any |omega| / kappa; damped moments
-    for z0 > 0. At kappa = 0 the integral is distributional
-    (2 pi delta(omega)) for every z0 and is rejected, as is non-finite input.
-    Where F exceeds the largest double, which only kappa below about 2e-308
-    reaches (F(0) = 3.5 / kappa at z0 = 0), it raises OverflowError.
+    for z0 > 0. That moment sum cancels like u^5 far out: against a
+    300-digit sum at z0 in {0.5, 2, 12} (tests/test_moments.py) its
+    relative error is at most 7.1e-12 up to |u| = 10, 4.3e-9 to 1e-7 at
+    100 and 4.5e-5 to 1.3e-3 at 1000, and 5.6 to 7.3 at 1e4, where the sign
+    is lost; the tests gate 1e-10 up to |u| = 10 and 1e-6 up to 100.
+
+    At kappa = 0 the integral is distributional (2 pi delta(omega)) for
+    every z0 and is rejected, as is non-finite input. Where F exceeds the
+    largest double, which only kappa below about 2e-308 reaches
+    (F(0) = 3.5 / kappa at z0 = 0), it raises OverflowError.
     """
     if not all(math.isfinite(x) for x in (kappa_val, omega, z0)):
         raise ValueError(
@@ -234,10 +240,13 @@ def _check_theta(theta) -> np.ndarray:
 
 
 def _wavenumber(config: ScatteringConfig) -> float:
-    """q of the config; an ArithmeticError where q^2 is 0, as no cross-section is finite."""
+    """q of the config; an ArithmeticError where q^2 is 0 or inf, as no
+    cross-section is finite."""
     q = config.q
-    if q**2 == 0.0:
-        raise ArithmeticError(f"incident wavenumber q = {q!r}, q^2 = 0 at E_n_ev = "
+    # a product, where q**2 raises a bare OverflowError
+    q_sq = q * q
+    if q_sq == 0.0 or q_sq == math.inf:
+        raise ArithmeticError(f"incident wavenumber q = {q!r}, q^2 = {q_sq:g} at E_n_ev = "
                               f"{config.E_n_ev!r}")
     return q
 
@@ -539,7 +548,8 @@ def check_conditions(config: ScatteringConfig, d_over_a_b: float | None = None) 
     v_threshold = (
         math.sqrt(d_over_a_b) * v_e if d_over_a_b is not None else OBSERVABILITY_SPEED
     )
-    boundary_energy_ev = 0.5 * c.m_n * v_threshold**2 / c.eV
+    # inf where v_threshold^2 overflows, as a product
+    boundary_energy_ev = 0.5 * c.m_n * (v_threshold * v_threshold) / c.eV
 
     def entry(value: float, threshold: float, larger_wins: bool) -> dict:
         margin = (value / threshold) if larger_wins else (

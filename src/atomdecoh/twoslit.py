@@ -104,12 +104,15 @@ def visibility(pattern_values) -> float:
 def expected_fringe_period(config: TwoSlitConfig) -> float:
     """Fringe spacing on the screen from the spreading-phase difference:
     4 pi Delta_x(t0)^2 / (d * theta) with theta = hbar t0 / (2 M delta^2)."""
-    theta = config.t0 / (2.0 * config.packet_delta**2)
+    # squares as products, which overflow to inf where ** raises: a period
+    # that is not finite is then screen_scan's to report
+    delta = config.packet_delta
+    theta = config.t0 / (2.0 * (delta * delta))
     if theta == 0.0:
         return math.inf
     alpha, _ = config.packets()
     dx = width(alpha, config.t0)
-    return 4.0 * math.pi * dx**2 / (config.separation * theta)
+    return 4.0 * math.pi * (dx * dx) / (config.separation * theta)
 
 
 def screen_scan(config: TwoSlitConfig, n_points: int):

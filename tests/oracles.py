@@ -43,7 +43,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from atomdecoh.density import reduced_density
 from atomdecoh.momentum import momentum_density
-from atomdecoh import quadrature
+from atomdecoh import momentum, quadrature
 from atomdecoh.quadrature import QuadratureError
 from atomdecoh.density import Z_EFF_HELIUM
 from atomdecoh.scattering import _TAIL_T_MIN, MASS_RATIO, _tau_damped
@@ -638,17 +638,12 @@ def array_moments_list(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
 
 def momentum_density_list(q: float, z0: float) -> float:
     """momentum_density(q, z0) for a valid q and z0 from the list-based
-    moments: the Taylor series in q^2 over the real moments at b = 1 below
-    q = 1e-2, Im(I_1 + I_2 + I_3/3)(1 - iq, z0^2/8) / (2 pi^2 q) above."""
+    moments: n(0) = (I_2 + I_3 + I_4/3)(1, z0^2/8) / (2 pi^2) below
+    momentum._Q_ZERO, Im(I_1 + I_2 + I_3/3)(1 - iq, z0^2/8) / (2 pi^2 q)
+    above."""
     a = z0 * z0 / 8.0
-    if q < 1e-2:
-        moments = [m.real for m in real_moments_in_complex(1.0, a, 12)]
-        total = 0.0
-        coeff = 1.0
-        for k in range(5):
-            i = 2 * k + 2
-            total += coeff * (moments[i] + moments[i + 1] + moments[i + 2] / 3.0)
-            coeff *= -q * q / ((2 * k + 2) * (2 * k + 3))
-        return total / (2.0 * math.pi**2)
+    if q < momentum._Q_ZERO:
+        moments = [m.real for m in real_moments_in_complex(1.0, a, 4)]
+        return (moments[2] + moments[3] + moments[4] / 3.0) / (2.0 * math.pi**2)
     moments = complex_moments_list(complex(1.0, -q), a, 3)
     return (moments[1] + moments[2] + moments[3] / 3.0).imag / (2.0 * math.pi**2 * q)

@@ -523,6 +523,29 @@ def test_cross_section_at_a_zero_wavenumber_is_one_numeric_line(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, exit_code, message",
+    [
+        (("xsection", "--energy-ev", "1e307"), NUMERIC_EXIT, "q^2 = inf at E_n_ev = 1e+307"),
+        (("twoslit", "--t0", "1e300"), NUMERIC_EXIT, "the fringe period is not finite"),
+        (("twoslit", "--delta-ab", "1e200"), NUMERIC_EXIT, "the fringe period is not finite"),
+        (("conditions", "--d-over-a-b", "1e308"), 0, None),
+    ],
+)
+def test_a_square_that_overflows_is_reported_in_one_line(capsys, argv, exit_code, message):
+    # squares formed as products overflow to inf, where x**2 raises an
+    # OverflowError whose text is the bare errno tuple "(34, ...)"
+    code, out, err = _run(capsys, *argv)
+    assert code == exit_code
+    assert "(34," not in err
+    if message is None:
+        assert err == ""
+        assert json.loads(out)["boundary_energy_ev"] is None
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
     "argv, q",
     [
         (("conditions", "--energy-ev", "1e-300"), 0.0),

@@ -13,7 +13,6 @@ from atomdecoh.momentum import (
     momentum_density,
     momentum_distribution,
 )
-from atomdecoh.quadrature import damped_moments
 from atomdecoh.wavepacket import GaussianPacket
 from oracles import momentum_density_generic, normalization_integral
 
@@ -130,36 +129,18 @@ def test_limits_take_arrays_elementwise():
 
 
 def test_momentum_distribution_matches_pointwise():
-    # both sides of the Taylor branch's edge at q = 1e-2, and far out; each
-    # point of the reference computes its Taylor moments afresh
-    grid = np.array([0.0, 1e-3, np.nextafter(1e-2, 0.0), 1e-2, 0.3, 50.0])
+    # both sides of the switch to n(0) at q = _Q_ZERO, and far out
+    edge = momentum._Q_ZERO
+    grid = np.array([0.0, np.nextafter(edge, 0.0), edge, 1e-3, 0.3, 50.0])
     for z0 in (1e-3, 0.1, 5.0, 100.0):
-        expected = []
-        for q in grid.tolist():
-            momentum._taylor_moments.cache_clear()
-            expected.append(momentum_density(q, z0))
+        expected = [momentum_density(q, z0) for q in grid.tolist()]
         assert momentum_distribution(z0, grid).values.tolist() == expected
         assert momentum_distribution(z0, grid).values.tolist() == expected
-
-
-def test_taylor_grid_computes_its_moments_once_per_z0(monkeypatch):
-    dampings = []
-
-    def counted(b, a, n_max):
-        dampings.append(a)
-        return damped_moments(b, a, n_max)
-
-    monkeypatch.setattr(momentum, "damped_moments", counted)
-    momentum._taylor_moments.cache_clear()
-    grid = np.linspace(0.0, np.nextafter(1e-2, 0.0), 25)
-    for z0 in (1e-3, 0.1, 5.0, 100.0):
-        momentum_distribution(z0, grid)
-    assert dampings == [z0 * z0 / 8.0 for z0 in (1e-3, 0.1, 5.0, 100.0)]
 
 
 @pytest.mark.parametrize("z0", [0.01, 0.5, 2.0, 300.0])
-def test_taylor_branch_keeps_the_peak_at_tiny_q(z0):
-    # why the Taylor branch stays: without it Im(I_1 + I_2 + I_3/3) / q at
+def test_density_is_its_peak_as_q_tends_to_0(z0):
+    # why n(q) switches to n(0) below _Q_ZERO: Im(I_1 + I_2 + I_3/3) / q at
     # b = 1 - iq gives 0.0 at q = 5e-324 and z0 = 2, where n(0) = 0.0443
     for q in (5e-324, 1e-300, 1e-20):
         assert momentum_density(q, z0) == momentum_density(0.0, z0), q
@@ -208,8 +189,6 @@ def test_momentum_density_rejects_negative_arguments():
         momentum_density(-1.0, 0.5)
     with pytest.raises(ValueError):
         momentum_density(1.0, -0.5)
-    # and below q = 1e-2, with the Taylor moments at z0 = 0.5 kept
-    momentum_density(1e-3, 0.5)
     for q, z0 in ((-1e-3, 0.5), (-1e-300, 0.5), (math.nan, 0.5),
                   (1e-3, 0.0), (1e-3, -0.5), (1e-3, math.nan)):
         with pytest.raises(ValueError):

@@ -89,7 +89,7 @@ def test_import_and_conditions_load_no_numpy():
 
 def test_scalar_paths_load_no_numpy():
     """The scalar paths leave numpy unloaded: purity on its upward, Newton
-    and closed branches, momentum_density on and off its Taylor branch,
+    and closed branches, momentum_density at q = 0 and in closed form,
     damped_moments for a float, an int and a complex b in every branch,
     ScatteringConfig and check_conditions."""
     code = (
