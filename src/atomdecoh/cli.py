@@ -324,7 +324,11 @@ def _json_safe(obj):
 
 @_quiet
 def run_xsection(params: dict) -> tuple[str, str]:
-    """The CSV table and the JSON summary."""
+    """The CSV table and the JSON summary. The anomalous_fraction column
+    and the h0_over_q_sq and hpi_over_q_sq keys hold h(theta)/q^2, the
+    electron-cloud (decoherence) part of the asymptotic form's 1/q^2
+    term; for z0 > 0 the packet's Doppler spread adds (3 z0^2 / 8) h/q^2
+    to it (diff_cross_section_asymptotic)."""
     method = params["method"]
     config = ScatteringConfig(E_n_ev=params["energy_ev"], z0=params["z0"])
     with warnings.catch_warnings(record=True) as caught, \

@@ -12,12 +12,6 @@ import math
 
 from ._numpy import np
 
-#: the Python scalar types of damped_moments: numpy's float64 and
-#: complex128 are subclasses; any other b or a is tested against
-#: numpy.ndarray, which loads numpy
-_SCALARS = (int, float, complex)
-
-
 class QuadratureError(ArithmeticError):
     """Numerical integration failed: the cross-section's reduced integral
     (scattering._reduced_integrals) raises it for the first angle it cannot
@@ -470,29 +464,21 @@ def damped_moments(b, a: float, n_max: int):
     the scale can still leave the double range on its own at an extreme
     a: damped_moments(1e-16, 1e-50, 12) gives inf for I_12 = 4.8e216.
 
-    a is one float: an array a raises TypeError. A real scalar b (a float,
-    an int, or a complex whose imaginary part is 0, as for the purity and
-    the momentum density at q = 0) runs the rule of a complex b in float
-    arithmetic and gives a list of n_max + 1 floats, each the real part
-    the complex arithmetic gives with J_0 from erfcx
-    (tests/test_moments.py); any other scalar b gives a list of complex
-    numbers. A b and an a that are Python ints, floats or complex numbers
-    (numpy's float64 and complex128 among them) are scalars without a
-    look at numpy; any other value is tested against numpy.ndarray, which
-    loads numpy, so an array made before the package first used numpy is
-    an array too, and a numpy scalar such as float32 is still a scalar.
-    A 1-D numpy.ndarray b (not a subclass) gives an array of shape
-    (n_max + 1, b.size); each element takes the branch, start and seed of
-    its scalar call (J_0 from the Faddeeva function, a real b too), and
-    the elements of a branch are evaluated together. The two forms agree
-    to a few units in the last place, and past the cap to what the
-    recurrence makes of that, as numpy rounds complex products differently
-    from Python (tests/test_xsection_engine.py). Scalars pick their branch
-    by plain comparisons, since the array masks cost more than a whole
-    call. The purity and the momentum density call the scalar kernel
+    b and a are scalars: Python ints, floats and complex numbers, numpy
+    scalars, or anything else complex() and float() take, so the call never
+    loads numpy. An array b or a, of one dimension or more, raises
+    TypeError from that conversion. A real b (a float, an int, or a complex
+    whose imaginary part is 0, as for the purity and the momentum density
+    at q = 0) runs the rule of a complex b in float arithmetic and gives a
+    list of n_max + 1 floats, each the real part the complex arithmetic
+    gives with J_0 from erfcx (tests/test_moments.py); any other b gives a
+    list of complex numbers. Scalars pick their branch by plain
+    comparisons. The purity and the momentum density call the kernel
     behind the checks directly, _moments; where the start is in closed
     form the density runs the backward recurrence itself, in one pass
-    (momentum._density).
+    (momentum._density). The cross-section scan calls the array kernel,
+    _damped_moments_array, whose elements take the branch, start and seed
+    of their scalar calls.
 
     Both recurrences scale each J_n to I_n as they go, with the operations
     of a list of J_n rescaled afterwards in the same order, so every form
@@ -556,13 +542,6 @@ def damped_moments(b, a: float, n_max: int):
     """
     if not 0 <= n_max <= _MAX_ORDER:
         raise ValueError(f"n_max must lie in [0, {_MAX_ORDER}], got {n_max!r}")
-    if not (isinstance(b, _SCALARS) and isinstance(a, _SCALARS)):
-        # np.ndarray loads numpy, which a caller holding an array has
-        # imported already, before the package's first use of it or after
-        if type(a) is np.ndarray:
-            raise TypeError("damped moments take one float a; only b may be an array")
-        if type(b) is np.ndarray:
-            return _damped_moments_array(b, float(a), n_max)
     if type(b) is not float:
         b = complex(b)
         if b.imag == 0.0:
@@ -608,13 +587,15 @@ def _moments(b, a: float, n_max: int) -> list:
 
 
 def _damped_moments_array(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
-    """damped_moments for a 1-D array b."""
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 1:
-        raise ValueError(f"damped moments take a 1-D array b, got shape {b.shape}")
-    if not (np.isfinite(b).all() and (b.real > 0.0).all() and 0.0 <= a < math.inf):
-        raise ValueError(
-            f"damped moments need finite b, Re b > 0 and finite a >= 0, got a={a!r}")
+    """damped_moments at every element of a 1-D complex array b, as an
+    array of shape (n_max + 1, b.size), unchecked: its one caller, the
+    cross-section scan (scattering._damped_weight), builds b finite with
+    Re b = 2 and a finite a >= 0. Each element takes the branch, start and
+    seed of its scalar call (J_0 from the Faddeeva function, a real b too),
+    and the elements of a branch are evaluated together. The two forms
+    agree to a few units in the last place, and past the cap to what the
+    recurrence makes of that, as numpy rounds complex products differently
+    from Python (tests/test_xsection_engine.py)."""
     if a == 0.0:
         return np.array(_exact(b, n_max))
     root = math.sqrt(a)

@@ -38,7 +38,7 @@ from .constants import (
     proton_velocity_scale,
 )
 from .density import KERNEL_SQ_POLY, Z_EFF_HELIUM
-from .quadrature import QuadratureError, damped_moments
+from .quadrature import QuadratureError, _damped_moments_array, damped_moments
 
 #: forward-elastic epsilon offset for angular grids (rad)
 FORWARD_EPSILON = 1e-6
@@ -140,16 +140,29 @@ class AngularTable:
 def tau_transform(kappa_val: float, omega: float, z0: float) -> float:
     """Spectral weight F(omega) = int dtau exp(-2 kappa |tau|)
     (1 + kappa|tau| + kappa^2 tau^2 / 3)^2 exp(-i omega tau - z0^2 kappa^2 tau^2 / 8),
-    a real number, in closed form for every z0.
+    a real number, in closed form for every z0, on Python floats: it
+    loads no numpy.
 
     kappa F is a function of u = omega / (2 kappa) alone: to 1e-14 relative
     at |u| <= 1 for kappa in [1e-300, 1e300] (tests/test_properties.py). At
-    z0 = 0 F is (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5), within 1.5e-15
-    relative of a 400-digit reference for kappa in [1e-12, 1e3] and |omega|
-    up to 1e8, finite and nonnegative at any |omega| / kappa; damped moments
-    for z0 > 0. That moment sum cancels like u^5 far out: against a
-    300-digit sum at z0 in {0.5, 2, 12} (tests/test_moments.py) its
-    relative error is at most 7.1e-12 up to |u| = 10, 4.3e-9 to 1e-7 at
+    z0 = 0 F is (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5), summed as
+    t^3 (1 + 4t + 16t^2) / (6 kappa) in t = 1/(1 + u^2), in (0, 1], whose
+    terms are all positive; t is formed from |omega|/2 and kappa scaled by
+    the larger of the two, so nothing overflows and the value is finite
+    wherever it is representable. Where t^3 falls below the smallest normal
+    double, t is divided by kappa before it is cubed, so a tiny kappa keeps
+    F (1.07e-59 at kappa = 1e-300, omega = 1e-240) from underflowing early.
+    That form is within 1.5e-15 relative of a 400-digit reference for kappa
+    in [1e-12, 1e3] and |omega| up to 1e8, finite and nonnegative at any
+    |omega| / kappa.
+
+    For z0 > 0 kappa F is 2 Re sum_n c_n I_n(2 + i omega / kappa, z0^2 / 8)
+    in damped moments (damped_moments), with omega / kappa capped at 1e300,
+    past which F is below the smallest double; at omega = 0 b = 2 is real
+    and the moments run in float arithmetic. z0^2 / 8 past the largest
+    double raises OverflowError. That moment sum cancels like u^5 far out:
+    against a 300-digit sum at z0 in {0.5, 2, 12} (tests/test_moments.py)
+    its relative error is at most 7.1e-12 up to |u| = 10, 4.3e-9 to 1e-7 at
     100 and 4.5e-5 to 1.3e-3 at 1000, and 5.6 to 7.3 at 1e4, where the sign
     is lost; the tests gate 1e-10 up to |u| = 10 and 1e-6 up to 100.
 
@@ -166,51 +179,44 @@ def tau_transform(kappa_val: float, omega: float, z0: float) -> float:
         raise ValueError("kappa_val and z0 must be nonnegative")
     if kappa_val == 0.0:
         raise ValueError("tau_transform singular at kappa = 0")
-    with np.errstate(over="ignore"):
-        value = float(_tau_damped(kappa_val, omega, z0))
+    if z0 == 0.0:
+        half = 0.5 * abs(omega)
+        scale = max(half, kappa_val)
+        x, y = half / scale, kappa_val / scale
+        t = y * y / (x * x + y * y)
+        poly = 1.0 + t * (4.0 + 16.0 * t)
+        cube = t * t * t
+        if cube < _SMALLEST_NORMAL:
+            # t^3 underflows before the division by kappa: divide first, and
+            # t / kappa, below 2^-340 / 2^-1074, cannot overflow
+            value = t / kappa_val * t * t * poly / 6.0
+        else:
+            value = cube * poly / 6.0 / kappa_val
+    else:
+        ratio = omega / max(kappa_val, 1e-300 * abs(omega))
+        moments = damped_moments(complex(2.0, ratio), _damping(z0), len(KERNEL_SQ_POLY) - 1)
+        value = 2.0 * _kernel_sum(moments) / kappa_val
     if not math.isfinite(value):
         raise OverflowError(f"spectral weight overflows at kappa_val={kappa_val!r}")
     return value
 
 
-def _tau_damped(kappa_val, omega, z0: float):
-    """Closed-form spectral weight, elementwise for arrays kappa_val and omega.
-
-    kappa F is a function of u = omega / (2 kappa) alone. For z0 > 0 it is
-    (2 / kappa) Re sum_n c_n I_n(2 + 2iu, z0^2 / 8) in damped moments, one
-    damping for every element; 2u is capped at 1e300, past which F is below
-    the smallest double, and z0^2 / 8 past the largest raises OverflowError.
-    At z0 = 0 it is (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5), summed as
-    t^3 (1 + 4t + 16t^2) / (6 kappa) in t = 1/(1 + u^2), in (0, 1], whose
-    terms are all positive; t is formed from |omega|/2 and kappa scaled by
-    the larger of the two, so nothing overflows and the value is finite
-    wherever it is representable. Where t^3 falls below the smallest normal
-    double, t is divided by kappa before it is cubed, so a tiny kappa keeps
-    F (1.07e-59 at kappa = 1e-300, omega = 1e-240) from underflowing early."""
-    if z0 == 0.0:
-        half = 0.5 * abs(omega)
-        scale = np.maximum(half, kappa_val)
-        x, y = half / scale, kappa_val / scale
-        t = y * y / (x * x + y * y)
-        poly = 1.0 + t * (4.0 + 16.0 * t)
-        value = t * t * t * poly / 6.0 / kappa_val
-        low = t.min(initial=1.0)
-        if low * low * low < _SMALLEST_NORMAL:
-            # t^3 underflows before the division by kappa: divide first where
-            # it does, and there t / kappa, below 2^-340 / 2^-1074, cannot overflow
-            lost = t * t * t < _SMALLEST_NORMAL
-            small = np.where(lost, t, 0.0)
-            value = np.where(lost, small / kappa_val * small * small * poly / 6.0, value)
-        return value
+def _damping(z0: float) -> float:
+    """a = z0^2 / 8 of the damped moments of the spectral weight; an
+    OverflowError where it is past the largest double."""
     a = z0 * z0 / 8.0
     if a == math.inf:
         raise OverflowError(f"spectral weight: z0^2 / 8 overflows at z0 = {z0!r}")
-    ratio = omega / np.maximum(kappa_val, 1e-300 * np.abs(omega))
-    moments = damped_moments(2.0 + 1j * ratio, a, len(KERNEL_SQ_POLY) - 1)
+    return a
+
+
+def _kernel_sum(moments):
+    """Re sum_n c_n I_n over the coefficients c_n of the squared kernel
+    polynomial, for scalar moments or arrays of them."""
     total = 0.0
     for c_n, moment in zip(KERNEL_SQ_POLY, moments):
         total += c_n * moment.real
-    return 2.0 * total / kappa_val
+    return total
 
 
 def f_theta(theta):
@@ -253,12 +259,29 @@ def _wavenumber(config: ScatteringConfig) -> float:
 
 def diff_cross_section_asymptotic(config: ScatteringConfig, theta):
     """Large-q cross-section (m^2/sr):
-    (m_n^2 g^2 / (25 pi^2 hbar^4)) f(theta) (1 + h(theta)/q^2), elementwise
-    for an array theta. Below q = 5 it warns, once per call."""
+    (m_n^2 g^2 / (25 pi^2 hbar^4)) f(theta) (1 + h(theta) (1 + 3 z0^2 / 8) / q^2),
+    elementwise for an array theta. Below q = 5 it warns, once per call.
+
+    The 1/q^2 term is proportional to the second moment <u^2> of the
+    spectral weight kappa F in u = omega / (2 kappa) (a Placzek-type moment
+    expansion, Phys. Rev. 86, 377 (1952)). At z0 = 0, <u^2>_0 = 1/6:
+    int kappa F_0 du = pi and int u^2 kappa F_0 du = pi / 6. This is
+    h(theta)/q^2, the electron-cloud (decoherence) term. The packet damping
+    exp(-z0^2 kappa^2 tau^2 / 8) is a Gaussian of variance z0^2 / 16 in the
+    variable 2 kappa tau conjugate to u, so it convolves kappa F in u with a
+    normal of variance sigma_u^2 = z0^2 / 16. Variances add under a
+    convolution: <u^2> = 1/6 + z0^2/16 = (1 + 3 z0^2 / 8) / 6. So the packet's
+    own momentum spread (Doppler broadening) adds (3 z0^2 / 8) h(theta)/q^2
+    to the electron-cloud term. With R = q^2 (sigma / sigma_lead - 1),
+    sigma the numeric cross-section and sigma_lead this form without its
+    1/q^2 term, q^2 |R - h (1 + 3 z0^2 / 8)| is at most 0.85 over 37 scan
+    angles, z0 in {0, 0.5, 1, 2} and E in {16, 100, 1000} eV
+    (tests/test_scattering.py)."""
     f, h, q = f_theta(theta), h_theta(theta), _wavenumber(config)
     if q < 5.0:
         warnings.warn(f"asymptotic formula dubious at q = {q:.2f} < 5", stacklevel=2)
-    return _COUPLING / (25.0 * math.pi**2) * f * (1.0 + h / q**2)
+    doppler = 1.0 + 3.0 * config.z0 * config.z0 / 8.0
+    return _COUPLING / (25.0 * math.pi**2) * f * (1.0 + h * doppler / q**2)
 
 
 @lru_cache(maxsize=None)
@@ -344,18 +367,21 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     evaluates the integrand over the piece rows and then over the tail
     rows. That layout depends on idx alone, so it is built once per idx
     object: the ladder's start and its first rung, which pass the same
-    one, share it. At z0 = 0 the spectral weight is _rest_weight, in units
-    of kappa_scale with the per-angle constants folded in, and the sums are
-    divided by 6 kappa_scale at the end; the integrand goes in chunks of
-    whole rows of at most _CHUNK_ELEMENTS nodes, so that the temporaries of
-    the README scan do not outgrow glibc's trim threshold (128 KiB) and
-    fault in again on every call. For z0 > 0 the rows go in one chunk
-    through _tau_damped: the array damped moments cost much per call, and
-    chunks of 2048 nodes made 181-angle scans at z0 = 0.5 and 12 slower by
-    a fifth or more. Each row is summed pairwise and np.bincount adds the
-    row sums of an angle in piece order from 0.0, so every value is the
-    same to the bit as summing each piece on its own and the pieces one
-    after the other (tests/oracles.py::node_sums_by_piece).
+    one, share it. The integrand is one loop at every z0, in units of
+    kappa_scale: from m = (kappahat / kappa_scale)^2 and
+    half = -what / (2 kappa_scale), with the per-angle constants folded in,
+    the spectral weight is 6 kappa_scale F, _rest_weight at z0 = 0 and
+    _damped_weight for z0 > 0, and the sums are divided by 6 kappa_scale at
+    the end. At z0 = 0 the integrand goes in chunks of whole rows of at
+    most _CHUNK_ELEMENTS nodes, so that the temporaries of the README scan
+    do not outgrow glibc's trim threshold (128 KiB) and fault in again on
+    every call. For z0 > 0 the rows go in one chunk: the array damped
+    moments cost much per call, and chunks of 2048 nodes made 181-angle
+    scans at z0 = 0.5 and 12 slower by a fifth or more. Each row is summed
+    pairwise and np.bincount adds the row sums of an angle in piece order
+    from 0.0, so every value is the same to the bit as summing each piece
+    on its own and the pieces one after the other
+    (tests/oracles.py::node_sums_by_piece).
     """
     r = MASS_RATIO
     omc = 2.0 * np.sin(0.5 * theta) ** 2            # 1 - cos(theta), stable
@@ -386,12 +412,10 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     lo = np.stack((-v_max, -v_mid, -third, cut, third, v_mid, -u_star, reach), axis=1)
     hi = np.stack((-v_mid, -third, cut, third, v_mid, v_max, -reach, zero + 2.0), axis=1)
     kept, length = hi > lo, hi - lo
-    # what = -slope d - curve d^2; at z0 = 0 both over 2 kappa_scale, which
-    # makes half = -what / (2 kappa_scale) with kappa_scale folded in
-    if z0 == 0.0:
-        slope, curve = w_slope / (2.0 * kappa_scale), gamma / (2.0 * kappa_scale)
-    else:
-        slope, curve = w_slope, gamma
+    # what = -slope d - curve d^2, both over 2 kappa_scale, which makes
+    # half = -what / (2 kappa_scale) with kappa_scale folded in
+    slope, curve = w_slope / (2.0 * kappa_scale), gamma / (2.0 * kappa_scale)
+    a = _damping(z0)
     # the per-angle constants of the integrand; 2 (1 - cos(theta)) doubles
     # exactly, so u omc2 is 2.0 * u * omc to the bit
     per_angle = np.stack((u_star, e, 2.0 * omc, slope))
@@ -401,17 +425,11 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
         # row they share; columns are the per-angle constants of the rows,
         # broadcast over the row's nodes rather than repeated into a full array
         u_at, e_at, omc2_at, slope_at = columns
-        if z0 > 0.0:
-            u = u_at + d
-            ksq = (e_at - d) ** 2 + u * omc2_at
-            kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
-            w_hat = -slope_at * d - curve * d * d
-            tau = _tau_damped(kappa_hat.ravel(), w_hat.ravel(), z0).reshape(kappa_hat.shape)
-            return (fw * u**2 * tau).sum(axis=1)
         out = np.empty(u_at.shape[0])
-        step = max(_CHUNK_ELEMENTS // d.shape[-1], 1)
-        # half^2 overflows to inf far out in the tail, where t = 0 is the
-        # limit; each operation that can reuse an operand's array does so
+        step = max(_CHUNK_ELEMENTS // d.shape[-1] if z0 == 0.0 else out.size, 1)
+        # half^2, and 2u of the damped weight, overflow to inf far out in the
+        # tail, where F = 0 is the limit; each operation that can reuse an
+        # operand's array does so
         with np.errstate(over="ignore"):
             for first in range(0, out.size, step):
                 rows = slice(first, first + step)
@@ -423,7 +441,7 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
                 np.maximum(m, 1e-300, out=m)
                 half = slope_at[rows] + curve * x
                 half *= x
-                weight = _rest_weight(m, half)
+                weight = _rest_weight(m, half) if z0 == 0.0 else _damped_weight(m, half, a)
                 weight *= (fw[rows] if fw.ndim == 2 else fw) * (u * u)
                 out[rows] = weight.sum(axis=1)
         return out
@@ -461,8 +479,7 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
         t = nodes[tail]
         totals = np.concatenate((row_sums(piece_columns, d, fw),
                                  row_sums(tail_columns, 2.0 / t, 2.0 / (t * t) * weights[tail])))
-        total = np.bincount(bins, totals, idx.size)
-        return total / 6.0 / kappa_scale if z0 == 0.0 else total
+        return np.bincount(bins, totals, idx.size) / 6.0 / kappa_scale
 
     return sums
 
@@ -471,8 +488,9 @@ def _rest_weight(m, half):
     """6 kappa_scale F at z0 = 0, elementwise, in the units of _node_sums:
     m = (kappahat / kappa_scale)^2 and half = what / (2 kappa_scale), of
     either sign. It is t^3 (1 + 4t + 16t^2) / sqrt(m) at t = 1/(1 + u^2) =
-    m / (m + half^2), the z0 = 0 form of _tau_damped without its rescaling;
-    where half^2 overflows to inf, t = 0 is the limit the value takes."""
+    m / (m + half^2), the z0 = 0 form of tau_transform without its
+    rescaling, in place where the arithmetic allows; where half^2
+    overflows to inf, t = 0 is the limit the value takes."""
     t = half * half
     t += m
     np.divide(m, t, out=t)
@@ -483,6 +501,18 @@ def _rest_weight(m, half):
     value *= t * t * t
     value /= np.sqrt(m)
     return value
+
+
+def _damped_weight(m, half, a: float):
+    """6 kappa_scale F for z0 > 0, elementwise, in the units of _rest_weight:
+    12 Re sum_n c_n I_n(2 + 2iu, a) / sqrt(m) at u = half / sqrt(m) and
+    a = z0^2 / 8, from the array damped moments. 2u is capped at 1e300,
+    past which F is below the smallest double, as tau_transform caps it;
+    2u may overflow to inf on the way, so the caller ignores overflow."""
+    root = np.sqrt(m)
+    ratio = np.clip(2.0 * half / root, -1e300, 1e300)
+    moments = _damped_moments_array((2.0 + 1j * ratio).ravel(), a, len(KERNEL_SQ_POLY) - 1)
+    return 12.0 * _kernel_sum(moments).reshape(root.shape) / root
 
 
 def diff_cross_section_numeric(config: ScatteringConfig, theta: float) -> float:
@@ -503,7 +533,15 @@ def diff_cross_section_numeric(config: ScatteringConfig, theta: float) -> float:
 def total_cross_section_numeric(config: ScatteringConfig) -> float:
     """Solid-angle integral of the numeric cross-section (m^2) by
     Gauss-Legendre quadrature in cos(theta) on _TOTAL_NODES nodes, all
-    angles in one evaluation."""
+    angles in one evaluation.
+
+    The rule has no error estimate of its own. Against the same sum on 384
+    nodes, itself within 6.6e-7 of 768, it is off by 5.2e-5 relative at
+    1 meV (z0 = 0), 5.5e-5 at 0.05 eV (z0 = 12), 1.4e-6 at 1e-5 eV,
+    8.8e-8 at 0.05 eV, 1.8e-8 at 1 eV (z0 = 12) and 4.4e-11 at 1 eV
+    (tests/test_scattering.py gates 1e-4 at these points). Doubling the
+    nodes cuts the error only about 4 times, which points to the
+    forward-angle endpoint."""
     nodes, wts = np.polynomial.legendre.leggauss(_TOTAL_NODES)
     values, _ = _reduced_integrals(np.arccos(nodes), _wavenumber(config), config.z0)
     return 2.0 * math.pi * _PER_INTEGRAL * float(wts @ values)

@@ -44,18 +44,40 @@ def evaluate(
     t: float,
 ) -> np.ndarray | complex:
     """psi(R, t): complex Gaussian with spreading factor, kinetic phase
-    and plane-wave factor. ``R`` has shape (..., 3)."""
+    and plane-wave factor. ``R`` has shape (..., 3).
+
+    Where 2 pi delta^2, t / (2 delta^2) or spread^(3/2) leave the double
+    range, spread = 1 + i t / (2 delta^2), it raises one ArithmeticError
+    naming delta and t; psi itself may still be a double there
+    (|psi(R0, 0)| = 2.5e-301 at delta = 1e200). Where |R - R0 - P0 t|^2
+    overflows, psi is 0 without a warning: its limit, and its value to the
+    last bit for delta below 2.5e152."""
     R = np.asarray(R, dtype=float)
     R0 = np.asarray(packet.R0)
     P0 = np.asarray(packet.P0)
-    spread = 1.0 + 1j * t / (2.0 * packet.delta**2)
+    # products, where delta**2 raises a bare OverflowError
+    delta_sq = packet.delta * packet.delta
+    norm = 2.0 * math.pi * delta_sq
+    stretch = t / (2.0 * delta_sq) if delta_sq > 0.0 else math.inf
+    spread = 1.0 + 1j * stretch
+    try:
+        # a bare OverflowError where |spread|^1.5 passes the largest double
+        spread_power = spread**1.5 if abs(stretch) < math.inf else math.inf
+    except OverflowError:
+        spread_power = math.inf
+    if not (0.0 < norm < math.inf and abs(spread_power) < math.inf):
+        raise ArithmeticError(f"wave packet out of the double range at delta = "
+                              f"{packet.delta!r}, t = {t!r}")
+    amp = norm ** (-0.75) / spread_power
     arg = R - R0 - P0 * t
-    amp = (2.0 * math.pi * packet.delta**2) ** (-0.75) / spread**1.5
-    phase = (
-        -1j * float(P0 @ P0) * t / 2.0
-        - (arg * arg).sum(axis=-1) / (4.0 * packet.delta**2 * spread)
-        + 1j * ((R - R0) * P0).sum(axis=-1)
-    )
+    # far off, |arg|^2 overflows to inf, and the exponent's division by the
+    # complex spread gives -inf + i nan, whose exp is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = (
+            -1j * float(P0 @ P0) * t / 2.0
+            - (arg * arg).sum(axis=-1) / (4.0 * delta_sq * spread)
+            + 1j * ((R - R0) * P0).sum(axis=-1)
+        )
     out = amp * np.exp(phase)
     return complex(out) if out.ndim == 0 else out
 

@@ -46,7 +46,7 @@ from atomdecoh.momentum import momentum_density
 from atomdecoh import momentum, quadrature
 from atomdecoh.quadrature import QuadratureError
 from atomdecoh.density import Z_EFF_HELIUM
-from atomdecoh.scattering import _TAIL_T_MIN, MASS_RATIO, _tau_damped
+from atomdecoh.scattering import _TAIL_T_MIN, MASS_RATIO, _damped_weight, tau_transform
 from atomdecoh.wavepacket import GaussianPacket, width
 
 TRUNCATION_DECAY_LENGTHS = 40.0
@@ -387,7 +387,7 @@ def reduced_integral_quad(theta: float, q: float, mass_ratio: float, z_eff: floa
         return -w_slope * d - gamma * d * d
 
     def f_d(d: float) -> float:
-        return (u_star + d) ** 2 * _tau_damped(kappa_hat(d), w_hat(d), z0)
+        return (u_star + d) ** 2 * tau_transform(kappa_hat(d), w_hat(d), z0)
 
     h_peak = max(kappa_hat(0.0), 1e-300) / w_slope
     reach = min(0.5, 0.9 * u_star)
@@ -426,12 +426,12 @@ def reduced_integral_quad(theta: float, q: float, mass_ratio: float, z_eff: floa
 def node_sums_by_piece(theta: np.ndarray, q: float, z0: float):
     """scattering._node_sums as a loop over its nine pieces: each piece's
     nodes for its angles in one array, summed pairwise per angle, and the
-    piece sums added per angle one piece after the other. At z0 = 0 the
-    spectral weight is its own copy of the library's arithmetic: 6 kappa_scale F
-    = t^3 (1 + 4t + 16t^2) / sqrt(m), t = m / (m + half^2), from
-    m = (kappahat / kappa_scale)^2 and half = what / (2 kappa_scale), and the
-    sums are divided by 6 kappa_scale at the end; for z0 > 0 it is
-    _tau_damped."""
+    piece sums added per angle one piece after the other. The spectral
+    weight is 6 kappa_scale F from m = (kappahat / kappa_scale)^2 and
+    half = -what / (2 kappa_scale), and the sums are divided by
+    6 kappa_scale at the end. At z0 = 0 the weight is its own copy of the
+    library's arithmetic, t^3 (1 + 4t + 16t^2) / sqrt(m) at
+    t = m / (m + half^2); for z0 > 0 it is scattering._damped_weight."""
     r = MASS_RATIO
     omc = 2.0 * np.sin(0.5 * theta) ** 2
     c = 1.0 - omc
@@ -469,21 +469,18 @@ def node_sums_by_piece(theta: np.ndarray, q: float, z0: float):
             length = (hi - lo)[kept, None]
             d, dd_dx = maps[kind](kept[:, None], lo[kept, None] + length * x_unit)
             angle = kept[:, None]
-            if z0 == 0.0:
-                m = np.maximum((e[angle] - d) ** 2 + (u_star[angle] + d) * (2.0 * omc[angle]),
-                               1e-300)
-                half = d * (w_slope[angle] / (2.0 * kappa_scale) + gamma / (2.0 * kappa_scale) * d)
-                with np.errstate(over="ignore"):
+            m = np.maximum((e[angle] - d) ** 2 + (u_star[angle] + d) * (2.0 * omc[angle]),
+                           1e-300)
+            half = d * (w_slope[angle] / (2.0 * kappa_scale) + gamma / (2.0 * kappa_scale) * d)
+            with np.errstate(over="ignore"):
+                if z0 == 0.0:
                     t = m / (m + half * half)
-                tau = t * t * t * (1.0 + t * (4.0 + 16.0 * t)) / np.sqrt(m)
-            else:
-                ksq = (e[angle] - d) ** 2 + 2.0 * (u_star[angle] + d) * omc[angle]
-                kappa_hat = kappa_scale * np.sqrt(np.maximum(ksq, 1e-300))
-                w_hat = -w_slope[angle] * d - gamma * d * d
-                tau = _tau_damped(kappa_hat.ravel(), w_hat.ravel(), z0).reshape(d.shape)
+                    tau = t * t * t * (1.0 + t * (4.0 + 16.0 * t)) / np.sqrt(m)
+                else:
+                    tau = _damped_weight(m, half, z0 * z0 / 8.0)
             f = length * dd_dx * w_unit * (u_star[angle] + d) ** 2 * tau
             total[kept] += f.sum(axis=1)
-        return total[idx] / 6.0 / kappa_scale if z0 == 0.0 else total[idx]
+        return total[idx] / 6.0 / kappa_scale
 
     return sums
 
@@ -591,9 +588,9 @@ def real_moments_in_complex(b: float, a: float, n_max: int) -> list:
 
 
 def array_moments_list(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
-    """damped_moments for a valid 1-D array b by the list-based
-    recurrences, each element in the branch and from the start and seed
-    the library's array form gives it."""
+    """quadrature._damped_moments_array for a 1-D array b with Re b > 0 by
+    the list-based recurrences, each element in the branch and from the
+    start and seed the array kernel gives it."""
     b = np.asarray(b, dtype=complex)
     if a == 0.0:
         return np.array(quadrature._exact(b, n_max))

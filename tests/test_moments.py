@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from atomdecoh import cli, density, momentum, quadrature
+from atomdecoh import cli, density, momentum, quadrature, scattering
 from atomdecoh.density import purity
 from atomdecoh.momentum import momentum_density
 from atomdecoh.quadrature import damped_moments
@@ -173,7 +173,7 @@ def test_n_max_range_keeps_every_moment_finite():
         assert all(cmath.isfinite(m) for m in damped_moments(b, a, n_max)), (b, a)
     b, a = 2.5 * math.sqrt(644.3), 644.3
     assert max_rel_err(damped_moments(b, a, n_max), ref_moments(b, a, n_max)) <= 1e-13
-    for b in (b, complex(b, -1.0), np.array([b, complex(b, -1.0)])):
+    for b in (b, complex(b, -1.0)):
         assert len(damped_moments(b, a, n_max)) == n_max + 1
         for bad in (n_max + 1, 400, -1):
             with pytest.raises(ValueError, match="n_max"):
@@ -232,7 +232,7 @@ def test_the_library_asks_for_moments_up_to_n_6(monkeypatch, capsys):
     # closed-form start among them, over the README runs and the entry
     # points a run may skip
     orders = []
-    for module, name in ((quadrature, "_moments"), (quadrature, "_damped_moments_array"),
+    for module, name in ((quadrature, "_moments"), (scattering, "_damped_moments_array"),
                          (density, "_moments"), (momentum, "_moments"),
                          (momentum, "_closed_start")):
         def counted(*args, original=getattr(module, name)):
@@ -350,6 +350,11 @@ def test_real_b_of_any_type_takes_the_float_kernel(n_max):
     assert damped_moments(2, 1.0, 3) == damped_moments(2.0, 1.0, 3)
     for k in (2, 7, 40, 10**6):
         assert damped_moments(np.int64(k), 1.0, n_max) == damped_moments(k, 1.0, n_max)
+    # an array is no scalar: an array b or a raises TypeError
+    for b, a in ((np.array([2.0, 3.0 - 1j]), 1.0), (np.array([2.0]), 1.0),
+                 (2.0, np.array([0.25, 4.0])), (2.0 - 1j, np.array([0.25]))):
+        with pytest.raises(TypeError):
+            damped_moments(b, a, n_max)
 
 
 def test_seed_coefficients_are_the_derived_ones():

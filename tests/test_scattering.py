@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from atomdecoh import scattering
 from atomdecoh.constants import CODATA
 from atomdecoh.scattering import (
     FORWARD_EPSILON,
@@ -51,12 +52,10 @@ def test_tau_transform_real_and_even():
 
 
 def test_damped_spectral_fast_path_matches_quadrature():
-    from atomdecoh.scattering import _tau_damped
-
     for kap in (0.1, 1.0, 5.0):
         for om in (0.0, 0.3, 2.0):
             for z0 in (0.005, 0.5, 2.0):
-                fast = _tau_damped(kap, om, z0)
+                fast = tau_transform(kap, om, z0)
                 ref = tau_transform_quadrature(kap, om, z0).real
                 assert fast == pytest.approx(ref, rel=1e-7)
 
@@ -276,6 +275,18 @@ def test_total_cross_section_is_contact_value():
     assert total == pytest.approx(contact, rel=0.02)
 
 
+@pytest.mark.parametrize("energy,z0", [(1e-3, 0.0), (0.05, 12.0), (1e-5, 0.0), (0.05, 0.0),
+                                       (1.0, 12.0), (1.0, 0.0)])
+def test_total_cross_section_meets_its_stated_accuracy(energy, z0):
+    # the 48-node rule against the same sum on 384 nodes: 5.5e-5 relative at
+    # worst (0.05 eV, z0 = 12), as the docstring states
+    config = ScatteringConfig(E_n_ev=energy, z0=z0)
+    nodes, weights = np.polynomial.legendre.leggauss(384)
+    values, _ = _reduced_integrals(np.arccos(nodes), config.q, z0)
+    ref = 2.0 * math.pi * scattering._PER_INTEGRAL * float(weights @ values)
+    assert abs(total_cross_section_numeric(config) - ref) <= 1e-4 * ref
+
+
 def test_anomalous_part_inverse_energy_law():
     def anomalous(energy):
         config = ScatteringConfig(E_n_ev=energy)
@@ -288,6 +299,23 @@ def test_anomalous_part_inverse_energy_law():
     a1 = anomalous(1.0)
     a2 = anomalous(2.0)
     assert a1 / a2 == pytest.approx(2.0, rel=0.10)
+
+
+@pytest.mark.parametrize("energy", [16.0, 100.0, 1000.0])
+@pytest.mark.parametrize("z0", [0.0, 0.5, 1.0, 2.0])
+def test_asymptotic_term_holds_the_packet_doppler_spread(energy, z0):
+    # R = q^2 (sigma_num / sigma_lead - 1) tends to h(theta) (1 + 3 z0^2 / 8):
+    # the electron-cloud term h and the packet's Doppler spread
+    # (3 z0^2 / 8) h. The next order leaves q^2 |R - h (1 + 3 z0^2 / 8)| at
+    # most 0.85 on this grid; with h alone it reaches 6.7e4
+    config = ScatteringConfig(E_n_ev=energy, z0=z0)
+    table = angular_scan(config, 37, "both")
+    q_sq = table.q * table.q
+    h = h_theta(table.theta_grid)
+    doppler = 1.0 + 3.0 * z0 * z0 / 8.0
+    leading = table.dsigma_asymptotic / (1.0 + h * doppler / q_sq)
+    ratio = q_sq * (table.dsigma_numeric / leading - 1.0)
+    assert np.all(q_sq * np.abs(ratio - h * doppler) <= 1.0)
 
 
 def test_asymptotic_warns_at_low_q():

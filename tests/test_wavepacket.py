@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -85,3 +87,22 @@ def test_packet_validation():
 def test_packet_rejects_non_finite_fields(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         GaussianPacket(**{"delta": 1.0, field: value})
+
+
+@pytest.mark.parametrize("delta,R,t,expected", [
+    (1e200, (0.0, 0.0, 0.0), 1.0, "delta = 1e+200, t = 1.0"),       # delta^2 overflows
+    (1.0, (0.0, 0.0, 0.0), 1e300, "delta = 1.0, t = 1e+300"),       # spread^1.5 overflows
+    (1e-200, (0.0, 0.0, 0.0), 0.0, "delta = 1e-200, t = 0.0"),      # delta^2 underflows
+    (1.0, (1e200, 1e200, 1e200), 0.0, None),                        # |R|^2 overflows
+])
+def test_evaluate_out_of_the_double_range(delta, R, t, expected):
+    # one ArithmeticError that names delta and t, never a bare OverflowError
+    # or ZeroDivisionError; far off, psi is 0 and no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            assert evaluate(_packet(delta), R, t) == 0j
+        else:
+            with pytest.raises(ArithmeticError, match=re.escape(expected)) as info:
+                evaluate(_packet(delta), R, t)
+            assert type(info.value) is ArithmeticError

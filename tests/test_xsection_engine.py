@@ -1,5 +1,5 @@
 """The cross-section engine: a nested ladder of tanh-sinh rules evaluated
-as arrays over angles x nodes, and the array form of the damped moments
+as arrays over angles x nodes, and the array kernel of the damped moments
 beneath it."""
 
 import cmath
@@ -17,6 +17,7 @@ from atomdecoh.density import Z_EFF_HELIUM
 from atomdecoh.quadrature import (
     QuadratureError,
     _closed_start,
+    _damped_moments_array,
     _miller_start,
     _miller_starts,
     damped_moments,
@@ -91,10 +92,12 @@ def test_scalar_paths_load_no_numpy():
     """The scalar paths leave numpy unloaded: purity on its upward, Newton
     and closed branches, momentum_density at q = 0 and in closed form,
     damped_moments for a float, an int and a complex b in every branch,
-    ScatteringConfig and check_conditions."""
+    tau_transform at z0 = 0 and z0 > 0, ScatteringConfig and
+    check_conditions."""
     code = (
         "import sys\n"
         "from atomdecoh import ScatteringConfig, check_conditions, momentum_density, purity\n"
+        "from atomdecoh.scattering import tau_transform\n"
         "from atomdecoh.quadrature import damped_moments\n"
         "for z in (2.0, 0.5, 0.1):\n"
         "    purity(z)\n"
@@ -108,6 +111,8 @@ def test_scalar_paths_load_no_numpy():
         "          1 + 1j, 1e10 + 1j, 5 - 2j, 20 + 3j, complex(1e-300, -9.0)):\n"
         "    for a in (0.0, 1.0):\n"
         "        damped_moments(b, a, 3)\n"
+        "tau_transform(1.0, 2.0, 0.0)\n"
+        "tau_transform(1.0, 2.0, 0.5)\n"
         "check_conditions(ScatteringConfig(E_n_ev=1.0, z0=0.5))\n"
         "print('numpy' in sys.modules)"
     )
@@ -116,8 +121,8 @@ def test_scalar_paths_load_no_numpy():
 
 #: array calls whose array may be made before the package first uses numpy
 _ARRAY_CALLS = (
-    "atomdecoh.quadrature.damped_moments("
-    "np.array([2.0 + 1j, 0.5 - 3.0j, 40.0 + 0j, 1e-3 + 2j, 3.0 - 30.0j]), 0.7, 6)",
+    "atomdecoh.quadrature._damped_moments_array("
+    "np.array([2.0 + 1j, 2.0 - 3.0j, 2.0 + 40j, 2.0 + 0j, 2.0 - 30.0j]), 0.7, 6)",
     "atomdecoh.f_theta(np.linspace(0.0, math.pi, 7))",
     "atomdecoh.h_theta(np.linspace(0.0, math.pi, 7))",
     "atomdecoh.momentum_distribution(0.3, np.array([0.0, 1e-3, 0.5, 4.0, 30.0])).values",
@@ -271,7 +276,7 @@ def test_ladder_scans_reach_every_rung():
 
 def _evaluations(monkeypatch, call):
     """The number of integrand values call() asks of the spectral weight:
-    of _rest_weight at z0 = 0 and of _tau_damped for z0 > 0."""
+    of _rest_weight at z0 = 0 and of _damped_weight for z0 > 0."""
     count = 0
 
     def counted(weight):
@@ -282,7 +287,7 @@ def _evaluations(monkeypatch, call):
         return evaluate
 
     with monkeypatch.context() as patch:
-        for name in ("_tau_damped", "_rest_weight"):
+        for name in ("_damped_weight", "_rest_weight"):
             patch.setattr(scattering, name, counted(getattr(scattering, name)))
         call()
     return count
@@ -358,6 +363,39 @@ def test_rest_weight_is_tau_transform_on_scan_nodes(monkeypatch, energy, points)
     assert np.all((got[~normal] >= 0.0) & (got[~normal] <= ref[~normal]))
 
 
+@pytest.mark.parametrize("energy", [1e-5, 1.0, 100.0, 1e300])
+@pytest.mark.parametrize("z0", [0.5, 2.0, 12.0])
+def test_damped_weight_is_tau_transform_on_scan_nodes(monkeypatch, energy, z0):
+    # the z0 > 0 weight the scan forms in its own units, on the nodes of the
+    # level-4 rule at 19 angles from 0 to pi, against tau_transform at the
+    # kappahat and what of those nodes. Both are the same moment sum, from
+    # the array kernel at b = 2 + 2iu and from the scalar one at its
+    # conjugate: within 4e-15 relative at |u| <= 1 (2.7e-15 measured), and
+    # kappahat |F - F_ref| within 4e-15 everywhere (2.2e-15 measured), where
+    # kappahat F peaks above 0.17 and the sum cancels like u^5 far out
+    seen = []
+    weight = scattering._damped_weight
+
+    def record(m, half, a):
+        value = weight(m, half, a)
+        seen.append([array.copy() for array in np.broadcast_arrays(m, half, value)])
+        return value
+
+    monkeypatch.setattr(scattering, "_damped_weight", record)
+    q = ScatteringConfig(E_n_ev=energy).q
+    _one_shot(np.linspace(0.0, math.pi, 19), q, z0, 4)
+    m, half, value = (np.concatenate([arrays[i].ravel() for arrays in seen]) for i in range(3))
+    kappa_scale = Z_EFF_HELIUM / (scattering.MASS_RATIO * q)
+    kappa_hat, w_hat = kappa_scale * np.sqrt(m), 2.0 * kappa_scale * half
+    ref = np.array([scattering.tau_transform(kappa, omega, z0)
+                    for kappa, omega in zip(kappa_hat.tolist(), w_hat.tolist())])
+    got = value / 6.0 / kappa_scale
+    near = np.abs(half) <= np.sqrt(m)
+    assert near.sum() >= 500
+    assert np.all(np.abs(got - ref)[near] <= 4e-15 * ref[near])
+    assert np.all(kappa_hat * np.abs(got - ref) <= 4e-15)
+
+
 def test_node_sums_are_bit_for_bit_across_integrand_chunks():
     # 64 angles at level 7 lay out 328 piece rows of 410 nodes and 64 tail
     # rows of 345, far past the chunk budget of the integrand at z0 = 0:
@@ -399,7 +437,7 @@ def test_array_damped_moments_equal_scalar_calls():
     points = _branch_points()
     for a in sorted({p[1] for p in points}):
         bs = [bi for bi, ai in points if ai == a]
-        got = damped_moments(np.array(bs), a, 6)
+        got = _damped_moments_array(np.array(bs, dtype=complex), a, 6)
         assert got.shape == (7, len(bs))
         for i, bi in enumerate(bs):
             ref = np.array(damped_moments(bi, a, 6))
@@ -448,11 +486,11 @@ def test_backward_runs_evaluate_no_faddeeva_value(monkeypatch):
     backward = [4.0, complex(3.0, -5.0), 20.0, complex(60.0, 300.0)]
     for b in backward:
         damped_moments(b, 1.0, 6)
-    damped_moments(np.array(backward, dtype=complex), 1.0, 6)
+    _damped_moments_array(np.array(backward, dtype=complex), 1.0, 6)
     assert calls == []
     damped_moments(1.0, 1.0, 6)
     damped_moments(complex(1.0, 1.0), 1.0, 6)
-    damped_moments(np.array([1.0 + 1.0j]), 1.0, 6)
+    _damped_moments_array(np.array([1.0 + 1.0j]), 1.0, 6)
     assert calls == ["_erfcx", "_faddeeva", "_faddeeva"]
 
 
@@ -461,23 +499,7 @@ def test_damped_moments_where_mu_squared_overflows():
     # both forms return the a -> 0 limit n!/b^(n+1) exactly
     exact = [math.factorial(n) / 2.0 ** (n + 1) for n in range(7)]
     assert damped_moments(2.0, 1e-320, 6) == exact
-    assert list(damped_moments(np.array([2.0]), 1e-320, 6)[:, 0]) == exact
-
-
-def test_array_damped_moments_validate():
-    b = np.array([1.0 - 2.0j, 3.0 + 0.5j])
-    for bad_b, bad_a in ((np.array([1.0, np.nan]), 1.0), (b, np.nan), (-b, 0.25), (b, -1.0),
-                         (b.reshape(2, 1), 0.25)):
-        with pytest.raises(ValueError):
-            damped_moments(bad_b, bad_a, 3)
-    # one damping per call: an array a raises, whatever b is
-    for bad_b in (b, b[0]):
-        for bad_a in (np.array([0.25, 4.0]), np.array(0.25)):
-            with pytest.raises(TypeError):
-                damped_moments(bad_b, bad_a, 3)
-    # a 0-d array b is an array, not a scalar
-    with pytest.raises(ValueError):
-        damped_moments(np.array(1.0 - 2.0j), 0.25, 3)
+    assert list(_damped_moments_array(np.array([2.0 + 0j]), 1e-320, 6)[:, 0]) == exact
 
 
 def test_error_estimate_above_accuracy_raises(monkeypatch):
