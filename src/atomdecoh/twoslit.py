@@ -13,12 +13,13 @@ t0 is in units of M a_B^2 / hbar.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
 from ._numpy import np
 from .density import hydrogen_kernel
-from .wavepacket import GaussianPacket, evaluate, width
+from .wavepacket import GaussianPacket, _psi
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,9 @@ class TwoSlitConfig:
         object.__setattr__(self, "slit2", tuple(float(x) for x in self.slit2))
         object.__setattr__(self, "p0", tuple(float(x) for x in self.p0))
         for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)).all():
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if not all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if abs(abs(self.amp1) ** 2 + abs(self.amp2) ** 2 - 1.0) > 1e-12:
             raise ValueError("|amp1|^2 + |amp2|^2 must equal 1")
         if self.separation == 0.0:
@@ -58,10 +60,14 @@ class TwoSlitConfig:
 
 
 def _amplitudes(config: TwoSlitConfig, screen_point):
-    alpha, beta = config.packets()
-    a_val = evaluate(alpha, screen_point, config.t0)
-    b_val = evaluate(beta, screen_point, config.t0)
-    return a_val, b_val
+    """alpha and beta at screen_point, shape (..., 3), from one evaluation of
+    both packets; at a single point, two complex numbers, as evaluate's."""
+    R = np.asarray(screen_point, dtype=float)
+    centres = np.array((config.slit1, config.slit2)).reshape((2,) + (1,) * (R.ndim - 1) + (3,))
+    amp, waves = _psi(centres, config.p0, config.packet_delta, R, config.t0)
+    if R.ndim <= 1:
+        return tuple(amp * wave for wave in waves.tolist())
+    return amp * waves
 
 
 def _coherent(config: TwoSlitConfig, a_val, b_val):
@@ -103,15 +109,16 @@ def visibility(pattern_values) -> float:
 
 def expected_fringe_period(config: TwoSlitConfig) -> float:
     """Fringe spacing on the screen from the spreading-phase difference:
-    4 pi Delta_x(t0)^2 / (d * theta) with theta = hbar t0 / (2 M delta^2)."""
+    4 pi Delta_x(t0)^2 / (d * theta) with theta = hbar t0 / (2 M delta^2).
+    Float work: Delta_x(t0) is formed as wavepacket.width forms it, and no
+    packet is built."""
     # squares as products, which overflow to inf where ** raises: a period
     # that is not finite is then screen_scan's to report
     delta = config.packet_delta
     theta = config.t0 / (2.0 * (delta * delta))
     if theta == 0.0:
         return math.inf
-    alpha, _ = config.packets()
-    dx = width(alpha, config.t0)
+    dx = math.hypot(delta, config.t0 / (2.0 * delta))
     return 4.0 * math.pi * (dx * dx) / (config.separation * theta)
 
 
@@ -120,11 +127,13 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
 
     The scan line passes through the drifted midpoint, spans one fringe
     period, and returns (offsets, coherent, decohered), the patterns of
-    coherent_pattern and decohered_pattern from one evaluation of the two
-    packet amplitudes. At t0 = 0 there are no fringes (ValueError); a
-    fringe period that is not finite, a decohered pattern that is 0 at
-    every sample, or one that fewer than 3 samples resolve raises
-    ArithmeticError. A sample resolves the envelope where the decohered
+    coherent_pattern and decohered_pattern bit for bit. One wave-packet
+    kernel call evaluates both packets, their centres of shape (2, 1, 3)
+    against the (n_points, 3) screen points; the midpoint and direction of
+    the line are formed on floats. At t0 = 0 there are no fringes
+    (ValueError); a fringe period that is not finite, a decohered pattern
+    that is 0 at every sample, or one that fewer than 3 samples resolve
+    raises ArithmeticError. A sample resolves the envelope where the decohered
     pattern reaches half its largest sampled value; when the period dwarfs
     the packet width, the whole envelope falls between two samples and no
     visibility can be read off the scan.
@@ -137,14 +146,13 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
     if not math.isfinite(period):
         raise ArithmeticError(f"the fringe period is not finite: got {period!r}")
     half = 0.5 * period
-    s1 = np.asarray(config.slit1)
-    s2 = np.asarray(config.slit2)
-    midpoint = 0.5 * (s1 + s2) + np.asarray(config.p0) * config.t0
-    direction = (s1 - s2) / config.separation
+    separation = config.separation
+    midpoint = [0.5 * (a + b) + p * config.t0
+                for a, b, p in zip(config.slit1, config.slit2, config.p0)]
+    direction = [(a - b) / separation for a, b in zip(config.slit1, config.slit2)]
     offsets = np.linspace(-half, half, n_points)
-    points = midpoint[None, :] + offsets[:, None] * direction[None, :]
-    # where the squared distance to a packet overflows, its exponent is -inf
-    # and the packet 0, its value to double precision
+    points = np.array(midpoint) + offsets[:, None] * np.array(direction)
+    # a pattern that overflows is left for the caller to report
     with np.errstate(over="ignore"):
         amplitudes = _amplitudes(config, points)
         decohered = _decohered(config, *amplitudes)

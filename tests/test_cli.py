@@ -584,13 +584,18 @@ def test_scattering_length_is_not_a_parameter(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("purity", "--z-min", "1e-3", "--z-max", "1e2", "--points", "50"),
     ("momentum", "--z0", "0.1", "--points", "100"),
+    ("twoslit", "--separation-ab", "1000", "--delta-ab", "200", "--points", "201"),
+    ("conditions", "--energy-ev", "1.0"),
 ])
 def test_readme_purity_and_momentum_runs_are_byte_identical(capsys, argv):
-    # tests/readme_<subcommand>.csv hold these runs' stdout as written
-    # before the float kernel of a real b and the array limits
+    # tests/readme_<subcommand>.csv (.json for conditions) hold the stdout of
+    # four of the five README runs: purity and momentum as written before the
+    # float kernel of a real b and the array limits, twoslit and conditions
+    # as written before the one wave-packet kernel call per scan
     code, out, err = _run(capsys, *argv)
     assert code == 0 and err == ""
-    assert out == (Path(__file__).parent / f"readme_{argv[0]}.csv").read_text(encoding="utf-8")
+    golden = f"readme_{argv[0]}.{'json' if argv[0] == 'conditions' else 'csv'}"
+    assert out == (Path(__file__).parent / golden).read_text(encoding="utf-8")
 
 
 def test_momentum_run_evaluates_each_limit_once(capsys, monkeypatch):

@@ -15,7 +15,8 @@ from atomdecoh.twoslit import (
     screen_scan,
     visibility,
 )
-from atomdecoh.wavepacket import evaluate, width
+from atomdecoh.wavepacket import GaussianPacket, _psi, evaluate, width
+from test_xsection_engine import _fresh
 
 
 def _far_field_config(**kwargs):
@@ -115,16 +116,20 @@ _SCANNED = [
 ]
 
 
-def _recorded_scan(monkeypatch, config):
-    """screen_scan(config, 201) and the screen points of each packet evaluation."""
+def _recorded_scan(monkeypatch, config, centres=None):
+    """screen_scan(config, 201) and the screen points of each call to the
+    wave-packet kernel; the packet centres of each call go to centres if
+    given."""
     points = []
 
-    def recorded(packet, R, t):
+    def recorded(packet_centres, P0, delta, R, t):
         points.append(R)
-        return evaluate(packet, R, t)
+        if centres is not None:
+            centres.append(packet_centres)
+        return _psi(packet_centres, P0, delta, R, t)
 
     with monkeypatch.context() as patch:
-        patch.setattr(twoslit, "evaluate", recorded)
+        patch.setattr(twoslit, "_psi", recorded)
         return screen_scan(config, 201), points
 
 
@@ -138,8 +143,32 @@ def test_screen_scan_patterns_are_the_public_patterns_bit_for_bit(monkeypatch, k
 
 @pytest.mark.parametrize("kwargs", _SCANNED)
 def test_screen_scan_evaluates_each_packet_once(monkeypatch, kwargs):
-    _, points = _recorded_scan(monkeypatch, TwoSlitConfig(**kwargs))
-    assert len(points) == 2 and points[0] is points[1]
+    # one kernel call: both slit centres, shape (2, 1, 3), against one
+    # array of the 201 screen points
+    config = TwoSlitConfig(**kwargs)
+    centres = []
+    _, points = _recorded_scan(monkeypatch, config, centres)
+    assert len(points) == len(centres) == 1
+    assert points[0].shape == (201, 3)
+    assert np.asarray(centres[0]).tolist() == [[list(config.slit1)], [list(config.slit2)]]
+
+
+@pytest.mark.parametrize("kwargs", _SCANNED)
+@pytest.mark.parametrize("point", [(0.0, 0.0, 0.0), (137.5, -2.0, 40.0), (-0.0, 0.0, -0.0),
+                                   (500.0, 0.0, 0.0), (-1.2e3, 3.0, 1e4)])
+def test_patterns_at_one_point_are_the_packet_values_bit_for_bit(kwargs, point):
+    # at a single point each packet is a Python complex, as evaluate's, and
+    # the patterns are formed from them by Python's complex arithmetic
+    config = TwoSlitConfig(**kwargs)
+    alpha, beta = config.packets()
+    a_val = evaluate(alpha, point, config.t0)
+    b_val = evaluate(beta, point, config.t0)
+    assert type(a_val) is type(b_val) is complex
+    coherent = np.abs(config.amp1 * a_val + config.amp2 * b_val) ** 2
+    decohered = abs(config.amp1) ** 2 * np.abs(a_val) ** 2 + abs(config.amp2) ** 2 * np.abs(b_val) ** 2
+    for pattern, expected in ((coherent_pattern, coherent), (decohered_pattern, decohered)):
+        value = pattern(config, point)
+        assert type(value) is type(expected) and value.tobytes() == expected.tobytes()
 
 
 def test_screen_scan_at_t0_zero_is_value_error():
@@ -156,6 +185,50 @@ def test_screen_scan_at_t0_zero_is_value_error():
 def test_config_rejects_non_finite_fields(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         _far_field_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(slit1=(1.0, math.nan, 0.0)), "slit1 must be finite, got (1.0, nan, 0.0)"),
+        (dict(slit1=(-math.inf, 0.0, 0.0)), "slit1 must be finite, got (-inf, 0.0, 0.0)"),
+        (dict(p0=(0.0, 0.0, math.inf)), "p0 must be finite, got (0.0, 0.0, inf)"),
+        (dict(p0=(math.nan, 0.0, 0.0)), "p0 must be finite, got (nan, 0.0, 0.0)"),
+        (dict(amp1=complex(math.inf, 0.0)), "amp1 must be finite, got (inf+0j)"),
+        (dict(amp1=complex(0.6, math.nan)), "amp1 must be finite, got (0.6+nanj)"),
+        (dict(amp1=math.nan), "amp1 must be finite, got nan"),
+        (dict(packet_delta=math.inf), "packet_delta must be finite, got inf"),
+        (dict(packet_delta=math.nan), "packet_delta must be finite, got nan"),
+        (dict(t0=math.nan), "t0 must be finite, got nan"),
+        (dict(t0=-math.inf), "t0 must be finite, got -inf"),
+        # the fields are checked in their order, and before the amplitude
+        # normalization and the slit and width checks
+        (dict(slit2=(math.nan, 0.0, 0.0), amp2=math.inf, p0=(math.inf, 0.0, 0.0)),
+         "slit2 must be finite, got (nan, 0.0, 0.0)"),
+        (dict(amp1=complex(math.nan, 1.0), packet_delta=-1.0),
+         "amp1 must be finite, got (nan+1j)"),
+        (dict(t0=math.inf, slit1=(-500.0, 0.0, 0.0)), "t0 must be finite, got inf"),
+    ],
+)
+def test_config_non_finite_field_messages(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        _far_field_config(**kwargs)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_config_and_fringe_period_load_no_numpy():
+    """A TwoSlitConfig, a GaussianPacket and the expected fringe period are
+    float work: in a fresh process they leave numpy unloaded."""
+    code = (
+        "import sys\n"
+        "from atomdecoh import GaussianPacket, TwoSlitConfig, expected_fringe_period\n"
+        "config = TwoSlitConfig(slit1=(500.0, 0.0, 0.0), slit2=(-500.0, 0.0, 0.0),\n"
+        "                       amp1=0.6, amp2=0.8j, t0=3.2e6, p0=(0.003, 0.0, 0.05))\n"
+        "GaussianPacket(200.0, (1.0, 2.0, 3.0), (0.1, 0.0, 0.0))\n"
+        "expected_fringe_period(config)\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert _fresh(code) == "False"
 
 
 def test_single_slit_has_no_fringes():

@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -89,6 +90,30 @@ def test_packet_rejects_non_finite_fields(field, value):
         GaussianPacket(**{"delta": 1.0, field: value})
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(delta=math.nan), "delta must be finite, got nan"),
+        (dict(delta=math.inf), "delta must be finite, got inf"),
+        (dict(R0=(0.0, 0.0, -math.inf)), "R0 must be finite, got (0.0, 0.0, -inf)"),
+        (dict(R0=(math.nan, 1.0, 0.0)), "R0 must be finite, got (nan, 1.0, 0.0)"),
+        (dict(P0=(0.0, math.inf, 0.0)), "P0 must be finite, got (0.0, inf, 0.0)"),
+        (dict(P0=(0.0, 0.0, math.nan)), "P0 must be finite, got (0.0, 0.0, nan)"),
+        # the order of the checks: the sign of delta, the length of the
+        # vectors, then the fields in their order
+        (dict(delta=-math.inf, R0=(math.nan, 0.0, 0.0)), "delta must be positive"),
+        (dict(R0=(math.nan, 0.0), P0=(0.0, 0.0, 0.0)), "R0 and P0 must be 3-vectors"),
+        (dict(delta=math.nan, P0=(math.inf, 0.0, 0.0)), "delta must be finite, got nan"),
+        (dict(R0=(math.inf, 0.0, 0.0), P0=(math.nan, 0.0, 0.0)),
+         "R0 must be finite, got (inf, 0.0, 0.0)"),
+    ],
+)
+def test_packet_validation_messages(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        GaussianPacket(**{"delta": 1.0, **kwargs})
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 @pytest.mark.parametrize("delta,R,t,expected", [
     (1e200, (0.0, 0.0, 0.0), 1.0, "delta = 1e+200, t = 1.0"),       # delta^2 overflows
     (1.0, (0.0, 0.0, 0.0), 1e300, "delta = 1.0, t = 1e+300"),       # spread^1.5 overflows
@@ -106,3 +131,37 @@ def test_evaluate_out_of_the_double_range(delta, R, t, expected):
             with pytest.raises(ArithmeticError, match=re.escape(expected)) as info:
                 evaluate(_packet(delta), R, t)
             assert type(info.value) is ArithmeticError
+
+
+def _psi_reference(delta, R, t):
+    """psi(R, t) of a packet at rest at the origin, to 50 digits."""
+    mp.mp.dps = 50
+    delta, t = mp.mpf(delta), mp.mpf(t)
+    spread = 1 + 1j * t / (2 * delta * delta)
+    squared = sum(mp.mpf(x) ** 2 for x in R)
+    return (2 * mp.pi * delta * delta) ** -0.75 / spread**1.5 * mp.exp(
+        -squared / (4 * delta * delta * spread))
+
+
+@pytest.mark.parametrize("delta, R, t, magnitude", [
+    # |R - R0 - P0 t|^2 overflows at a width where psi is still a double
+    (1e153, (1.5e154, 0.0, 0.0), 0.0, 2.97e-255),
+    # and with a complex spread, 1 + 0.5 i
+    (1e153, (1e154, 1e154, 0.0), 1e306, 2.86e-248),
+])
+def test_evaluate_far_off_where_the_square_overflows(delta, R, t, magnitude):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = evaluate(_packet(delta), R, t)
+    expected = complex(_psi_reference(delta, R, t))
+    assert abs(value) == pytest.approx(magnitude, rel=1e-2)
+    assert abs(value - expected) <= 1e-13 * abs(expected)
+
+
+def test_evaluate_far_off_is_zero_where_psi_underflows():
+    # |psi| = 1.2e-522 here, which rounds to 0: below half the least double
+    magnitude = abs(_psi_reference(2.6e152, (1.35e154, 0.0, 0.0), 0.0))
+    assert magnitude > 0 and magnitude < mp.mpf(5e-324) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(_packet(2.6e152), (1.35e154, 0.0, 0.0), 0.0) == 0j
