@@ -17,17 +17,13 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .quadrature import _closed_from, _closed_start, _exact_from, _moments, _seed
+from .quadrature import _moments
 
 #: below this q n(q) is n(0): sin(qs)/(qs) adds -q^2 <s^2>/6 relative, and
 #: <s^2> <= 24 under the integrand's weight (24 at z0 = 0), so below 2^-29
 #: that is under half an ulp; the closed form is 0/0 at q = 0 and 0.0 at 5e-324
 _Q_ZERO = 2.0**-29
 _TWO_PI_SQ = 2.0 * math.pi**2
-#: the |mu|^2 range, for the moments up to I_3, in which damped_moments
-#: starts Miller's recurrence in closed form
-_CLOSED_FROM = _closed_from(3)
-_EXACT_FROM = _exact_from(3)
 
 
 @dataclass(frozen=True)
@@ -115,48 +111,15 @@ def _damping(z0: float) -> float:
 
 
 def _density(q: float, z0: float, a: float) -> float:
-    """momentum_density for a checked q and z0, a = _damping(z0).
-
-    Where damped_moments would start Miller's recurrence in closed form at
-    mu = (1 - iq) / sqrt(z0^2/8), the start, the seed, the recurrence and
-    the sum (I_1 + I_2) + I_3/3 run here in one pass, with the operations
-    of quadrature._backward at n_max = 3 in its order, so the value is bit
-    for bit the one the list of moments gives (tests/test_properties.py);
-    n(0) and the other branches, a = 0 included, take the moments from
-    quadrature._moments."""
+    """momentum_density for a checked q and z0, a = _damping(z0): n(0) and
+    n(q) take their moments from quadrature._moments in every branch, a = 0
+    included, as the purity and tau_transform do, so the value is bit for
+    bit the one the list-based moments give (tests/test_properties.py)."""
     if q < _Q_ZERO:
         moments = _moments(1.0, a, 4)
         return (moments[2] + moments[3] + moments[4] / 3.0) / _TWO_PI_SQ
-    b = complex(1.0, -q)
-    # a = 0 is the exact limit, where |mu| is infinite
-    mu_sq = math.inf
-    if a > 0.0:
-        root = math.sqrt(a)
-        mu = b / root
-        mu_abs = abs(mu)
-        mu_sq = mu_abs * mu_abs
-    if _CLOSED_FROM <= mu_sq < _EXACT_FROM:
-        start = _closed_start(mu_sq, 3)
-        g = _seed(mu, start)
-        for n in range(2 * start, 6, -2):
-            g = n / (mu + g)
-        g_2 = 6 / (mu + g)
-        g_1 = 4 / (mu + g_2)
-        g_0 = 2 / (mu + g_1)
-        j = 1.0 / (mu + g_0)
-        scale = 1.0 / root / root
-        j = j * g_0 * 0.5
-        i_1 = j * scale
-        scale = scale / root
-        j = j * g_1 * 0.5
-        i_2 = j * scale
-        scale = scale / root
-        j = j * g_2 * 0.5
-        total = (i_1 + i_2) + j * scale / 3.0
-    else:
-        moments = _moments(b, a, 3)
-        total = moments[1] + moments[2] + moments[3] / 3.0
-    value = total.imag / (_TWO_PI_SQ * q)
+    moments = _moments(complex(1.0, -q), a, 3)
+    value = (moments[1] + moments[2] + moments[3] / 3.0).imag / (_TWO_PI_SQ * q)
     if value < 0.0:
         raise ArithmeticError(
             f"momentum density at q={q!r}, z0={z0!r} is lost to cancellation: got {value!r}"

@@ -307,16 +307,12 @@ def _closed_start(mu_sq, n_max: int):
     return n_max + 1 + np.ceil(steps).astype(int)
 
 
-def _exact_from(n_max: int) -> float:
-    """|mu|^2 from which the moments are the exact a = 0 limit: there the
-    first correction a (n+1)(n+2) / b^2 is below half an ulp."""
-    return 2.0**54 * ((n_max + 1) * (n_max + 2))
-
-
-def _closed_from(n_max: int) -> float:
-    """|mu|^2 from which Miller's recurrence starts at _closed_start, from
-    the two-term _seed."""
-    return 170.0 + 14.0 * n_max
+#: by n_max: |mu|^2 from which the moments are the exact a = 0 limit, where
+#: the first correction a (n+1)(n+2) / b^2 is below half an ulp
+_EXACT_FROM = tuple(2.0**54 * ((n + 1) * (n + 2)) for n in range(_MAX_ORDER + 1))
+#: by n_max: |mu|^2 from which Miller's recurrence starts at _closed_start,
+#: from the two-term _seed
+_CLOSED_FROM = tuple(170.0 + 14.0 * n for n in range(_MAX_ORDER + 1))
 
 
 def _cap_wins(mu, n_max: int):
@@ -473,12 +469,12 @@ def damped_moments(b, a: float, n_max: int):
     list of n_max + 1 floats, each the real part the complex arithmetic
     gives with J_0 from erfcx (tests/test_moments.py); any other b gives a
     list of complex numbers. Scalars pick their branch by plain
-    comparisons. The purity and the momentum density call the kernel
-    behind the checks directly, _moments; where the start is in closed
-    form the density runs the backward recurrence itself, in one pass
-    (momentum._density). The cross-section scan calls the array kernel,
-    _damped_moments_array, whose elements take the branch, start and seed
-    of their scalar calls.
+    comparisons against per-order tables of the thresholds. The purity,
+    the momentum density and tau_transform all take their moments from
+    _moments, the kernel behind the checks, in every branch: the first two
+    call it directly, tau_transform through these checks. The cross-section
+    scan calls the array kernel, _damped_moments_array, whose elements take
+    the branch, start and seed of their scalar calls.
 
     Both recurrences scale each J_n to I_n as they go, with the operations
     of a list of J_n rescaled afterwards in the same order, so every form
@@ -554,9 +550,10 @@ def damped_moments(b, a: float, n_max: int):
 
 def _moments(b, a: float, n_max: int) -> list:
     """damped_moments for a float or complex b with Re b > 0 and a finite
-    a >= 0, unchecked: the purity and the momentum density call it. The
-    complex operations on real positive numbers round as their float forms
-    do, so a float b rounds as complex(b) would (tests/oracles.py)."""
+    a >= 0, unchecked: the purity and the momentum density call it, and
+    tau_transform through damped_moments. The complex operations on real
+    positive numbers round as their float forms do, so a float b rounds as
+    complex(b) would (tests/oracles.py)."""
     if a == 0.0:
         return _exact(b, n_max)
     root = math.sqrt(a)
@@ -564,11 +561,11 @@ def _moments(b, a: float, n_max: int) -> list:
     # a product, not ** 2, which raises OverflowError past |mu| ~ 1.3e154
     mu_abs = abs(mu)
     mu_sq = mu_abs * mu_abs
-    if mu_sq >= _exact_from(n_max):
+    if mu_sq >= _EXACT_FROM[n_max]:
         return _exact(b, n_max)
     if mu_sq <= _UPWARD_MU_SQ:
         start = None
-    elif mu_sq >= _closed_from(n_max):
+    elif mu_sq >= _CLOSED_FROM[n_max]:
         start = _closed_start(mu_sq, n_max)
         g = _seed(mu, start)
     else:
@@ -611,10 +608,10 @@ def _damped_moments_array(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
     mu.imag /= root
     with np.errstate(over="ignore"):
         mu_sq = np.abs(mu) ** 2
-    exact = mu_sq >= _exact_from(n_max)
+    exact = mu_sq >= _EXACT_FROM[n_max]
     if exact.any():
         put(np.flatnonzero(exact), _exact(b[exact], n_max))
-    closed_from = _closed_from(n_max)
+    closed_from = _CLOSED_FROM[n_max]
     far = (mu_sq >= closed_from) & ~exact
     starts = np.zeros(b.shape, dtype=int)
     starts[far] = _closed_start(mu_sq[far], n_max)

@@ -44,8 +44,11 @@ class TwoSlitConfig:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if abs(abs(self.amp1) ** 2 + abs(self.amp2) ** 2 - 1.0) > 1e-12:
             raise ValueError("|amp1|^2 + |amp2|^2 must equal 1")
-        if self.separation == 0.0:
+        separation = self.separation
+        if separation == 0.0:
             raise ValueError("slit positions must differ")
+        if separation == math.inf:
+            raise ValueError(f"the slit separation must be finite, got {separation!r}")
         if self.packet_delta <= 0.0:
             raise ValueError("packet_delta must be positive")
 

@@ -228,13 +228,11 @@ def test_damped_spectral_weight_matches_mpmath(z0):
 
 
 def test_the_library_asks_for_moments_up_to_n_6(monkeypatch, capsys):
-    # every binding of the moment kernel, the momentum density's one-pass
-    # closed-form start among them, over the README runs and the entry
-    # points a run may skip
+    # every binding of the moment kernel, over the README runs and the
+    # entry points a run may skip
     orders = []
     for module, name in ((quadrature, "_moments"), (scattering, "_damped_moments_array"),
-                         (density, "_moments"), (momentum, "_moments"),
-                         (momentum, "_closed_start")):
+                         (density, "_moments"), (momentum, "_moments")):
         def counted(*args, original=getattr(module, name)):
             orders.append(args[-1])
             return original(*args)

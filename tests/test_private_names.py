@@ -43,3 +43,40 @@ def test_every_private_name_has_a_caller_in_the_package():
         if name.startswith("_") and name != "_" and not name.startswith("__") and name not in used
     ]
     assert unused == []
+
+
+#: what the package's other modules may take from quadrature: the error and
+#: the moment kernels, so a caller-side copy of a branch rule fails here
+QUADRATURE_API = {"QuadratureError", "damped_moments", "_moments", "_damped_moments_array"}
+
+
+def _quadrature_names(tree):
+    """The names a module takes from quadrature: imported from it, or read
+    as attributes of the module imported whole."""
+    whole = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("quadrature", "atomdecoh.quadrature"):
+                yield from (alias.name for alias in node.names)
+            elif node.module in (None, "atomdecoh"):
+                whole |= {alias.asname or alias.name
+                          for alias in node.names if alias.name == "quadrature"}
+        elif isinstance(node, ast.Import):
+            whole |= {alias.asname or alias.name
+                      for alias in node.names if alias.name == "atomdecoh.quadrature"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            if owner in whole:
+                yield node.attr
+
+
+def test_only_the_moment_kernels_are_taken_from_quadrature():
+    taken = {
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "quadrature.py"
+        for name in _quadrature_names(ast.parse(path.read_text()))
+        if name not in QUADRATURE_API
+    }
+    assert taken == set()

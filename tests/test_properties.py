@@ -195,13 +195,52 @@ def test_array_moments_are_the_list_based_recurrences_bit_for_bit(n_max, log_a, 
 @given(st.one_of(st.just(0.0), st.floats(-4.0, 2.5).map(lambda x: 10.0**x)),
        st.floats(-4.0, 2.5).map(lambda x: 10.0**x))
 @example(5.0, 1e-170)  # z0^2/8 underflows to 0: the exact a -> 0 limit
-@example(40.0, 2.0)  # the closed-form start of the one-pass sum
+@example(40.0, 2.0)  # the closed-form start of Miller's recurrence
 def test_momentum_density_is_the_list_based_sum_bit_for_bit(q, z0):
     ref = momentum_density_list(q, z0)
     try:
         assert momentum_density(q, z0) == ref
     except ArithmeticError:
         assert ref < 0.0
+
+
+def _density_mu_sq(q, z0):
+    """|mu|^2 of the moments behind momentum_density(q, z0), formed as the
+    moment kernel forms it."""
+    mu_abs = abs(complex(1.0, -q) / math.sqrt(z0 * z0 / 8.0))
+    return mu_abs * mu_abs
+
+
+def _straddling_z0(q, switch, below):
+    """Two neighbouring floats z0 whose |mu|^2 at this q lie on either side
+    of a branch switch, the larger z0 on the side where below(|mu|^2)
+    holds: |mu|^2 = 8 (1 + q^2) / z0^2 falls as z0 grows."""
+    z0 = math.sqrt(8.0 * (1.0 + q * q) / switch)
+    while below(_density_mu_sq(q, z0)):
+        z0 = math.nextafter(z0, 0.0)
+    while not below(_density_mu_sq(q, z0)):
+        z0 = math.nextafter(z0, math.inf)
+    return math.nextafter(z0, 0.0), z0
+
+
+#: the branch switches of the moments up to I_3, each with the side below it
+_DENSITY_SWITCHES = (
+    (6.0, lambda mu_sq: mu_sq <= 6.0),  # the upward recurrence up to here
+    (212.0, lambda mu_sq: mu_sq < 212.0),  # the closed-form start from 170 + 14 * 3
+    (2.0**54 * 20, lambda mu_sq: mu_sq < 2.0**54 * 20),  # the exact a -> 0 limit from here
+)
+
+
+@pytest.mark.parametrize("q", [1e-3, 0.3, 1.0, 7.0, 60.0])
+def test_momentum_density_is_the_list_based_sum_at_each_branch_switch(q):
+    # fixed inputs one ulp of z0 either side of each switch, where the
+    # random draws above need not land, and at z0 = 1e-170, where z0^2/8
+    # underflows to 0 and the moments are the exact a -> 0 limit
+    z0s = [1e-170]
+    for switch, below in _DENSITY_SWITCHES:
+        z0s += _straddling_z0(q, switch, below)
+    for z0 in z0s:
+        assert momentum_density(q, z0) == momentum_density_list(q, z0), z0
 
 
 def _list_based_real_moments(b, a, n_max):

@@ -208,6 +208,11 @@ def test_config_rejects_non_finite_fields(field, value):
         (dict(amp1=complex(math.nan, 1.0), packet_delta=-1.0),
          "amp1 must be finite, got (nan+1j)"),
         (dict(t0=math.inf, slit1=(-500.0, 0.0, 0.0)), "t0 must be finite, got inf"),
+        # finite slits whose distance overflows
+        (dict(slit1=(1e308, 0.0, 0.0), slit2=(-1e308, 0.0, 0.0)),
+         "the slit separation must be finite, got inf"),
+        (dict(slit1=(9e307, 0.0, 0.0), slit2=(-9e307, 0.0, 0.0)),
+         "the slit separation must be finite, got inf"),
     ],
 )
 def test_config_non_finite_field_messages(kwargs, message):
