@@ -125,10 +125,12 @@ def _coerce(key: str, value: str, typ: type):
 @functools.cache
 def _parser() -> _Parser:
     """The argument parser, built once per process: parsing leaves it
-    unchanged."""
+    unchanged. Its subcommands attribute maps each subcommand to its own
+    parser."""
     parser = _Parser(prog="atomdecoh", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices
     for name, schema in SCHEMAS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value parameter file")
@@ -145,6 +147,21 @@ def _parser() -> _Parser:
         "--summary-output", help="JSON summary path (default: stderr)"
     )
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as _parser().parse_args(argv) parses it, in one pass
+    where the first word names a subcommand: that subcommand's parser takes
+    the rest, as the full parser would hand it on. Any other run (no
+    words, -h, --version or an unknown first word) takes the full parser,
+    as does one with a word that starts with "--=", which the full parser
+    reports as an ambiguous prefix of its own options."""
+    subparser = _parser().subcommands.get(argv[0]) if argv else None
+    if subparser is None or any(word.startswith("--=") for word in argv):
+        return _parser().parse_args(argv)
+    args = subparser.parse_args(argv[1:])
+    args.subcommand = argv[0]
+    return args
 
 
 def resolve_parameters(args: argparse.Namespace) -> dict:
@@ -179,12 +196,16 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+#: the header lines of those constants, formatted once
+_CONSTANT_LINES = tuple(f"# constant {key}={_fmt(getattr(CODATA, key))}"
+                        for key in _HEADER_CONSTANTS)
+
+
 def _header(subcommand: str, params: dict) -> list[str]:
     lines = [f"# atomdecoh {__version__} subcommand={subcommand}"]
     for key in sorted(params):
         lines.append(f"# param {key}={params[key]}")
-    for key in _HEADER_CONSTANTS:
-        lines.append(f"# constant {key}={_fmt(getattr(CODATA, key))}")
+    lines.extend(_CONSTANT_LINES)
     return lines
 
 
@@ -256,7 +277,7 @@ def run_purity(params: dict) -> str:
     grid = np.logspace(math.log10(params["z_min"]), math.log10(params["z_max"]),
                        params["points"])
     with _stage("purity", "purity", params):
-        values = [purity(z) for z in grid]
+        values = [purity(z) for z in grid.tolist()]
     _require_finite("purity", "purity", params, values)
     return _csv(_header("purity", params), ["z", "tr_rho_sq"], [grid, values])
 
@@ -385,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     no partial output on stdout or in --output."""
     params: dict = {}
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         params = resolve_parameters(args)
         result = RUNNERS[args.subcommand](params)
         if args.subcommand == "xsection":

@@ -301,6 +301,18 @@ def _tanh_sinh(level: int, odd: bool) -> tuple[np.ndarray, np.ndarray]:
     return s, 0.25 * math.pi * h * np.cosh(t) / np.cosh(u) ** 2
 
 
+@lru_cache(maxsize=None)
+def _ladder_start(level: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The nodes of a ladder's start (all nodes of level - 1) followed by
+    those of its first rung (the odd nodes of level), their weights, and
+    the number of the start's nodes, where _node_sums splits each row's
+    sum."""
+    (start, start_weights), (rung, rung_weights) = (_tanh_sinh(level - 1, False),
+                                                   _tanh_sinh(level, True))
+    return (np.concatenate((start, rung)), np.concatenate((start_weights, rung_weights)),
+            start.size)
+
+
 def _reduced_integrals(theta, q: float, z0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """I(theta) = int_0^inf du u^2 What F(what(u), kappahat(u)) in units of
     the common frequency W = hbar k^2 / m_n at every angle of the array
@@ -312,7 +324,9 @@ def _reduced_integrals(theta, q: float, z0: float = 0.0) -> tuple[np.ndarray, np
     nested ladder of tanh-sinh rules. The rule at level _LEVELS[0] - 1 is
     its untested start; each rung L of _LEVELS adds the odd nodes of level
     L, I_L = I_(L-1) / 2 + sum_odd w f, for the angles not yet trusted, so
-    no node is evaluated twice. The error estimate at rung L is
+    no node is evaluated twice. The start and the first rung, which take
+    every angle, are one pass over their nodes (_ladder_start), each row's
+    sum split between the two. The error estimate at rung L is
     |I_L - I_(L-1)|. An angle is trusted at the first rung where its value
     is finite and its estimate is within _ACCURACY relative. This is the
     one place that decides trust: an angle still not trusted after the
@@ -325,11 +339,13 @@ def _reduced_integrals(theta, q: float, z0: float = 0.0) -> tuple[np.ndarray, np
         block = slice(lo, lo + _ANGLE_BLOCK)
         node_sums = _node_sums(theta[block], q, z0)
         todo = np.arange(theta[block].size)
-        value = node_sums(todo, *_tanh_sinh(_LEVELS[0] - 1, False))
-        error = np.full(value.shape, np.inf)
+        value, error = np.empty(todo.size), np.empty(todo.size)
         for level in _LEVELS:
-            coarse = value[todo]
-            value[todo] = 0.5 * coarse + node_sums(todo, *_tanh_sinh(level, True))
+            if level == _LEVELS[0]:
+                coarse, fine = node_sums(todo, *_ladder_start(level))
+            else:
+                coarse, fine = value[todo], node_sums(todo, *_tanh_sinh(level, True))
+            value[todo] = 0.5 * coarse + fine
             error[todo] = np.abs(value[todo] - coarse)
             trusted = np.isfinite(value[todo]) & (error[todo] <= _ACCURACY * np.abs(value[todo]))
             todo = todo[~trusted]
@@ -349,6 +365,9 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     """The pieces of the reduced integral at the angles theta, as a function
     sums(idx, nodes, weights) giving, for the angles theta[idx], the sum of
     weight x integrand over the nodes of [0, 1] mapped onto every piece.
+    sums(idx, nodes, weights, split) gives two such sums from one pass, over
+    nodes[:split] and over nodes[split:], each the same to the bit as the
+    three-argument call on those nodes alone.
 
     The quasi-elastic peak at u* (where what = 0) has width
     h = kappahat(u*) / |what'(u*)|, which collapses at forward angles, so
@@ -365,9 +384,7 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     A call lays the nodes out as rows: one per (piece, angle) pair whose
     piece is not empty, piece by piece, then one tail row per angle, and
     evaluates the integrand over the piece rows and then over the tail
-    rows. That layout depends on idx alone, so it is built once per idx
-    object: the ladder's start and its first rung, which pass the same
-    one, share it. The integrand is one loop at every z0, in units of
+    rows. The integrand is one loop at every z0, in units of
     kappa_scale: from m = (kappahat / kappa_scale)^2 and
     half = -what / (2 kappa_scale), with the per-angle constants folded in,
     the spectral weight is 6 kappa_scale F, _rest_weight at z0 = 0 and
@@ -378,10 +395,10 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     every call. For z0 > 0 the rows go in one chunk: the array damped
     moments cost much per call, and chunks of 2048 nodes made 181-angle
     scans at z0 = 0.5 and 12 slower by a fifth or more. Each row is summed
-    pairwise and np.bincount adds the row sums of an angle in piece order
-    from 0.0, so every value is the same to the bit as summing each piece
-    on its own and the pieces one after the other
-    (tests/oracles.py::node_sums_by_piece).
+    pairwise, on each side of the split when there is one, and np.bincount
+    adds the row sums of an angle in piece order from 0.0, so every value
+    is the same to the bit as summing each piece on its own and the pieces
+    one after the other (tests/oracles.py::node_sums_by_piece).
     """
     r = MASS_RATIO
     omc = 2.0 * np.sin(0.5 * theta) ** 2            # 1 - cos(theta), stable
@@ -420,18 +437,19 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     # exactly, so u omc2 is 2.0 * u * omc to the bit
     per_angle = np.stack((u_star, e, 2.0 * omc, slope))
 
-    def row_sums(columns, d, fw):
+    def row_sums(columns, d, fw, ends):
         # weight x integrand summed over each row of d and fw, or of the one
-        # row they share; columns are the per-angle constants of the rows,
-        # broadcast over the row's nodes rather than repeated into a full array
+        # row they share, in one sum per stretch of nodes ending at each of
+        # ends; columns are the per-angle constants of the rows, broadcast
+        # over the row's nodes rather than repeated into a full array
         u_at, e_at, omc2_at, slope_at = columns
-        out = np.empty(u_at.shape[0])
-        step = max(_CHUNK_ELEMENTS // d.shape[-1] if z0 == 0.0 else out.size, 1)
+        out = np.empty((len(ends), u_at.shape[0]))
+        step = max(_CHUNK_ELEMENTS // d.shape[-1] if z0 == 0.0 else out.shape[1], 1)
         # half^2, and 2u of the damped weight, overflow to inf far out in the
         # tail, where F = 0 is the limit; each operation that can reuse an
         # operand's array does so
         with np.errstate(over="ignore"):
-            for first in range(0, out.size, step):
+            for first in range(0, out.shape[1], step):
                 rows = slice(first, first + step)
                 x = d[rows] if d.ndim == 2 else d
                 u = u_at[rows] + x
@@ -443,7 +461,10 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
                 half *= x
                 weight = _rest_weight(m, half) if z0 == 0.0 else _damped_weight(m, half, a)
                 weight *= (fw[rows] if fw.ndim == 2 else fw) * (u * u)
-                out[rows] = weight.sum(axis=1)
+                begin = 0
+                for part, end in zip(out, ends):
+                    part[rows] = weight[:, begin:end].sum(axis=1)
+                    begin = end
         return out
 
     def layout(idx):
@@ -455,13 +476,8 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
                 h_peak[angle[:peak], None], per_angle[:, angle, None], per_angle[:, idx, None],
                 np.concatenate((row, np.arange(idx.size))))
 
-    built = None  # the idx of the latest call and its layout
-
-    def sums(idx, nodes, weights):
-        nonlocal built
-        if built is None or built[0] is not idx:
-            built = idx, layout(idx)
-        size, start, peak, h, piece_columns, tail_columns, bins = built[1]
+    def sums(idx, nodes, weights, split=None):
+        size, start, peak, h, piece_columns, tail_columns, bins = layout(idx)
         # in place where the arithmetic allows: d = lo + size x, and on the
         # peak rows, fw = size (h cosh v) w, then d = h sinh v
         d = size * nodes
@@ -477,9 +493,14 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
         peak_v *= h
         tail = nodes >= _TAIL_T_MIN
         t = nodes[tail]
-        totals = np.concatenate((row_sums(piece_columns, d, fw),
-                                 row_sums(tail_columns, 2.0 / t, 2.0 / (t * t) * weights[tail])))
-        return np.bincount(bins, totals, idx.size) / 6.0 / kappa_scale
+        ends, tail_ends = (nodes.size,), (t.size,)
+        if split is not None:
+            ends, tail_ends = (split,) + ends, (np.count_nonzero(tail[:split]),) + tail_ends
+        totals = np.concatenate((row_sums(piece_columns, d, fw, ends),
+                                 row_sums(tail_columns, 2.0 / t, 2.0 / (t * t) * weights[tail],
+                                          tail_ends)), axis=1)
+        parts = [np.bincount(bins, part, idx.size) / 6.0 / kappa_scale for part in totals]
+        return parts[0] if split is None else parts
 
     return sums
 

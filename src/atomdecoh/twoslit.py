@@ -125,6 +125,13 @@ def expected_fringe_period(config: TwoSlitConfig) -> float:
     return 4.0 * math.pi * (dx * dx) / (config.separation * theta)
 
 
+def _middle(a: float, b: float) -> float:
+    """(a + b) / 2 of two finite floats, finite: 0.5 * (a + b) wherever the
+    sum is finite, halves added first where it overflows."""
+    total = a + b
+    return 0.5 * total if math.isfinite(total) else 0.5 * a + 0.5 * b
+
+
 def screen_scan(config: TwoSlitConfig, n_points: int):
     """Sample both patterns along the slit-separation axis on the screen.
 
@@ -132,11 +139,11 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
     period, and returns (offsets, coherent, decohered), the patterns of
     coherent_pattern and decohered_pattern bit for bit. One wave-packet
     kernel call evaluates both packets, their centres of shape (2, 1, 3)
-    against the (n_points, 3) screen points; the midpoint and direction of
-    the line are formed on floats. At t0 = 0 there are no fringes
-    (ValueError); a fringe period that is not finite, a decohered pattern
-    that is 0 at every sample, or one that fewer than 3 samples resolve
-    raises ArithmeticError. A sample resolves the envelope where the decohered
+    against the (n_points, 3) screen points; the midpoint (_middle, finite
+    for finite slits) and direction of the line are formed on floats. At
+    t0 = 0 there are no fringes (ValueError); a fringe period that is not
+    finite, a decohered pattern that is 0 at every sample, or one that
+    fewer than 3 samples resolve raises ArithmeticError. A sample resolves the envelope where the decohered
     pattern reaches half its largest sampled value; when the period dwarfs
     the packet width, the whole envelope falls between two samples and no
     visibility can be read off the scan.
@@ -150,7 +157,7 @@ def screen_scan(config: TwoSlitConfig, n_points: int):
         raise ArithmeticError(f"the fringe period is not finite: got {period!r}")
     half = 0.5 * period
     separation = config.separation
-    midpoint = [0.5 * (a + b) + p * config.t0
+    midpoint = [_middle(a, b) + p * config.t0
                 for a, b, p in zip(config.slit1, config.slit2, config.p0)]
     direction = [(a - b) / separation for a, b in zip(config.slit1, config.slit2)]
     offsets = np.linspace(-half, half, n_points)

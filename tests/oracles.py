@@ -559,7 +559,7 @@ def complex_moments_list(b: complex, a: float, n_max: int, w=quadrature._faddeev
         mu_abs = abs(mu)
         mu_sq = mu_abs * mu_abs
         if mu_sq < 2.0**54 * ((n_max + 1) * (n_max + 2)):
-            if mu_sq <= quadrature._UPWARD_MU_SQ:
+            if mu_sq <= 6.0:
                 start = None
             elif mu_sq >= 170.0 + 14.0 * n_max:
                 start = quadrature._closed_start(mu_sq, n_max)
@@ -607,7 +607,7 @@ def array_moments_list(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
     far = (mu_sq >= 170.0 + 14.0 * n_max) & ~exact
     starts = np.zeros(b.shape, dtype=int)
     starts[far] = quadrature._closed_start(mu_sq[far], n_max)
-    miller = (mu_sq > quadrature._UPWARD_MU_SQ) & (mu_sq < 170.0 + 14.0 * n_max)
+    miller = (mu_sq > 6.0) & (mu_sq < 170.0 + 14.0 * n_max)
     starts[miller] = quadrature._miller_starts(mu[miller], n_max)
     up = (starts == 0) & ~exact
     if up.any():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -608,3 +609,61 @@ def test_momentum_run_evaluates_each_limit_once(capsys, monkeypatch):
     code, _, _ = _run(capsys, "momentum", "--z0", "0.1", "--points", "100")
     assert code == 0
     assert sorted(calls) == ["electron_limit", "gaussian_limit"]
+
+
+#: the five README runs
+_README_RUNS = [
+    ("purity", "--z-min", "1e-3", "--z-max", "1e2", "--points", "50"),
+    ("momentum", "--z0", "0.1", "--points", "100"),
+    ("twoslit", "--separation-ab", "1000", "--delta-ab", "200", "--points", "201"),
+    ("xsection", "--energy-ev", "1.0", "--method", "both", "--points", "19"),
+    ("conditions", "--energy-ev", "1.0"),
+]
+
+
+def _parsed(parse, argv):
+    """vars() of the parsed argv, or the text of the UsageError it raises."""
+    try:
+        return vars(parse(list(argv)))
+    except UsageError as exc:
+        return f"UsageError: {exc}"
+
+
+@pytest.mark.parametrize("argv", _README_RUNS + [
+    ("purity", "--z-m", "1e-2"),
+    ("momentum", "--q", "1"),
+    ("momentum", "--config", "run.cfg", "--z0", "0.5"),
+    ("twoslit", "--output", "out.csv", "--points=5"),
+    ("xsection", "--summary-output", "summary.json", "--z0", "12"),
+    ("purity", "--bogus"),
+    ("purity", "--points"),
+    ("purity", "--points", "x"),
+    ("purity", "x"),
+    ("purity", "--version"),
+    ("purity", "--=x"),
+    ("purity", "--", "x"),
+    ("conditions", "--points", "3"),
+    (),
+    ("bogus",),
+    ("--bogus", "purity"),
+])
+def test_one_pass_parse_is_the_full_parser(argv):
+    fast = _parsed(cli._parse_args, argv)
+    assert fast == _parsed(cli._parser().parse_args, argv)
+    if argv and argv[0] in SCHEMAS and isinstance(fast, dict):
+        assert fast["subcommand"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", _README_RUNS)
+def test_readme_runs_parse_in_one_pass(capsys, monkeypatch, argv):
+    passes = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    code, _, _ = _run(capsys, *argv)
+    assert code == 0
+    assert passes == [f"atomdecoh {argv[0]}"]

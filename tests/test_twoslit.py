@@ -99,6 +99,32 @@ def test_screen_scan_past_the_float_range_raises_only_the_error(slit_x, match):
             screen_scan(config, 5)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_screen_scan_of_slits_whose_coordinate_sum_overflows(sign):
+    # 1.7e308 + 1.6e308 overflows; the midpoint, about 1.65e308, does not.
+    # The scan line is then found, both packets are 0 on it to double
+    # precision, and a library caller sees that error and no warning
+    config = TwoSlitConfig(slit1=(sign * 1.7e308, 0.0, 0.0), slit2=(sign * 1.6e308, 0.0, 0.0),
+                           t0=3.2e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="underflow to 0 at every sample"):
+            screen_scan(config, 5)
+
+
+@pytest.mark.parametrize("a, b", [(1.7e308, 1.6e308), (-1.7e308, -1.6e308),
+                                  (1.7e308, 1e308), (1e308, 1e308)])
+def test_midpoint_of_an_overflowing_sum_is_finite(a, b):
+    assert math.isinf(a + b)
+    assert twoslit._middle(a, b) == pytest.approx(0.5 * a + 0.5 * b, rel=1e-15)
+
+
+@pytest.mark.parametrize("a, b", [(500.0, -500.0), (0.1, 0.2), (1e308, 7e307),
+                                  (1.7e308, -1.6e308), (5e-324, 5e-324), (-3.0, 1e-300)])
+def test_midpoint_of_a_finite_sum_is_the_halved_sum_bit_for_bit(a, b):
+    assert twoslit._middle(a, b) == 0.5 * (a + b)
+
+
 @pytest.mark.parametrize("separation, n_points", [(100.0, 201), (1000.0, 5)])
 def test_screen_scan_resolving_the_envelope_at_three_samples_or_more(separation, n_points):
     config = _far_field_config(slit1=(separation / 2.0, 0.0, 0.0),

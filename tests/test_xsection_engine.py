@@ -312,6 +312,67 @@ def test_ladder_evaluates_no_node_twice(monkeypatch):
     assert retried == _evaluations(monkeypatch, lambda: _one_shot(theta, q, 12.0, 6))
 
 
+def _two_call_ladder(theta, q, z0):
+    """_reduced_integrals' values and error estimates with the ladder's
+    start and its first rung as two calls of _node_sums, each on its own
+    nodes: the level-3 rule, then the odd nodes of level 4."""
+    values, errors = np.empty(theta.size), np.empty(theta.size)
+    for lo in range(0, theta.size, 64):
+        block = slice(lo, lo + 64)
+        node_sums = scattering._node_sums(theta[block], q, z0)
+        todo = np.arange(theta[block].size)
+        value = node_sums(todo, *scattering._tanh_sinh(3, False))
+        error = np.full(value.shape, np.inf)
+        for level in (4, 5, 6, 7):
+            coarse = value[todo]
+            value[todo] = 0.5 * coarse + node_sums(todo, *scattering._tanh_sinh(level, True))
+            error[todo] = np.abs(value[todo] - coarse)
+            trusted = np.isfinite(value[todo]) & (error[todo] <= 1e-10 * np.abs(value[todo]))
+            todo = todo[~trusted]
+            if not todo.size:
+                break
+        assert not todo.size
+        values[block], errors[block] = value, error
+    return values, errors
+
+
+@pytest.mark.parametrize("energy,z0,theta", [
+    (1.0, 0.0, _scan_grid(19)),
+    (1.0, 0.0, _scan_grid(181)),
+    (1.0, 0.5, _scan_grid(181)),
+    (1.0, 12.0, _scan_grid(181)),
+    (1.0, 0.0, np.array([1e-6])),
+    (1.0, 0.0, np.arccos(np.polynomial.legendre.leggauss(48)[0])),
+    (1e-3, 12.0, _scan_grid(9)),
+    (1e-5, 12.0, _scan_grid(5)),
+])
+def test_ladder_is_the_two_call_ladder_bit_for_bit(energy, z0, theta):
+    # the start and the first rung in one pass give the values and error
+    # estimates of one call each, at every rung an angle is trusted
+    q = ScatteringConfig(E_n_ev=energy).q
+    values, errors = _reduced_integrals(theta, q, z0)
+    expected_values, expected_errors = _two_call_ladder(theta, q, z0)
+    assert values.tobytes() == expected_values.tobytes()
+    assert errors.tobytes() == expected_errors.tobytes()
+
+
+@pytest.mark.parametrize("energy,z0", [(1.0, 0.0), (1e-5, 12.0), (100.0, 0.5)])
+def test_split_node_sums_are_the_sums_over_each_part(energy, z0):
+    # the sums over nodes[:split] and nodes[split:] from one call are each
+    # the same to the bit as a call on those nodes alone, the tail rows'
+    # dropped nodes and split included
+    q = ScatteringConfig(E_n_ev=energy).q
+    theta = _scan_grid(37)
+    sums = scattering._node_sums(theta, q, z0)
+    nodes, weights, split = scattering._ladder_start(4)
+    assert split == scattering._tanh_sinh(3, False)[0].size
+    assert np.count_nonzero(nodes[:split] < scattering._TAIL_T_MIN) > 0
+    for idx in (np.arange(theta.size), np.arange(0, theta.size, 5), np.array([36])):
+        first, second = sums(idx, nodes, weights, split)
+        assert first.tobytes() == sums(idx, nodes[:split], weights[:split]).tobytes()
+        assert second.tobytes() == sums(idx, nodes[split:], weights[split:]).tobytes()
+
+
 @pytest.mark.parametrize("energy,z0", [(1.0, 0.0), (100.0, 0.5), (1.0, 2.0), (0.05, 12.0),
                                        (1e-5, 12.0)])
 def test_node_sums_equal_the_piece_by_piece_loop_bit_for_bit(energy, z0):
