@@ -150,14 +150,13 @@ def _parser() -> _Parser:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as _parser().parse_args(argv) parses it, in one pass
-    where the first word names a subcommand: that subcommand's parser takes
-    the rest, as the full parser would hand it on. Any other run (no
-    words, -h, --version or an unknown first word) takes the full parser,
-    as does one with a word that starts with "--=", which the full parser
-    reports as an ambiguous prefix of its own options."""
+    """argv parsed in one pass where the first word names a subcommand:
+    that subcommand's parser takes the rest, as the full parser would hand
+    it on, and reports its errors against its own options. Any other run
+    (no words, -h, --version or an unknown first word) takes the full
+    parser."""
     subparser = _parser().subcommands.get(argv[0]) if argv else None
-    if subparser is None or any(word.startswith("--=") for word in argv):
+    if subparser is None:
         return _parser().parse_args(argv)
     args = subparser.parse_args(argv[1:])
     args.subcommand = argv[0]

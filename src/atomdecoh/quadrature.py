@@ -20,6 +20,9 @@ class QuadratureError(ArithmeticError):
 
 #: |mu|^2 up to which the upward recurrence from J_0 keeps 1e-13
 _UPWARD_MU_SQ = 6.0
+#: the smallest normal double: a running scale of the recurrences below it
+#: has lost bits
+_SMALLEST_NORMAL = 2.0**-1022
 #: largest start index of the backward recurrence
 _MILLER_CAP = 4000
 #: largest n_max of damped_moments: the a -> 0 limit n! / b^(n+1) needs
@@ -365,7 +368,8 @@ def _upward(mu, j0, n_max: int, root) -> list:
     arrays, as is _backward. Each moment is J_n times the scale s_n, with
     s_0 = 1/root and s_n = s_(n-1)/root, as it comes: the same operations in
     the same order as a list of J_n rescaled afterwards (tests/oracles.py),
-    so the moments are bit for bit those."""
+    so the moments are bit for bit those, wherever the scale stays a normal
+    double (_two_factors)."""
     scale = 1.0 / root
     moments = [j0 * scale]
     if n_max >= 1:
@@ -376,7 +380,10 @@ def _upward(mu, j0, n_max: int, root) -> list:
             j_prev, j = j, 0.5 * (n * j_prev - mu * j)
             scale = scale / root
             moments.append(j * scale)
-    return moments
+    if _SMALLEST_NORMAL <= scale < math.inf:
+        return moments
+    half = math.sqrt(root)
+    return _two_factors(_upward(mu, j0, n_max, half), half)
 
 
 def _backward(mu, n_max: int, start: int, g, root) -> list:
@@ -390,7 +397,9 @@ def _backward(mu, n_max: int, start: int, g, root) -> list:
     themselves does, one multiplication per step fewer. On the way up
     J_n = J_(n-1) g_(n-1) / 2 is scaled as _upward scales it, so the
     moments are bit for bit those of a list of J_n rescaled afterwards
-    (tests/oracles.py). Elementwise for arrays."""
+    (tests/oracles.py), wherever the scale stays a normal double
+    (_two_factors). Elementwise for arrays."""
+    g_start = g
     for n in range(2 * start, 2 * n_max, -2):
         g = n / (mu + g)
     gs = []
@@ -404,7 +413,28 @@ def _backward(mu, n_max: int, start: int, g, root) -> list:
         j = j * g * 0.5
         scale = scale / root
         moments.append(j * scale)
-    return moments
+    if _SMALLEST_NORMAL <= scale < math.inf:
+        return moments
+    half = math.sqrt(root)
+    return _two_factors(_backward(mu, n_max, start, g_start, half), half)
+
+
+def _two_factors(moments: list, half: float) -> list:
+    """The moments J_n / half^(n+1) that _upward or _backward gave at
+    root = half^2, scaled once more by 1 / half^(n+1): the scale
+    1 / root^(n+1) in two factors, for where it leaves the normal doubles
+    by n_max (1 / a^((n+1)/2) overflows past 1e308 at a = 1e-50 and
+    n = 12) while the moments need not. Each factor is within the range
+    wherever the scale is within its square. The two roundings, with the
+    rounding of sqrt(root), move I_n by at most 2.3 (n + 1) ulps against
+    one factor (3,000 draws up to n = 170 with both in range). Where a factor
+    leaves the range as well, the recurrence at half splits it again."""
+    scale = 1.0 / half
+    out = []
+    for moment in moments:
+        out.append(moment * scale)
+        scale = scale / half
+    return out
 
 
 def _backward_array(mu: np.ndarray, n_max: int, starts: np.ndarray, seeds: np.ndarray,
@@ -424,21 +454,30 @@ def _backward_array(mu: np.ndarray, n_max: int, starts: np.ndarray, seeds: np.nd
 
 
 def _exact(b, n_max: int) -> list:
-    """The a = 0 moments n! / b^(n+1), n = 0..n_max; elementwise for arrays.
-    A float b takes _power, so these round, and overflow to inf, as the
-    complex ones do."""
+    """The a = 0 moments n! (1/b)^(n+1), n = 0..n_max: for a scalar b, a
+    float or a complex, by _power, and elementwise for an array b by
+    numpy's power. A scalar moment past the double range is inf: for a
+    real b that is what the float arithmetic gives, and for a complex b,
+    where the complex products turn the overflow into nan parts, it is
+    the infinity in the moment's direction, cmath.rect(inf, -(n+1) arg b)."""
     inv_b = 1.0 / b
-    if type(inv_b) is float:
-        return [math.factorial(n) * _power(inv_b, n + 1) for n in range(n_max + 1)]
-    return [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)]
+    if type(inv_b) is not float and type(inv_b) is not complex:
+        return [math.factorial(n) * inv_b ** (n + 1) for n in range(n_max + 1)]
+    moments = []
+    for n in range(n_max + 1):
+        moment = math.factorial(n) * _power(inv_b, n + 1)
+        if moment != moment:
+            moment = cmath.rect(math.inf, -(n + 1) * cmath.phase(b))
+        moments.append(moment)
+    return moments
 
 
-def _power(x: float, n: int) -> float:
-    """x^n for a float x and n >= 1 as Python raises complex(x) to the int
-    power n: by binary powering up to n = 100 and by pow beyond, so the
-    real a -> 0 limit rounds as the complex one does."""
-    if n > 100:
-        return x**n
+def _power(x, n: int):
+    """x^n for a float or complex x and n >= 1 by binary powering, the
+    rule by which Python raises a complex to an int power up to 100: so a
+    float x rounds as complex(x) would, and a complex x as x**n does up to
+    n = 100. Past the double range the power overflows to inf, or to nan
+    in a part of a complex power, where x**n raises OverflowError."""
     power = 1.0
     while n:
         if n & 1:
@@ -453,12 +492,9 @@ def damped_moments(b, a: float, n_max: int):
     Re b > 0, a >= 0, both finite, and 0 <= n_max <= 170 (_MAX_ORDER),
     else ValueError. Up to 170 every I_n is finite at a = 1, where
     I_n = J_n, over mu from 1e-300 to 1e12 on and off the real axis, and at
-    a = 644.3 (tests/test_moments.py); at 171 the a -> 0 limit overflows.
-    Past the range the recurrences break down as well: at mu = 2.5 and
-    a = 644.3 the scale a^(-(n+1)/2) rounds I_n to 0 from n = 230 on, where
-    I_n is 2.3e-149, and J_n overflows to nan from n = 355 on. Within it
-    the scale can still leave the double range on its own at an extreme
-    a: damped_moments(1e-16, 1e-50, 12) gives inf for I_12 = 4.8e216.
+    a = 644.3 (tests/test_moments.py); at 171 the a -> 0 limit's 171! is
+    past the largest double. Past the range the recurrences break down as
+    well: at mu = 2.5 and a = 644.3 J_n overflows from n = 355 on.
 
     b and a are scalars: Python ints, floats and complex numbers, numpy
     scalars, or anything else complex() and float() take, so the call never
@@ -479,14 +515,23 @@ def damped_moments(b, a: float, n_max: int):
     Both recurrences scale each J_n to I_n as they go, with the operations
     of a list of J_n rescaled afterwards in the same order, so every form
     gives the moments of those list-based recurrences bit for bit
-    (tests/oracles.py, tests/test_properties.py).
+    (tests/oracles.py, tests/test_properties.py). Where that running scale
+    a^(-(n+1)/2) leaves the normal doubles by n_max, as it overflows at
+    a = 1e-50 and n = 12 and underflows at a = 1e4 from n = 153 on, it is
+    applied in two factors (``_two_factors``): the moments then stay
+    finite wherever they are doubles, within 2.3 (n + 1) ulps of the
+    one-factor rounding (I_12 = 4.8e216 at b = 1e-16, a = 1e-50 and
+    I_170 = 3.1e-225 at b = 250, a = 1e4, tests/test_moments.py).
 
     With mu = b / sqrt(a), J_n = a^((n+1)/2) I_n obeys
     mu J_n + 2 J_{n+1} = n J_{n-1} + [n = 0]. The branch follows |mu|:
 
     * a = 0, or |mu|^2 >= 2^54 (n_max + 1)(n_max + 2), where the first
       correction a (n+1)(n+2) / b^2 to the a = 0 limit is below half an ulp:
-      the exact n! / b^(n+1) (``_exact``), which no J_n underflows;
+      the exact n! (1/b)^(n+1) (``_exact``), which no J_n underflows, with
+      (1/b)^(n+1) by binary powering (``_power``) for a real b and a
+      complex one alike, at every order. A moment past the double range is
+      inf, for a complex b in the moment's direction, and never raises;
     * |mu|^2 <= 6: the upward recurrence (``_upward``) from
       J_0 = (sqrt(pi)/2) w(i mu/2), w the Faddeeva function, computed in
       this module. For a real b it is erfcx(mu/2) = exp(mu^2/4) erfc(mu/2),

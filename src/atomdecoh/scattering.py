@@ -330,7 +330,8 @@ def _reduced_integrals(theta, q: float, z0: float = 0.0) -> tuple[np.ndarray, np
     |I_L - I_(L-1)|. An angle is trusted at the first rung where its value
     is finite and its estimate is within _ACCURACY relative. This is the
     one place that decides trust: an angle still not trusted after the
-    last rung raises QuadratureError, for the first such angle.
+    last rung raises QuadratureError, for the first such angle, with its
+    relative estimate |I_L - I_(L-1)| / |I_L| in the message.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     values = np.empty(theta.shape)
@@ -356,7 +357,8 @@ def _reduced_integrals(theta, q: float, z0: float = 0.0) -> tuple[np.ndarray, np
             i = lo + todo[0]
             raise QuadratureError(
                 f"cross-section integral failed at theta={float(theta[i])}: value "
-                f"{values[i]:.6e}, error estimate {errors[i]:.3e} above {_ACCURACY:g} relative"
+                f"{values[i]:.6e}, relative error estimate {errors[i] / abs(values[i]):.3e} "
+                f"above {_ACCURACY:g}"
             )
     return values, errors
 
@@ -544,13 +546,23 @@ def diff_cross_section_numeric(config: ScatteringConfig, theta: float) -> float:
     {1e-6, 0.01, 0.3, 1, 2, pi} x E in {0.05, 1, 16, 100} eV x
     z0 in {0, 0.1, 0.5, 2, 12} (tests/test_xsection_refs.py). The same bound
     is checked at run time: an angle whose tanh-sinh error estimate exceeds
-    it raises QuadratureError. At theta = 0 exactly and z0 = 0 that sets a
-    limit: every energy from about 0.91 eV up passes, about half of those
-    from 0.4 to 0.91 eV raise, and almost all below do (0.1, 0.5 and 0.6 eV
-    raise, with error estimates of 4.4e-8, 1.5e-9 and 2.1e-9). angular_scan
-    starts at FORWARD_EPSILON and never asks for theta = 0.
+    it raises QuadratureError.
+
+    The cross-section diverges like ln(1/theta) as theta -> 0, at every
+    energy and z0, so theta = 0 raises ValueError. At the elastic point
+    u = 1 both the momentum transfer kappahat and the energy transfer what
+    vanish linearly at theta = 0, so the spectral weight there grows like
+    1 / |u - 1|, cut off at |u - 1| ~ theta for theta > 0. The reduced
+    integral is I(theta) = A + B ln(1/theta) + o(1), with
+    B = 2 kappa F(u_0) / kappa_s at u_0 = 1 / (2 kappa_s), kappa_s = Z*/(4q):
+    at z0 = 0, B = t^3 (1 + 4t + 16t^2) / (3 kappa_s) with
+    t = 1 / (1 + u_0^2). B ln(1e6) is about 0.86 of I at theta = 1e-6 and
+    1 meV, and 3e-6 of it at 1 eV. angular_scan starts at FORWARD_EPSILON
+    and never asks for theta = 0.
     """
-    _check_theta(theta)
+    if _check_theta(theta) == 0.0:
+        raise ValueError("the differential cross-section diverges like ln(1/theta) at "
+                         "theta = 0: it has no finite value there")
     (integral,), _ = _reduced_integrals(theta, _wavenumber(config), config.z0)
     return _PER_INTEGRAL * float(integral)
 

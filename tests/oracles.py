@@ -582,8 +582,8 @@ def _erfcx_w(z: complex) -> complex:
 def real_moments_in_complex(b: float, a: float, n_max: int) -> list:
     """damped_moments(b, a, n_max) for a real b > 0, run on Python complex
     numbers with imaginary part 0: complex_moments_list at complex(b) with
-    what a real b keeps apart, J_0 from erfcx; the a -> 0 limit is the
-    complex integer power that _power reproduces."""
+    what a real b keeps apart, J_0 from erfcx; the a -> 0 limit is _power's
+    binary powering of complex(1/b)."""
     return complex_moments_list(complex(b), a, n_max, _erfcx_w)
 
 

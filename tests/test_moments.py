@@ -5,6 +5,7 @@ the library asks for."""
 
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -178,6 +179,43 @@ def test_n_max_range_keeps_every_moment_finite():
         for bad in (n_max + 1, 400, -1):
             with pytest.raises(ValueError, match="n_max"):
                 damped_moments(b, a, bad)
+
+
+@pytest.mark.parametrize("b,n_max", [
+    (complex(1e-200, 1e-300), 3), (1e-3, 99), (1e-3, 120), (1e-3, 170),
+    (complex(1e-3, 1e-9), 120),
+])
+def test_a_zero_moments_are_finite_or_inf_and_never_raise(b, n_max):
+    # n! (1/b)^(n+1) by binary powering at every order: a moment past the
+    # double range is inf, signed as its exact value, and never nan or an
+    # OverflowError, for a real b as for a complex one
+    moments = damped_moments(b, 0.0, n_max)
+    assert len(moments) == n_max + 1
+    assert type(moments[0]) is type(b)
+    largest = mp.mpf(sys.float_info.max)
+    with mp.workdps(DPS):
+        for n, moment in enumerate(moments):
+            exact = mp.factorial(n) / mp.mpc(b) ** (n + 1)
+            for got, want in ((moment.real, exact.real), (moment.imag, exact.imag)):
+                assert not math.isnan(got), (n, moment)
+                if math.isinf(got):
+                    assert mp.sign(want) == math.copysign(1.0, got), (n, moment)
+            if cmath.isfinite(moment):
+                assert abs(mp.mpc(moment) - exact) <= 3e-14 * abs(exact), (n, moment)
+            else:
+                assert abs(exact) > largest / 2, (n, moment)
+
+
+@pytest.mark.parametrize("b,a,n_max", [
+    # 1 / a^((n+1)/2) overflows at n = 12 (backward recurrence)
+    (1e-16, 1e-50, 12),
+    # and underflows from n = 153 on at mu = 2.5, where I_170 is 3.1e-225
+    (250.0, 1e4, 170),
+])
+def test_scale_out_of_the_double_range_keeps_the_moments(b, a, n_max):
+    got = damped_moments(b, a, n_max)
+    assert all(m != 0.0 and math.isfinite(m) for m in got)
+    assert max_rel_err(got, ref_moments(b, a, n_max)) <= 1e-13
 
 
 #: (q, z0, bound): 1e-9 at q = 0 and on [1e-3, 50], where the imaginary part

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -219,14 +220,33 @@ def test_cross_sections_at_a_zero_wavenumber_raise_one_arithmetic_error(energy):
         )
 
 
-def test_numeric_cross_section_limits_at_z0_zero():
-    # where the z0 = 0 ladder stops trusting the forward angle: theta = 0
-    # is trusted at 1 eV, and at 1e-5 eV not even at level 7
-    config = ScatteringConfig(E_n_ev=1.0)
-    assert diff_cross_section_numeric(config, 0.0) == pytest.approx(
-        1.6606858409685584e-29, rel=1e-15, abs=0.0)
-    with pytest.raises(QuadratureError, match="at theta=0.0: "):
-        diff_cross_section_numeric(ScatteringConfig(E_n_ev=1e-5), 0.0)
+def test_numeric_cross_section_diverges_at_theta_zero():
+    # dsigma/dOmega grows like ln(1/theta): theta = 0 is one ValueError at
+    # every energy and z0, never a clamped value or a QuadratureError
+    for energy in (1e-5, 0.1, 1.0, 16.0):
+        for z0 in (0.0, 2.0):
+            config = ScatteringConfig(E_n_ev=energy, z0=z0)
+            with pytest.raises(ValueError, match=r"diverges like ln\(1/theta\) at theta = 0"):
+                diff_cross_section_numeric(config, 0.0)
+            assert diff_cross_section_numeric(config, FORWARD_EPSILON) > 0.0
+
+
+def test_untrusted_angle_reports_its_relative_error_estimate(monkeypatch):
+    # the message gives |I_L - I_(L-1)| / |I_L| next to the bound: at
+    # 1e-11 eV the absolute estimate is 1.4e-4, the relative one 2.5e-9
+    q = ScatteringConfig(E_n_ev=1e-11).q
+    with pytest.raises(QuadratureError) as failure:
+        scattering._reduced_integrals(np.array([FORWARD_EPSILON]), q)
+    match = re.search(r"value (\S+), relative error estimate (\S+) above 1e-10$",
+                      str(failure.value))
+    assert match, str(failure.value)
+    # the last rung's value and estimate, from a ladder that trusts it
+    monkeypatch.setattr(scattering, "_LEVELS", scattering._LEVELS[-1:])
+    monkeypatch.setattr(scattering, "_ACCURACY", math.inf)
+    (value,), (error,) = scattering._reduced_integrals(np.array([FORWARD_EPSILON]), q)
+    assert float(match[1]) == pytest.approx(value, rel=1e-6)
+    assert float(match[2]) == pytest.approx(error / value, rel=1e-3)
+    assert 1e-10 < error / value < 1e-8 and error > 1e-4
 
 
 def test_scattering_length_is_a_constant_not_a_field():
