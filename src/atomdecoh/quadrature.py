@@ -18,8 +18,6 @@ class QuadratureError(ArithmeticError):
     trust. An ArithmeticError, like every numeric failure of the library."""
 
 
-#: |mu|^2 up to which the upward recurrence from J_0 keeps 1e-13
-_UPWARD_MU_SQ = 6.0
 #: the smallest normal double: a running scale of the recurrences below it
 #: has lost bits
 _SMALLEST_NORMAL = 2.0**-1022
@@ -316,6 +314,9 @@ _EXACT_FROM = tuple(2.0**54 * ((n + 1) * (n + 2)) for n in range(_MAX_ORDER + 1)
 #: by n_max: |mu|^2 from which Miller's recurrence starts at _closed_start,
 #: from the two-term _seed
 _CLOSED_FROM = tuple(170.0 + 14.0 * n for n in range(_MAX_ORDER + 1))
+#: by n_max: |mu|^2 up to which the upward recurrence from J_0 runs; its
+#: error grows with n, so past n_max = 12 _miller_start decides alone
+_UPWARD_TO = tuple(6.0 if n <= 12 else 0.0 for n in range(_MAX_ORDER + 1))
 
 
 def _cap_wins(mu, n_max: int):
@@ -520,22 +521,24 @@ def damped_moments(b, a: float, n_max: int):
     a = 1e-50 and n = 12 and underflows at a = 1e4 from n = 153 on, it is
     applied in two factors (``_two_factors``): the moments then stay
     finite wherever they are doubles, within 2.3 (n + 1) ulps of the
-    one-factor rounding (I_12 = 4.8e216 at b = 1e-16, a = 1e-50 and
-    I_170 = 3.1e-225 at b = 250, a = 1e4, tests/test_moments.py).
+    one-factor rounding (I_12 = 4.8e216 at b = 1e-16, a = 1e-50 backward,
+    I_12 = 3.6e-307 at b = 1, a = 3e47 upward and I_170 = 3.1e-225 at
+    b = 250, a = 1e4, tests/test_moments.py).
 
     With mu = b / sqrt(a), J_n = a^((n+1)/2) I_n obeys
     mu J_n + 2 J_{n+1} = n J_{n-1} + [n = 0]. The branch follows |mu|:
 
-    * a = 0, or |mu|^2 >= 2^54 (n_max + 1)(n_max + 2), where the first
-      correction a (n+1)(n+2) / b^2 to the a = 0 limit is below half an ulp:
+    * a = 0, or |mu|^2 >= 2^54 (n_max + 1)(n_max + 2), |mu| past the
+      largest double included, where the first correction a (n+1)(n+2) / b^2
+      to the a = 0 limit is below half an ulp:
       the exact n! (1/b)^(n+1) (``_exact``), which no J_n underflows, with
       (1/b)^(n+1) by binary powering (``_power``) for a real b and a
       complex one alike, at every order. A moment past the double range is
       inf, for a complex b in the moment's direction, and never raises;
-    * |mu|^2 <= 6: the upward recurrence (``_upward``) from
-      J_0 = (sqrt(pi)/2) w(i mu/2), w the Faddeeva function, computed in
-      this module. For a real b it is erfcx(mu/2) = exp(mu^2/4) erfc(mu/2),
-      within 1e-15 relative
+    * |mu|^2 <= 6 and n_max <= 12 (``_UPWARD_TO``): the upward recurrence
+      (``_upward``) from J_0 = (sqrt(pi)/2) w(i mu/2), w the Faddeeva
+      function, computed in this module. For a real b it is
+      erfcx(mu/2) = exp(mu^2/4) erfc(mu/2), within 1e-15 relative
       (``_erfcx``); otherwise, and for every element of an array, it is
       Weideman's N = 40 rational approximation, within 2e-15 relative
       (``_faddeeva``; both in tests/test_faddeeva.py);
@@ -576,10 +579,13 @@ def damped_moments(b, a: float, n_max: int):
     7 <= n <= 12. On some 7,400 draws at n_max = 12 the worst were 1.6e-13
     and 4.3e-12 for a real b (1.67e-12 at mu^2 = 6) and 2.8e-13 and
     7.6e-12 for a complex one, all near |mu|^2 = 6 with Re(mu) about 2.4
-    (tests/test_moments.py). Past the cap the error stays within about
-    twice the predicted loss: at most 7.5e-15 for n_max <= 12 at
-    mu = 1e-17 - 5i, 1e-300 - 9i and 1e-300 - 2.5i (tests/test_moments.py
-    gates 1e-14).
+    (tests/test_moments.py). Past n = 12 it loses more (2.3e2 at
+    mu = 2.449, n_max = 170), so from n_max = 13 on _miller_start decides
+    below the closed-form start: 1.0e-15 at four points where the upward
+    run lost 2.4e-9 to 2.3e2 (tests/test_moments.py gates 1e-13). Past
+    the cap the error stays within about twice the predicted loss: at most
+    7.5e-15 for n_max <= 12 at mu = 1e-17 - 5i, 1e-300 - 9i and
+    1e-300 - 2.5i (tests/test_moments.py gates 1e-14).
     """
     if not 0 <= n_max <= _MAX_ORDER:
         raise ValueError(f"n_max must lie in [0, {_MAX_ORDER}], got {n_max!r}")
@@ -603,12 +609,15 @@ def _moments(b, a: float, n_max: int) -> list:
         return _exact(b, n_max)
     root = math.sqrt(a)
     mu = b / root
+    try:
+        mu_abs = abs(mu)
+    except OverflowError:  # a complex |mu| past the largest double
+        return _exact(b, n_max)
     # a product, not ** 2, which raises OverflowError past |mu| ~ 1.3e154
-    mu_abs = abs(mu)
     mu_sq = mu_abs * mu_abs
     if mu_sq >= _EXACT_FROM[n_max]:
         return _exact(b, n_max)
-    if mu_sq <= _UPWARD_MU_SQ:
+    if mu_sq <= _UPWARD_TO[n_max]:
         start = None
     elif mu_sq >= _CLOSED_FROM[n_max]:
         start = _closed_start(mu_sq, n_max)
@@ -632,21 +641,15 @@ def _damped_moments_array(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
     """damped_moments at every element of a 1-D complex array b, as an
     array of shape (n_max + 1, b.size), unchecked: its one caller, the
     cross-section scan (scattering._damped_weight), builds b finite with
-    Re b = 2 and a finite a >= 0. Each element takes the branch, start and
+    Re b = 2 and a finite a > 0, as it takes the closed form at a = 0
+    (scattering._rest_weight). Each element takes the branch, start and
     seed of its scalar call (J_0 from the Faddeeva function, a real b too),
     and the elements of a branch are evaluated together. The two forms
     agree to a few units in the last place, and past the cap to what the
     recurrence makes of that, as numpy rounds complex products differently
     from Python (tests/test_xsection_engine.py)."""
-    if a == 0.0:
-        return np.array(_exact(b, n_max))
     root = math.sqrt(a)
     out = np.empty((n_max + 1, b.size), dtype=complex)
-
-    def put(idx, moments):
-        for row, moment in zip(out, moments):
-            row[idx] = moment
-
     # b / root part by part, as Python divides a complex by a float
     mu = b.copy()
     mu.real /= root
@@ -655,17 +658,17 @@ def _damped_moments_array(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
         mu_sq = np.abs(mu) ** 2
     exact = mu_sq >= _EXACT_FROM[n_max]
     if exact.any():
-        put(np.flatnonzero(exact), _exact(b[exact], n_max))
+        out[:, exact] = _exact(b[exact], n_max)
     closed_from = _CLOSED_FROM[n_max]
     far = (mu_sq >= closed_from) & ~exact
     starts = np.zeros(b.shape, dtype=int)
     starts[far] = _closed_start(mu_sq[far], n_max)
-    miller = (mu_sq > _UPWARD_MU_SQ) & (mu_sq < closed_from)
+    miller = (mu_sq > _UPWARD_TO[n_max]) & (mu_sq < closed_from)
     starts[miller] = _miller_starts(mu[miller], n_max)
     up = np.flatnonzero((starts == 0) & ~exact)
     if up.size:
         j0 = _HALF_SQRT_PI * _faddeeva(0.5j * mu[up])
-        put(up, _upward(mu[up], j0, n_max, root))
+        out[:, up] = _upward(mu[up], j0, n_max, root)
     back = np.flatnonzero(starts)
     if back.size:
         mu_back, starts_back = mu[back], starts[back]
@@ -676,5 +679,5 @@ def _damped_moments_array(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
         seeds = np.empty(back.size, dtype=complex)
         seeds[closed] = _seed(mu_back[closed], starts_back[closed])
         seeds[newton] = _seed_long(mu_back[newton], starts_back[newton])
-        put(back, _backward_array(mu_back, n_max, starts_back, seeds, root))
+        out[:, back] = _backward_array(mu_back, n_max, starts_back, seeds, root)
     return out

@@ -58,7 +58,7 @@ _TAIL_T_MIN = 1e-6
 _ACCURACY = 1e-10
 #: angles evaluated together, which bounds the size of the node arrays
 _ANGLE_BLOCK = 64
-#: nodes over which _node_sums evaluates the integrand at z0 = 0 at once:
+#: nodes over which _node_sums evaluates the integrand at a = 0 at once:
 #: its temporaries then stay small enough that glibc does not hand the heap
 #: top back to the kernel after each scan, to fault it in again on the next
 #: (the README scan took 175 minor faults per call at 8192 and 105 at 2560)
@@ -145,7 +145,8 @@ def tau_transform(kappa_val: float, omega: float, z0: float) -> float:
 
     kappa F is a function of u = omega / (2 kappa) alone: to 1e-14 relative
     at |u| <= 1 for kappa in [1e-300, 1e300] (tests/test_properties.py). At
-    z0 = 0 F is (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5), summed as
+    a damping a = z0^2 / 8 of 0, which z0 below about 4.7e-162 underflows
+    to, F is (u^4 + 6u^2 + 21) / (6 kappa (1 + u^2)^5), summed as
     t^3 (1 + 4t + 16t^2) / (6 kappa) in t = 1/(1 + u^2), in (0, 1], whose
     terms are all positive; t is formed from |omega|/2 and kappa scaled by
     the larger of the two, so nothing overflows and the value is finite
@@ -156,7 +157,7 @@ def tau_transform(kappa_val: float, omega: float, z0: float) -> float:
     in [1e-12, 1e3] and |omega| up to 1e8, finite and nonnegative at any
     |omega| / kappa.
 
-    For z0 > 0 kappa F is 2 Re sum_n c_n I_n(2 + i omega / kappa, z0^2 / 8)
+    For a > 0 kappa F is 2 Re sum_n c_n I_n(2 + i omega / kappa, a)
     in damped moments (damped_moments), with omega / kappa capped at 1e300,
     past which F is below the smallest double; at omega = 0 b = 2 is real
     and the moments run in float arithmetic. z0^2 / 8 past the largest
@@ -179,7 +180,8 @@ def tau_transform(kappa_val: float, omega: float, z0: float) -> float:
         raise ValueError("kappa_val and z0 must be nonnegative")
     if kappa_val == 0.0:
         raise ValueError("tau_transform singular at kappa = 0")
-    if z0 == 0.0:
+    a = _damping(z0)
+    if a == 0.0:
         half = 0.5 * abs(omega)
         scale = max(half, kappa_val)
         x, y = half / scale, kappa_val / scale
@@ -194,7 +196,7 @@ def tau_transform(kappa_val: float, omega: float, z0: float) -> float:
             value = cube * poly / 6.0 / kappa_val
     else:
         ratio = omega / max(kappa_val, 1e-300 * abs(omega))
-        moments = damped_moments(complex(2.0, ratio), _damping(z0), len(KERNEL_SQ_POLY) - 1)
+        moments = damped_moments(complex(2.0, ratio), a, len(KERNEL_SQ_POLY) - 1)
         value = 2.0 * _kernel_sum(moments) / kappa_val
     if not math.isfinite(value):
         raise OverflowError(f"spectral weight overflows at kappa_val={kappa_val!r}")
@@ -389,12 +391,13 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
     rows. The integrand is one loop at every z0, in units of
     kappa_scale: from m = (kappahat / kappa_scale)^2 and
     half = -what / (2 kappa_scale), with the per-angle constants folded in,
-    the spectral weight is 6 kappa_scale F, _rest_weight at z0 = 0 and
-    _damped_weight for z0 > 0, and the sums are divided by 6 kappa_scale at
-    the end. At z0 = 0 the integrand goes in chunks of whole rows of at
+    the spectral weight is 6 kappa_scale F, _rest_weight at a damping
+    a = z0^2 / 8 of 0, as tau_transform switches, and _damped_weight for
+    a > 0, and the sums are divided by 6 kappa_scale at the end. At a = 0
+    the integrand goes in chunks of whole rows of at
     most _CHUNK_ELEMENTS nodes, so that the temporaries of the README scan
     do not outgrow glibc's trim threshold (128 KiB) and fault in again on
-    every call. For z0 > 0 the rows go in one chunk: the array damped
+    every call. For a > 0 the rows go in one chunk: the array damped
     moments cost much per call, and chunks of 2048 nodes made 181-angle
     scans at z0 = 0.5 and 12 slower by a fifth or more. Each row is summed
     pairwise, on each side of the split when there is one, and np.bincount
@@ -446,7 +449,7 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
         # over the row's nodes rather than repeated into a full array
         u_at, e_at, omc2_at, slope_at = columns
         out = np.empty((len(ends), u_at.shape[0]))
-        step = max(_CHUNK_ELEMENTS // d.shape[-1] if z0 == 0.0 else out.shape[1], 1)
+        step = max(_CHUNK_ELEMENTS // d.shape[-1] if a == 0.0 else out.shape[1], 1)
         # half^2, and 2u of the damped weight, overflow to inf far out in the
         # tail, where F = 0 is the limit; each operation that can reuse an
         # operand's array does so
@@ -461,7 +464,7 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
                 np.maximum(m, 1e-300, out=m)
                 half = slope_at[rows] + curve * x
                 half *= x
-                weight = _rest_weight(m, half) if z0 == 0.0 else _damped_weight(m, half, a)
+                weight = _rest_weight(m, half) if a == 0.0 else _damped_weight(m, half, a)
                 weight *= (fw[rows] if fw.ndim == 2 else fw) * (u * u)
                 begin = 0
                 for part, end in zip(out, ends):
@@ -508,10 +511,10 @@ def _node_sums(theta: np.ndarray, q: float, z0: float):
 
 
 def _rest_weight(m, half):
-    """6 kappa_scale F at z0 = 0, elementwise, in the units of _node_sums:
+    """6 kappa_scale F at a = 0, elementwise, in the units of _node_sums:
     m = (kappahat / kappa_scale)^2 and half = what / (2 kappa_scale), of
     either sign. It is t^3 (1 + 4t + 16t^2) / sqrt(m) at t = 1/(1 + u^2) =
-    m / (m + half^2), the z0 = 0 form of tau_transform without its
+    m / (m + half^2), the a = 0 form of tau_transform without its
     rescaling, in place where the arithmetic allows; where half^2
     overflows to inf, t = 0 is the limit the value takes."""
     t = half * half
@@ -527,7 +530,7 @@ def _rest_weight(m, half):
 
 
 def _damped_weight(m, half, a: float):
-    """6 kappa_scale F for z0 > 0, elementwise, in the units of _rest_weight:
+    """6 kappa_scale F for a > 0, elementwise, in the units of _rest_weight:
     12 Re sum_n c_n I_n(2 + 2iu, a) / sqrt(m) at u = half / sqrt(m) and
     a = z0^2 / 8, from the array damped moments. 2u is capped at 1e300,
     past which F is below the smallest double, as tau_transform caps it;

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from ._numpy import np
 from .density import hydrogen_kernel
-from .wavepacket import GaussianPacket, _psi
+from .wavepacket import _psi
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,6 @@ class TwoSlitConfig:
     @property
     def separation(self) -> float:
         return math.dist(self.slit1, self.slit2)
-
-    def packets(self) -> tuple[GaussianPacket, GaussianPacket]:
-        alpha = GaussianPacket(self.packet_delta, self.slit1, self.p0)
-        beta = GaussianPacket(self.packet_delta, self.slit2, self.p0)
-        return alpha, beta
 
 
 def _amplitudes(config: TwoSlitConfig, screen_point):
@@ -112,9 +107,9 @@ def visibility(pattern_values) -> float:
 
 def expected_fringe_period(config: TwoSlitConfig) -> float:
     """Fringe spacing on the screen from the spreading-phase difference:
-    4 pi Delta_x(t0)^2 / (d * theta) with theta = hbar t0 / (2 M delta^2).
-    Float work: Delta_x(t0) is formed as wavepacket.width forms it, and no
-    packet is built."""
+    4 pi Delta_x(t0)^2 / (d * theta) with theta = hbar t0 / (2 M delta^2)
+    and the packet's spread Delta_x(t0) = sqrt(delta^2 + (t0 / (2 delta))^2).
+    Float work: no packet is built."""
     # squares as products, which overflow to inf where ** raises: a period
     # that is not finite is then screen_scan's to report
     delta = config.packet_delta

@@ -1,4 +1,4 @@
-"""Free Gaussian center-of-mass wave packet and its width.
+"""Free Gaussian center-of-mass wave packet.
 
 Lengths are measured in Bohr radii and hbar = M = 1, M the packet's
 mass, so time is in units of M a_B^2 / hbar and momentum in hbar / a_B.
@@ -102,8 +102,3 @@ def evaluate(
     amp, wave = _psi(np.asarray(packet.R0), packet.P0, packet.delta, R, t)
     out = amp * wave
     return complex(out) if out.ndim == 0 else out
-
-
-def width(packet: GaussianPacket, t: float) -> float:
-    """Position spread Delta x = sqrt(delta^2 + (hbar t / (2 M delta))^2)."""
-    return math.hypot(packet.delta, t / (2.0 * packet.delta))

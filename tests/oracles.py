@@ -13,6 +13,8 @@ can compare the two:
   series acceleration;
 * a brute-force 3D tensor-product Gauss-Legendre integrator, and the
   one-axis factor of the Gaussian packet it is checked against;
+* a packet's position spread Delta x(t), and the two packets of a two-slit
+  configuration, which the library forms on floats without building them;
 * the momentum density through the generic route (numeric diagonal
   average of the packet, times the kernel, then a radial sine transform);
 * the normalization 4 pi int q^2 n(q) dq of the momentum density;
@@ -47,7 +49,8 @@ from atomdecoh import momentum, quadrature
 from atomdecoh.quadrature import QuadratureError
 from atomdecoh.density import Z_EFF_HELIUM
 from atomdecoh.scattering import _TAIL_T_MIN, MASS_RATIO, _damped_weight, tau_transform
-from atomdecoh.wavepacket import GaussianPacket, width
+from atomdecoh.twoslit import TwoSlitConfig
+from atomdecoh.wavepacket import GaussianPacket
 
 TRUNCATION_DECAY_LENGTHS = 40.0
 
@@ -429,9 +432,9 @@ def node_sums_by_piece(theta: np.ndarray, q: float, z0: float):
     piece sums added per angle one piece after the other. The spectral
     weight is 6 kappa_scale F from m = (kappahat / kappa_scale)^2 and
     half = -what / (2 kappa_scale), and the sums are divided by
-    6 kappa_scale at the end. At z0 = 0 the weight is its own copy of the
-    library's arithmetic, t^3 (1 + 4t + 16t^2) / sqrt(m) at
-    t = m / (m + half^2); for z0 > 0 it is scattering._damped_weight."""
+    6 kappa_scale at the end. Where the damping z0^2 / 8 is 0 the weight is
+    its own copy of the library's arithmetic, t^3 (1 + 4t + 16t^2) / sqrt(m)
+    at t = m / (m + half^2); elsewhere it is scattering._damped_weight."""
     r = MASS_RATIO
     omc = 2.0 * np.sin(0.5 * theta) ** 2
     c = 1.0 - omc
@@ -473,7 +476,7 @@ def node_sums_by_piece(theta: np.ndarray, q: float, z0: float):
                            1e-300)
             half = d * (w_slope[angle] / (2.0 * kappa_scale) + gamma / (2.0 * kappa_scale) * d)
             with np.errstate(over="ignore"):
-                if z0 == 0.0:
+                if z0 * z0 / 8.0 == 0.0:
                     t = m / (m + half * half)
                     tau = t * t * t * (1.0 + t * (4.0 + 16.0 * t)) / np.sqrt(m)
                 else:
@@ -483,6 +486,18 @@ def node_sums_by_piece(theta: np.ndarray, q: float, z0: float):
         return total[idx] / 6.0 / kappa_scale
 
     return sums
+
+
+def width(packet: GaussianPacket, t: float) -> float:
+    """Position spread Delta x = sqrt(delta^2 + (hbar t / (2 M delta))^2)."""
+    return math.hypot(packet.delta, t / (2.0 * packet.delta))
+
+
+def packets(config: TwoSlitConfig) -> tuple[GaussianPacket, GaussianPacket]:
+    """The packets alpha and beta of a two-slit configuration: its spread
+    and momentum, launched from slit1 and slit2."""
+    return (GaussianPacket(config.packet_delta, config.slit1, config.p0),
+            GaussianPacket(config.packet_delta, config.slit2, config.p0))
 
 
 def verify_offdiagonal_bound(
@@ -559,7 +574,7 @@ def complex_moments_list(b: complex, a: float, n_max: int, w=quadrature._faddeev
         mu_abs = abs(mu)
         mu_sq = mu_abs * mu_abs
         if mu_sq < 2.0**54 * ((n_max + 1) * (n_max + 2)):
-            if mu_sq <= 6.0:
+            if mu_sq <= (6.0 if n_max <= 12 else 0.0):
                 start = None
             elif mu_sq >= 170.0 + 14.0 * n_max:
                 start = quadrature._closed_start(mu_sq, n_max)
@@ -588,12 +603,10 @@ def real_moments_in_complex(b: float, a: float, n_max: int) -> list:
 
 
 def array_moments_list(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
-    """quadrature._damped_moments_array for a 1-D array b with Re b > 0 by
-    the list-based recurrences, each element in the branch and from the
-    start and seed the array kernel gives it."""
+    """quadrature._damped_moments_array for a 1-D array b with Re b > 0 and
+    a > 0 by the list-based recurrences, each element in the branch and
+    from the start and seed the array kernel gives it."""
     b = np.asarray(b, dtype=complex)
-    if a == 0.0:
-        return np.array(quadrature._exact(b, n_max))
     root = math.sqrt(a)
     out = np.empty((n_max + 1, b.size), dtype=complex)
     mu = b.copy()
@@ -607,7 +620,7 @@ def array_moments_list(b: np.ndarray, a: float, n_max: int) -> np.ndarray:
     far = (mu_sq >= 170.0 + 14.0 * n_max) & ~exact
     starts = np.zeros(b.shape, dtype=int)
     starts[far] = quadrature._closed_start(mu_sq[far], n_max)
-    miller = (mu_sq > 6.0) & (mu_sq < 170.0 + 14.0 * n_max)
+    miller = (mu_sq > (6.0 if n_max <= 12 else 0.0)) & (mu_sq < 170.0 + 14.0 * n_max)
     starts[miller] = quadrature._miller_starts(mu[miller], n_max)
     up = (starts == 0) & ~exact
     if up.any():

@@ -39,6 +39,7 @@ from oracles import (
     integrate_fourier_complex,
     momentum_density_generic,
     normalization_integral,
+    packets,
 )
 
 
@@ -173,7 +174,7 @@ def test_criterion_8_two_slit_contrast():
         p0=(0.0, 0.0, 0.05),
     )
     offsets, coh, dec = screen_scan(config, 801)
-    alpha, beta = config.packets()
+    alpha, beta = packets(config)
     s1 = np.asarray(config.slit1)
     s2 = np.asarray(config.slit2)
     midpoint = 0.5 * (s1 + s2) + np.asarray(config.p0) * config.t0

@@ -211,11 +211,44 @@ def test_a_zero_moments_are_finite_or_inf_and_never_raise(b, n_max):
     (1e-16, 1e-50, 12),
     # and underflows from n = 153 on at mu = 2.5, where I_170 is 3.1e-225
     (250.0, 1e4, 170),
+    # 1 / a^((n+1)/2) underflows at n = 12 (upward recurrence), where I_12
+    # is 3.6e-307
+    (1.0, 3e47, 12),
 ])
 def test_scale_out_of_the_double_range_keeps_the_moments(b, a, n_max):
     got = damped_moments(b, a, n_max)
     assert all(m != 0.0 and math.isfinite(m) for m in got)
     assert max_rel_err(got, ref_moments(b, a, n_max)) <= 1e-13
+
+
+def test_mu_past_the_largest_double_is_the_a_zero_limit():
+    # |mu| overflows where its parts do not: the a -> 0 limit, as an array
+    # element takes it, and no OverflowError
+    b = complex(1.5e308, 1.5e308)
+    limit = damped_moments(b, 0.0, 3)
+    assert list(map(repr, damped_moments(b, 1.0, 3))) == list(map(repr, limit))
+
+
+def _pcfd_moment(b, a, n):
+    """I_n = n! (2a)^(-(n+1)/2) e^(b^2/8a) D_(-(n+1))(b / sqrt(2a)) at 60
+    digits; quadrature on [0, inf) can miss the peak at s ~ sqrt(n / 2a)."""
+    with mp.workdps(60):
+        b, a = mp.mpc(b), mp.mpf(a)
+        return (mp.factorial(n) * (2 * a) ** (-mp.mpf(n + 1) / 2) * mp.exp(b * b / (8 * a))
+                * mp.pcfd(-(n + 1), b / mp.sqrt(2 * a)))
+
+
+@pytest.mark.parametrize("b,n_max", [(2.0, 100), (2.449, 170), (2 + 1j, 170), (1.0, 170)])
+def test_orders_past_12_take_the_backward_recurrence(b, n_max):
+    # |mu|^2 <= 6, where the upward recurrence runs up to n_max = 12: past
+    # that it lost 2.7e-5, 2.3e2, 0.14 and 2.4e-9 at these points, and
+    # _miller_start's runs (from 173, 235, 247 and 265) keep 1.0e-15
+    assert quadrature._UPWARD_TO[12] == 6.0 and quadrature._UPWARD_TO[13] == 0.0
+    assert quadrature._miller_start(b, n_max) is not None
+    got = damped_moments(b, 1.0, n_max)
+    for n, moment in enumerate(got):
+        ref = _pcfd_moment(b, 1.0, n)
+        assert abs(mp.mpc(moment) - ref) <= 1e-13 * abs(ref), n
 
 
 #: (q, z0, bound): 1e-9 at q = 0 and on [1e-3, 50], where the imaginary part

@@ -1,5 +1,6 @@
 """Every private module-level name of the package has a caller in the
-package itself: a helper that only tests call belongs under tests/."""
+package itself, and every public function or method is exported or has
+one: a helper that only tests call belongs under tests/."""
 
 import ast
 from pathlib import Path
@@ -41,6 +42,33 @@ def test_every_private_name_has_a_caller_in_the_package():
         for module, tree in trees.items()
         for name in _defined(tree)
         if name.startswith("_") and name != "_" and not name.startswith("__") and name not in used
+    ]
+    assert unused == []
+
+
+def _public_functions(tree):
+    """A module's public functions and the public methods of its public
+    classes, as (qualified name, name)."""
+    def public(node):
+        return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_"))
+
+    for node in filter(public, tree.body):
+        if isinstance(node, ast.ClassDef):
+            for method in filter(public, node.body):
+                yield f"{node.name}.{method.name}", method.name
+        else:
+            yield node.name, node.name
+
+
+def test_every_public_function_is_exported_or_has_a_caller_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _used(tree)}
+    unused = [
+        f"{module}:{qualified}"
+        for module, tree in trees.items()
+        for qualified, name in _public_functions(tree)
+        if name not in atomdecoh._EXPORTS and name not in used
     ]
     assert unused == []
 

@@ -15,7 +15,8 @@ from atomdecoh.twoslit import (
     screen_scan,
     visibility,
 )
-from atomdecoh.wavepacket import GaussianPacket, _psi, evaluate, width
+from atomdecoh.wavepacket import GaussianPacket, _psi, evaluate
+from oracles import packets, width
 from test_xsection_engine import _fresh
 
 
@@ -186,7 +187,7 @@ def test_patterns_at_one_point_are_the_packet_values_bit_for_bit(kwargs, point):
     # at a single point each packet is a Python complex, as evaluate's, and
     # the patterns are formed from them by Python's complex arithmetic
     config = TwoSlitConfig(**kwargs)
-    alpha, beta = config.packets()
+    alpha, beta = packets(config)
     a_val = evaluate(alpha, point, config.t0)
     b_val = evaluate(beta, point, config.t0)
     assert type(a_val) is type(b_val) is complex
@@ -264,7 +265,7 @@ def test_config_and_fringe_period_load_no_numpy():
 
 def test_single_slit_has_no_fringes():
     config = _far_field_config(amp1=1.0, amp2=0.0)
-    alpha, _ = config.packets()
+    alpha, _ = packets(config)
     points = np.array([[x, 0.0, config.p0[2] * config.t0] for x in (-300.0, 0.0, 300.0)])
     coh = coherent_pattern(config, points)
     expected = np.abs(evaluate(alpha, points, config.t0)) ** 2
@@ -284,7 +285,7 @@ def test_symmetric_pattern_is_mirror_symmetric():
 def test_midpoint_constructive_doubling():
     config = _far_field_config()
     midpoint = (0.0, 0.0, config.p0[2] * config.t0)
-    alpha, _ = config.packets()
+    alpha, _ = packets(config)
     single = abs(evaluate(alpha, midpoint, config.t0)) ** 2
     assert coherent_pattern(config, midpoint) == pytest.approx(2.0 * single, rel=1e-10)
     assert decohered_pattern(config, midpoint) == pytest.approx(single, rel=1e-10)
@@ -356,7 +357,7 @@ def test_single_packet_visibility_reflects_envelope_only():
     config = _far_field_config(amp1=1.0, amp2=0.0)
     offsets, coh, _ = screen_scan(config, 801)
     v = visibility(coh)
-    alpha, _ = config.packets()
+    alpha, _ = packets(config)
     dx = width(alpha, config.t0)
     span = offsets[-1] - offsets[0]
     envelope_contrast = 1.0 - math.exp(-(span / 2.0) ** 2 / (2.0 * dx**2))
@@ -365,7 +366,7 @@ def test_single_packet_visibility_reflects_envelope_only():
 
 def test_expected_fringe_period_scaling():
     config = _far_field_config()
-    alpha, _ = config.packets()
+    alpha, _ = packets(config)
     dx = width(alpha, config.t0)
     theta = config.t0 / (2.0 * config.packet_delta**2)
     assert expected_fringe_period(config) == pytest.approx(
@@ -376,7 +377,7 @@ def test_expected_fringe_period_scaling():
 def test_pointwise_interference_identity():
     config = _far_field_config()
     offsets, coh, dec = screen_scan(config, 101)
-    alpha, beta = config.packets()
+    alpha, beta = packets(config)
     s1 = np.asarray(config.slit1)
     s2 = np.asarray(config.slit2)
     midpoint = 0.5 * (s1 + s2) + np.asarray(config.p0) * config.t0

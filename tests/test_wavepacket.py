@@ -6,8 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from atomdecoh.wavepacket import GaussianPacket, evaluate, width
-from oracles import evaluate_1d, integrate_3d_oracle
+from atomdecoh.wavepacket import GaussianPacket, evaluate
+from oracles import evaluate_1d, integrate_3d_oracle, width
 
 
 def _packet(delta=1.0, R0=(0.0, 0.0, 0.0), P0=(0.0, 0.0, 0.0)):
